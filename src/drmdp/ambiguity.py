@@ -13,7 +13,7 @@ factor space (identity maps recover ambiguity directly on the kernel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

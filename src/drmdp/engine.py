@@ -9,7 +9,7 @@ and iterate the γ-contraction to a fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .reformulation import (
 )
 
 MAX_VALUE_ITERATIONS = 100_000
-
-# template cache shared across sweeps, keyed by (ambiguity identity, action count)
-_OP_CACHE = {}
 
 
 class EngineError(Exception):
@@ -42,7 +39,8 @@ class DrMdpModel:
     the *next stage's* states, in the order they appear in that stage (or
     over all states, in index order, for infinite horizon).  Terminal-stage
     states need no factor map; their values come from `terminal_values`
-    (zero by default).
+    (zero by default).  Robust-LP templates compiled for the model's
+    ambiguity sets live, and die, with the model.
     """
 
     n_states: int
@@ -52,6 +50,9 @@ class DrMdpModel:
     discount: float = None
     terminal_values: np.ndarray = None
     state_labels: tuple = None
+    # (id(ambiguity), action count) -> SRobustTemplate; the model holds every
+    # ambiguity set it keys, so an id cannot be reused while the entry lives
+    _templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factor_maps", tuple(self.factor_maps))
@@ -132,24 +133,15 @@ class RandomizedPolicy:
         object.__setattr__(self, "distributions", tuple(dists))
 
 
-def _stage_backup(model, s, v_next, discount, solver, cache=None, want_certificate=True):
+def _stage_backup(model, s, v_next, discount, solver):
     obj = assemble_stage_objective(v_next, model.factor_maps[s], discount=discount)
     amb = model.ambiguities[s]
-    template = None
-    if cache is not None:
-        # the cached ambiguity reference keeps the id alive, so a hit is
-        # guaranteed to be the same object
-        key = (id(amb), obj.n_actions)
-        hit = cache.get(key)
-        if hit is None:
-            template = SRobustTemplate(amb, obj.n_actions)
-            cache[key] = (amb, template)
-        else:
-            _, template = hit
+    key = (id(amb), obj.n_actions)
+    template = model._templates.get(key)
+    if template is None:
+        template = model._templates[key] = SRobustTemplate(amb, obj.n_actions)
     try:
-        return obj, solve_srobust(
-            obj, amb, solver=solver, template=template, want_certificate=want_certificate
-        )
+        return solve_srobust(obj, amb, solver=solver, template=template)
     except ReformulationError as err:
         raise EngineError(f"backup failed at state {s}: {err}") from err
 
@@ -159,26 +151,24 @@ def backward_induction(model: DrMdpModel, solver="simplex", certificates=True):
 
     Returns (ValueFunction, RandomizedPolicy, certificates) where
     certificates[s] is the worst-case point-mass distribution supporting
-    state s's backup; the first-stage state's value is the distributionally
-    robust value of the model.
+    state s's backup (empty when certificates=False); the first-stage
+    state's value is the distributionally robust value of the model.
     """
     if not model.is_finite:
         raise EngineError("backward_induction requires a finite-horizon model")
     values = np.zeros(model.n_states)
     dists = [None] * model.n_states
     certs = {}
-    cache = {}
     for k, s in enumerate(model.stages[-1]):
         values[s] = model.terminal_values[k]
     for t in range(model.horizon - 2, -1, -1):
         v_next = values[list(model.stages[t + 1])]
         for s in model.stages[t]:
-            _, sol = _stage_backup(
-                model, s, v_next, 1.0, solver, cache=cache, want_certificate=certificates
-            )
+            sol = _stage_backup(model, s, v_next, 1.0, solver)
             values[s] = sol.value
             dists[s] = sol.policy
-            certs[s] = sol.certificate
+            if certificates:
+                certs[s] = sol.certificate
     return ValueFunction(values), RandomizedPolicy(tuple(dists)), certs
 
 
@@ -193,7 +183,7 @@ def bellman_operator(model: DrMdpModel, v, solver="simplex"):
     dists = [None] * model.n_states
     certs = {}
     for s in range(model.n_states):
-        _, sol = _stage_backup(model, s, v, model.discount, solver, cache=_OP_CACHE)
+        sol = _stage_backup(model, s, v, model.discount, solver)
         out[s] = sol.value
         dists[s] = sol.policy
         certs[s] = sol.certificate
@@ -273,4 +263,4 @@ def classical_dp_finite(model: DrMdpModel, factors: dict) -> np.ndarray:
 def certificate_factors(certs: dict) -> dict:
     """Mixture means of per-state certificates: the fixed factor of the
     adversary's worst-case kernel, usable with classical_dp_finite."""
-    return {s: c.weights @ c.means for s, c in certs.items()}
+    return {s: c.mean for s, c in certs.items()}

@@ -8,7 +8,7 @@ used as an independent oracle by the higher layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -344,10 +344,6 @@ class PwlConvexFn:
                 pieces.append((row, b))
             blocks.append(tuple(pieces))
         return PwlConvexFn(total_dim, tuple(blocks))
-
-
-def pwl_eval(f: PwlConvexFn, x) -> float:
-    return f(x)
 
 
 def affine_fn(a, b=0.0) -> PwlConvexFn:

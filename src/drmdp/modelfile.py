@@ -10,7 +10,7 @@ parses back to an equivalent model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -156,11 +156,21 @@ def _parse_factor_map(node, path):
 
 @dataclass(frozen=True)
 class ModelDocument:
-    """Validated document contents, buildable into a DrMdpModel."""
+    """Validated document contents, buildable into a DrMdpModel.
+
+    A document from `parse_model_text` was built while parsing; `build`
+    returns that model instead of building it again.
+    """
 
     raw: dict
+    _model: DrMdpModel = field(default=None, init=False, repr=False, compare=False)
 
     def build(self) -> DrMdpModel:
+        if self._model is not None:
+            return self._model
+        return self._build()
+
+    def _build(self) -> DrMdpModel:
         doc = self.raw
         named = {
             name: _parse_ambiguity(node, f"ambiguities.{name}")
@@ -237,7 +247,8 @@ def parse_model_text(text: str) -> ModelDocument:
         elif "factor_map" not in st or "ambiguity" not in st:
             raise ModelFileError(f"{path}: non-terminal states need factor_map and ambiguity")
     document = ModelDocument(doc)
-    document.build()  # fail fast: every parsed document builds and validates
+    # fail fast: every parsed document builds and validates
+    object.__setattr__(document, "_model", document._build())
     return document
 
 

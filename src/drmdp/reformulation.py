@@ -6,14 +6,18 @@ lifted ambiguity set to minimize its expectation; the decision maker picks
 a randomized action π to maximize the worst case.  Both directions compile
 to finite LPs:
 
-* ``build_adversary_lp`` — the inner minimization for a fixed π, written
-  with perspective variables x_n = ω_n ξ̄_n after replacing each conditional
-  distribution by a point mass at its conditional mean (valid because the
-  objective is linear and the moment functions convex).
 * ``build_srobust_lp`` — the outer maximization with explicit multiplier
   blocks (δ, α, β_j, γ_j): both semi-infinite robust constraint families
   are LP-dualized in place, yielding one monolithic LP whose π block is the
-  robust randomized action.
+  robust randomized action.  Being the dual of the adversary problem, its
+  duals are a worst-case distribution: ``solve_srobust`` reads the saddle
+  certificate from them, so a robust backup solves this one LP only.
+* ``build_adversary_lp`` — the inner minimization for a fixed π, written
+  with perspective variables x_n = ω_n ξ̄_n after replacing each conditional
+  distribution by a point mass at its conditional mean (valid because the
+  objective is linear and the moment functions convex); it serves
+  fixed-policy evaluation.  Both LPs take the moment/weight polytope from
+  one assembler.
 * ``oracle_worst_case`` — an independent check that discretizes supports
   into grids and solves the primal moment problem over point masses.
 """
@@ -142,16 +146,16 @@ def _group_moment_rows(amb: LiftedAmbiguitySet):
 def build_adversary_lp(obj: StageObjective, amb: LiftedAmbiguitySet, pi):
     """Inner minimization for fixed π as one LP; returns (lp, layout).
 
-    Variables: the weight-polytope vector (weights + auxiliaries), the
-    scaled conditional means x_n = ω_n ξ̄_n, per-piece epigraph variables
-    for the moment functions, and scaled group moments (ω̄_j μ_j, ω̄_j ν_j).
-    The LP value plus κ(π) is the worst-case expectation.
+    Variables: the moment/weight-polytope coordinates (weights, auxiliaries
+    and scaled group moments ω̄_j μ_j, ω̄_j ν_j), the scaled conditional
+    means x_n = ω_n ξ̄_n, and per-piece epigraph variables for the moment
+    functions.  The LP value plus κ(π) is the worst-case expectation.
     """
     pi = np.asarray(pi, dtype=float)
     d = amb.factor_dim
     n = amb.n_scenarios
-    cols = _Cols()
-    w = cols.add("w", amb.weight_set.dim)
+    cols, (p_in, q_in), (p_eq, q_eq) = _ambiguity_polytope(amb)
+    poly = slice(0, cols.total)
     xs = [cols.add(("x", i), d) for i in range(n)]
     svars = {}
     for j, g in enumerate(amb.groups):
@@ -159,11 +163,6 @@ def build_adversary_lp(obj: StageObjective, amb: LiftedAmbiguitySet, pi):
             for m, fn in enumerate(g.g_fns[i]):
                 for l in range(len(fn.terms)):
                     svars[(j, i, m, l)] = cols.add(("s", j, i, m, l), 1)
-    moments = []
-    for j, g in enumerate(amb.groups):
-        mu = cols.add(("mu", j), d) if g.mean_equality else None
-        nu = cols.add(("nu", j), g.n_moments) if g.n_moments else None
-        moments.append((mu, nu))
 
     rows = []
 
@@ -173,10 +172,10 @@ def build_adversary_lp(obj: StageObjective, amb: LiftedAmbiguitySet, pi):
             v[sl] += coeffs
         rows.append((v, sense, rhs))
 
-    for a, b in amb.weight_set.ineq:
-        row([(w, a)], LE, b)
-    for a, b in amb.weight_set.eq:
-        row([(w, a)], EQ, b)
+    # weight rows and scaled moment-set membership
+    for pmat, sense, qvec in ((p_in, LE, q_in), (p_eq, EQ, q_eq)):
+        for v, b in zip(pmat, qvec):
+            row([(poly, v)], sense, b)
     for i, dset in enumerate(amb.supports):
         wi = slice(i, i + 1)
         for a, b in dset.ineq:
@@ -184,15 +183,11 @@ def build_adversary_lp(obj: StageObjective, amb: LiftedAmbiguitySet, pi):
         for a, b in dset.eq:
             row([(xs[i], a), (wi, -b)], EQ, 0.0)
     for j, g in enumerate(amb.groups):
-        mu, nu = moments[j]
         if g.mean_equality:
+            mu = cols[("mu", j)]
             for k in range(d):
-                ek = np.zeros(d)
-                ek[k] = 1.0
-                pairs = [(xs[i], ek) for i in g.scenarios]
-                mk = np.zeros(d)
-                mk[k] = -1.0
-                pairs.append((mu, mk))
+                pairs = [(xs[i], _unit(d, k)) for i in g.scenarios]
+                pairs.append((mu, _unit(d, k, -1.0)))
                 row(pairs, EQ, 0.0)
         for m in range(g.n_moments):
             pairs = []
@@ -205,23 +200,8 @@ def build_adversary_lp(obj: StageObjective, amb: LiftedAmbiguitySet, pi):
                 fn = g.g_fns[i][m]
                 for l in range(len(fn.terms)):
                     pairs.append((svars[(j, i, m, l)], np.array([1.0])))
-            em = np.zeros(g.n_moments)
-            em[m] = -1.0
-            pairs.append((nu, em))
+            pairs.append((cols[("nu", j)], _unit(g.n_moments, m, -1.0)))
             row(pairs, LE, 0.0)
-        # scaled moment-set membership: F(μ̂, ν̂) ≤ (Σ_{i∈N_j} ω_i) h
-        f_in, h_in, f_eq, h_eq = _group_moment_rows(amb)[j][:4]
-        mu_dim = d if g.mean_equality else 0
-        wsel = np.zeros(amb.weight_set.dim)
-        wsel[list(g.scenarios)] = 1.0
-        for fmat, hvec, sense in ((f_in, h_in, LE), (f_eq, h_eq, EQ)):
-            for ridx in range(fmat.shape[0]):
-                pairs = [(w, -hvec[ridx] * wsel)]
-                if mu_dim:
-                    pairs.append((mu, fmat[ridx, :mu_dim]))
-                if g.n_moments:
-                    pairs.append((nu, fmat[ridx, mu_dim:]))
-                row(pairs, sense, 0.0)
 
     c = np.zeros(cols.total)
     cc = obj.coeff(pi)
@@ -248,6 +228,11 @@ class WorstCaseCertificate:
     weights: np.ndarray
     means: np.ndarray  # (N, factor_dim)
 
+    @property
+    def mean(self) -> np.ndarray:
+        """Mixture mean Σ_n ω_n ξ̄_n: the factor the worst case prices at."""
+        return self.weights @ self.means
+
     def expectation(self, obj: StageObjective, pi) -> float:
         cc = obj.coeff(pi)
         return obj.kappa(pi) + float(self.weights @ (self.means @ cc))
@@ -271,18 +256,24 @@ def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, sol
     if not sol.optimal:
         raise ReformulationError(f"adversary LP ended with status {sol.status}")
     n = amb.n_scenarios
-    weights = sol.x[cols["w"]][:n].copy()
-    means = np.zeros((n, amb.factor_dim))
-    for i in range(n):
-        xi = sol.x[cols[("x", i)]]
-        if weights[i] > 1e-12:
-            means[i] = xi / weights[i]
-        else:
-            _, witness = feasibility_check(amb.supports[i])
-            means[i] = witness
+    scaled = np.array([sol.x[cols[("x", i)]] for i in range(n)])
+    cert = _point_masses(amb, sol.x[cols["w"]][:n], scaled)
+    return sol.value + obj.kappa(pi), cert
+
+
+def _point_masses(amb: LiftedAmbiguitySet, weights, scaled_means) -> WorstCaseCertificate:
+    """Certificate from scenario weights ω and scaled means x_n = ω_n ξ̄_n.
+
+    Each mean is x_n / ω_n; a scenario without weight sits at a witness
+    point of its support.  The weights are clipped at 0 and renormalised.
+    """
+    means = np.zeros((amb.n_scenarios, amb.factor_dim))
+    live = weights > 1e-12
+    means[live] = scaled_means[live] / weights[live, None]
+    for i in np.flatnonzero(~live):
+        _, means[i] = feasibility_check(amb.supports[i])
     weights = np.clip(weights, 0.0, None)
-    weights /= weights.sum()
-    return sol.value + obj.kappa(pi), WorstCaseCertificate(weights, means)
+    return WorstCaseCertificate(weights / weights.sum(), means)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +283,8 @@ def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, sol
 
 def _ambiguity_polytope(amb: LiftedAmbiguitySet):
     """The joint moment/weight polytope: coordinates (w, μ_1, ν_1, …) with
-    the weight rows and the scaled moment-set rows; returns the coordinate
-    layout and (G_in, g_in, G_eq, g_eq)."""
+    the weight rows and the scaled moment-set rows F(μ̂_j, ν̂_j) ≤ ω̄_j h;
+    returns the coordinate layout, (G_in, g_in) and (G_eq, g_eq)."""
     cols = _Cols()
     w = cols.add("w", amb.weight_set.dim)
     for j, g in enumerate(amb.groups):
@@ -301,30 +292,28 @@ def _ambiguity_polytope(amb: LiftedAmbiguitySet):
             cols.add(("mu", j), amb.factor_dim)
         if g.n_moments:
             cols.add(("nu", j), g.n_moments)
-    g_in, g_eq = [], []
-    for a, b in amb.weight_set.ineq:
-        v = np.zeros(cols.total)
-        v[w] = a
-        g_in.append((v, b))
-    for a, b in amb.weight_set.eq:
-        v = np.zeros(cols.total)
-        v[w] = a
-        g_eq.append((v, b))
-    gm = _group_moment_rows(amb)
-    for j, g in enumerate(amb.groups):
-        f_in, h_in, f_eq, h_eq, mu_dim, n_m = gm[j]
+    blocks_in, blocks_eq = [], []
+    weight_rows = (amb.weight_set.ineq_matrix(), amb.weight_set.eq_matrix())
+    for (a, b), sink in zip(weight_rows, (blocks_in, blocks_eq)):
+        block = np.zeros((a.shape[0], cols.total))
+        block[:, w] = a
+        sink.append((block, b))
+    for j, (f_in, h_in, f_eq, h_eq, mu_dim, n_m) in enumerate(_group_moment_rows(amb)):
         wsel = np.zeros(amb.weight_set.dim)
-        wsel[list(g.scenarios)] = 1.0
-        for fmat, hvec, sink in ((f_in, h_in, g_in), (f_eq, h_eq, g_eq)):
-            for ridx in range(fmat.shape[0]):
-                v = np.zeros(cols.total)
-                v[w] = -hvec[ridx] * wsel
-                if mu_dim:
-                    v[cols[("mu", j)]] = fmat[ridx, :mu_dim]
-                if n_m:
-                    v[cols[("nu", j)]] = fmat[ridx, mu_dim:]
-                sink.append((v, 0.0))
-    return cols, g_in, g_eq
+        wsel[list(amb.groups[j].scenarios)] = 1.0
+        for fmat, hvec, sink in ((f_in, h_in, blocks_in), (f_eq, h_eq, blocks_eq)):
+            block = np.zeros((fmat.shape[0], cols.total))
+            block[:, w] = -np.outer(hvec, wsel)
+            if mu_dim:
+                block[:, cols[("mu", j)]] = fmat[:, :mu_dim]
+            if n_m:
+                block[:, cols[("nu", j)]] = fmat[:, mu_dim:]
+            sink.append((block, np.zeros(fmat.shape[0])))
+
+    def stack(blocks):
+        return np.vstack([m for m, _ in blocks]), np.concatenate([v for _, v in blocks])
+
+    return cols, stack(blocks_in), stack(blocks_eq)
 
 
 class SRobustTemplate:
@@ -348,7 +337,7 @@ class SRobustTemplate:
         na = self.n_actions
         d = amb.factor_dim
         n = amb.n_scenarios
-        vcols, vg_in, vg_eq = _ambiguity_polytope(amb)
+        vcols, (g_in_mat, g_in_rhs), (g_eq_mat, g_eq_rhs) = _ambiguity_polytope(amb)
 
         cols = _Cols()
         pi = cols.add("pi", na)
@@ -360,8 +349,8 @@ class SRobustTemplate:
                 betas[j] = cols.add(("beta", j), d)
             if g.n_moments:
                 gammas[j] = cols.add(("gamma", j), g.n_moments)
-        eta = cols.add("eta", len(vg_in))
-        rho = cols.add("rho", len(vg_eq))
+        eta = cols.add("eta", len(g_in_rhs))
+        rho = cols.add("rho", len(g_eq_rhs))
         psi_in, psi_eq, psi_pc = {}, {}, {}
         scen_pieces = {}
         for i, dset in enumerate(amb.supports):
@@ -387,7 +376,7 @@ class SRobustTemplate:
             lb[psi_pc[i]] = 0.0
 
         rows = []
-        stat_rows = {k: [] for k in range(d)}
+        stat_rows = []  # per scenario: its factor-stationarity row per coordinate
         value_rows = []
 
         def row(vec_pairs, sense, rhs):
@@ -402,8 +391,6 @@ class SRobustTemplate:
         # (i) stationarity of the moment/weight polytope dualization:
         # for each polytope coordinate, Σ η G + Σ ρ H equals the coefficient
         # (α on weights, β/γ on moments, 0 on auxiliaries) of the bound row.
-        g_in_mat = np.array([v for v, _ in vg_in]).reshape(len(vg_in), vcols.total)
-        g_eq_mat = np.array([v for v, _ in vg_eq]).reshape(len(vg_eq), vcols.total)
         for coord in range(vcols.total):
             pairs = [(eta, g_in_mat[:, coord]), (rho, g_eq_mat[:, coord])]
             if coord < n:
@@ -427,8 +414,8 @@ class SRobustTemplate:
         # bound row: δ dominates the dualized support value of the polytope
         row(
             [
-                (eta, np.array([b for _, b in vg_in])),
-                (rho, np.array([b for _, b in vg_eq])),
+                (eta, g_in_rhs),
+                (rho, g_eq_rhs),
                 (delta, np.array([-1.0])),
             ],
             LE,
@@ -446,6 +433,7 @@ class SRobustTemplate:
                 else np.zeros((0, d))
             )
             # factor-coordinate stationarity
+            stat_rows.append(range(len(rows), len(rows) + d))
             for k in range(d):
                 pairs = [
                     (psi_in[i], a_in[:, k]),
@@ -457,7 +445,6 @@ class SRobustTemplate:
                         e = np.zeros(d)
                         e[k] = 1.0
                         pairs.append((betas[j], e))
-                stat_rows[k].append(len(rows))
                 row(pairs, EQ, 0.0)
             # per max-block: the piece multipliers aggregate to γ
             block_members = {}
@@ -489,7 +476,7 @@ class SRobustTemplate:
         self.senses = tuple(r[1] for r in rows)
         self.rhs = np.array([r[2] for r in rows])
         self.lb, self.ub, self.c = lb, ub, c
-        self.stat_rows = {k: np.array(v, dtype=int) for k, v in stat_rows.items()}
+        self.stat_rows = np.array(stat_rows, dtype=int).reshape(n, d)
         self.value_rows = np.array(value_rows, dtype=int)
 
     def instantiate(self, obj: StageObjective):
@@ -501,7 +488,7 @@ class SRobustTemplate:
         a = self.a0.copy()
         pi = self.cols["pi"]
         for k in range(self.amb.factor_dim):
-            a[np.ix_(self.stat_rows[k], range(pi.start, pi.stop))] = obj.c_mat[:, k]
+            a[np.ix_(self.stat_rows[:, k], range(pi.start, pi.stop))] = obj.c_mat[:, k]
         a[np.ix_(self.value_rows, range(pi.start, pi.stop))] = -obj.kappa_vec
         lp = LinearProgram("max", self.c, a, self.senses, self.rhs, self.lb, self.ub)
         return lp, self.cols
@@ -526,7 +513,8 @@ def _unit(n, i, value=1.0):
 
 @dataclass(frozen=True)
 class SRobustSolution:
-    """Robust randomized action with its value and supporting multipliers."""
+    """Robust randomized action with its value, supporting multipliers and
+    worst-case certificate."""
 
     policy: np.ndarray
     value: float
@@ -537,8 +525,11 @@ class SRobustSolution:
     certificate: WorstCaseCertificate
 
     def saddle_residual(self, obj: StageObjective) -> float:
-        """|value − certificate expectation at the solved policy|."""
-        return abs(self.value - self.certificate.expectation(obj, self.policy))
+        """Saddle gap |max_a (κ_a + C_a·ξ̄*) − value|, with ξ̄* the
+        certificate's mixture mean: how much the best reply to the
+        worst case beats the robust value."""
+        best_reply = np.max(obj.kappa_vec + obj.c_mat @ self.certificate.mean)
+        return abs(float(best_reply) - self.value)
 
 
 def solve_srobust(
@@ -546,13 +537,14 @@ def solve_srobust(
     amb: LiftedAmbiguitySet,
     solver="simplex",
     template: SRobustTemplate = None,
-    want_certificate: bool = True,
 ) -> SRobustSolution:
-    """Solve max_π inf_P E[value]; certificate from the matching adversary run.
+    """Solve max_π inf_P E[value] as one LP; its duals give the certificate.
 
+    The LP dualizes the adversary problem, so its duals are a worst-case
+    distribution: the value rows' duals are the scenario weights ω and the
+    negated factor-stationarity duals are the scaled means x_n = ω_n ξ̄_n.
     Pass a precompiled template when sweeping many states that share one
-    ambiguity set; pass want_certificate=False to skip the adversary run
-    (certificate is then None).
+    ambiguity set.
     """
     if template is None:
         template = SRobustTemplate(amb, obj.n_actions)
@@ -562,10 +554,7 @@ def solve_srobust(
         raise ReformulationError(f"robust subproblem LP ended with status {sol.status}")
     pi = np.clip(sol.x[cols["pi"]], 0.0, None)
     pi /= pi.sum()
-    if want_certificate:
-        _, cert = worst_case_expectation(obj, amb, pi, solver=solver)
-    else:
-        cert = None
+    cert = _point_masses(amb, sol.y[template.value_rows], -sol.y[template.stat_rows])
     gamma = {j: sol.x[cols[("gamma", j)]].copy() for j, g in enumerate(amb.groups) if g.n_moments}
     beta = {
         j: sol.x[cols[("beta", j)]].copy()

@@ -30,6 +30,21 @@ def test_solve_finite_matches_golden(runner, tmp_path):
     assert len(policy_lines) == 3  # one decision state, two actions
 
 
+def test_solve_builds_the_document_once(runner, tmp_path, monkeypatch):
+    import drmdp.modelfile as modelfile
+
+    builds = []
+    wasserstein = modelfile.build_wasserstein
+    monkeypatch.setattr(
+        modelfile, "build_wasserstein", lambda *args: builds.append(args) or wasserstein(*args)
+    )
+    res = runner.invoke(
+        main, ["solve", str(DATA / "finite_two_state.yaml"), "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(builds) == 1  # the file has one ambiguity block
+
+
 def test_solve_malformed_file_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("format_version: 1\nstates: [\n")

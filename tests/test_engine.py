@@ -1,12 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from conftest import (
     random_infinite_model,
+    random_simplex_ambiguity,
     random_staged_model,
     shared_row_factor_map,
     singleton_kernel_model,
 )
 
+import drmdp.engine
 from drmdp.ambiguity import FactorMap, build_support_only, build_wasserstein
 from drmdp.engine import (
     DrMdpModel,
@@ -95,6 +100,52 @@ def test_saddle_certificate_classical_dp():
         classical = classical_dp_finite(model, certificate_factors(certs))
         root = model.stages[0][0]
         assert classical[root] == pytest.approx(vf[root], abs=1e-5)
+
+
+def _affine_reward_staged_model(rng):
+    """Three stages with 3 actions per decision state; the factor is the
+    shared transition row over 2 next states and the rewards are affine in
+    it, so robust policies often randomize."""
+    fms, ambs = [None] * 5, [None] * 5
+    for s in (0, 1, 2):
+        fms[s] = FactorMap(
+            3, 2, np.tile(np.eye(2), (3, 1)), np.zeros(6),
+            rng.normal(size=(3, 2)), rng.normal(size=3),
+        )
+        ambs[s] = random_simplex_ambiguity(rng, 2)
+    return DrMdpModel(
+        5, tuple(fms), tuple(ambs),
+        stages=((0,), (1, 2), (3, 4)),
+        terminal_values=rng.normal(size=2),
+    )
+
+
+@pytest.mark.parametrize("solver", ["simplex", "highs"])
+def test_saddle_certificate_randomized_policies(solver):
+    randomized = 0
+    for seed in range(20):
+        model = _affine_reward_staged_model(np.random.default_rng(seed))
+        vf, pol, certs = backward_induction(model, solver=solver)
+        randomized += sum(np.max(d) < 0.99 for d in pol.distributions if d is not None)
+        classical = classical_dp_finite(model, certificate_factors(certs))
+        assert classical[0] == pytest.approx(vf[0], abs=1e-8)
+    assert randomized > 0
+
+
+def test_templates_live_with_the_model(monkeypatch):
+    builds = []
+    template = drmdp.engine.SRobustTemplate
+    monkeypatch.setattr(
+        drmdp.engine, "SRobustTemplate", lambda amb, n: builds.append(n) or template(amb, n)
+    )
+    model = random_infinite_model(np.random.default_rng(11), 3, 0.6)
+    for _ in range(3):
+        bellman_operator(model, np.zeros(3))
+    assert len(builds) == 3  # one per state, reused across sweeps
+    amb = weakref.ref(model.ambiguities[0])
+    del model
+    gc.collect()
+    assert amb() is None
 
 
 def test_bellman_zero_value_singleton():

@@ -261,15 +261,59 @@ def test_policy_optimality_against_alternatives():
     assert sol.gamma and all(np.all(g >= -1e-12) for g in sol.gamma.values())
 
 
+def _saddle_cases():
+    """(ambiguity set, stage objective) pairs; the last two have robust
+    policies that randomize over actions."""
+    for amb, seed in (
+        (build_wasserstein([[0.3], [0.8]], 0.1, box([0.0], [1.0])), 7),
+        (build_support_only(box([0.0, 0.0], [1.0, 1.0])), 1),
+        (build_wasserstein([[0.2, 0.8], [0.6, 0.4]], 0.15, simplex(2)), 2),
+    ):
+        rng = np.random.default_rng(seed)
+        obj = StageObjective(rng.normal(size=3), rng.normal(size=(3, amb.factor_dim)))
+        yield amb, obj
+
+
 def test_saddle_point_property():
-    rng = np.random.default_rng(7)
-    amb = build_wasserstein([[0.3], [0.8]], 0.1, box([0.0], [1.0]))
-    obj = StageObjective(rng.normal(size=3), rng.normal(size=(3, 1)))
-    sol = solve_srobust(obj, amb)
-    # with the adversary frozen at the certificate, no policy beats v
-    mean_bar = sol.certificate.weights @ sol.certificate.means
-    action_values = obj.kappa_vec + obj.c_mat @ mean_bar
-    assert max(action_values) == pytest.approx(sol.value, abs=1e-6)
+    randomized = 0
+    for amb, obj in _saddle_cases():
+        for solver in ("simplex", "highs"):
+            sol = solve_srobust(obj, amb, solver=solver)
+            randomized += int(np.max(sol.policy) < 0.99)
+            # with the adversary frozen at the certificate, no policy beats v
+            mean_bar = sol.certificate.weights @ sol.certificate.means
+            action_values = obj.kappa_vec + obj.c_mat @ mean_bar
+            assert max(action_values) == pytest.approx(sol.value, abs=1e-8)
+            assert sol.saddle_residual(obj) <= 1e-8
+            # and the certificate is a worst case for the robust policy
+            worst = sol.certificate.expectation(obj, sol.policy)
+            assert worst == pytest.approx(sol.value, abs=1e-8)
+    assert randomized == 4
+
+
+def test_linprog_fallback_duals_give_the_same_certificate(monkeypatch):
+    import drmdp.lp
+
+    direct = [solve_srobust(obj, amb, solver="highs") for amb, obj in _saddle_cases()]
+    monkeypatch.setattr(drmdp.lp, "_HIGHS_DIRECT", None)
+    calls = []
+    fallback = drmdp.lp._solve_lp_highs_public
+    monkeypatch.setattr(
+        drmdp.lp, "_solve_lp_highs_public", lambda lp: calls.append(lp) or fallback(lp)
+    )
+    for (amb, obj), ref in zip(_saddle_cases(), direct):
+        sol = solve_srobust(obj, amb, solver="highs")
+        assert sol.value == pytest.approx(ref.value, abs=1e-9)
+        np.testing.assert_allclose(sol.policy, ref.policy, atol=1e-8)
+        # the worst case need not be unique, so scenario means may differ;
+        # the weights and the mixture mean, which prices every action, agree
+        cert, ref_cert = sol.certificate, ref.certificate
+        np.testing.assert_allclose(cert.weights, ref_cert.weights, atol=1e-8)
+        np.testing.assert_allclose(cert.mean, ref_cert.mean, atol=1e-8)
+        assert cert.expectation(obj, sol.policy) == pytest.approx(sol.value, abs=1e-8)
+        assert sol.saddle_residual(obj) <= 1e-8
+        assert sol.saddle_residual(obj) == pytest.approx(ref.saddle_residual(obj), abs=1e-9)
+    assert len(calls) == len(direct)
 
 
 def test_scale_equivariance():
