@@ -47,15 +47,6 @@ def _load_model(model_path):
         _fail(EXIT_INVALID, str(err))
 
 
-def _threads_option(f):
-    return click.option(
-        "--threads",
-        type=click.IntRange(min=1),
-        default=lambda: int(os.environ.get("DRMDP_THREADS", "1")),
-        help="Worker threads for parallel repetitions (default: DRMDP_THREADS or 1).",
-    )(f)
-
-
 @click.group()
 def main():
     """Robust Markov decision process solver and experiment driver."""
@@ -69,10 +60,8 @@ def main():
               help="Write the root state's robust subproblem as LP text.")
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True,
               help="Output directory for value/policy CSVs and the summary JSON.")
-@_threads_option
-def solve(model_path, epsilon, dump_lp_path, out, threads):
+def solve(model_path, epsilon, dump_lp_path, out):
     """Solve MODEL_PATH and write value.csv, policy.csv, summary.json."""
-    del threads  # solving one model is single-threaded
     model = _load_model(model_path)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -135,7 +124,9 @@ def solve(model_path, epsilon, dump_lp_path, out, threads):
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
 @click.option("--keep-going", is_flag=True,
               help="Report repetition failures without aborting (exit 0).")
-@_threads_option
+@click.option("--threads", type=click.IntRange(min=1),
+              default=lambda: int(os.environ.get("DRMDP_THREADS", "1")),
+              help="Worker threads for parallel repetitions (default: DRMDP_THREADS or 1).")
 def newsvendor(radii, train_sizes, reps, test_runs, seed, out_dir, keep_going, threads):
     """Run the inventory experiment and write per-repetition and aggregate CSVs."""
     try:

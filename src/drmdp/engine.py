@@ -50,8 +50,8 @@ class DrMdpModel:
     discount: float = None
     terminal_values: np.ndarray = None
     state_labels: tuple = None
-    # (id(ambiguity), action count) -> SRobustTemplate; the model holds every
-    # ambiguity set it keys, so an id cannot be reused while the entry lives
+    # id(ambiguity) -> SRobustTemplate; the model holds every ambiguity set
+    # it keys, so an id cannot be reused while the entry lives
     _templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -133,17 +133,17 @@ class RandomizedPolicy:
         object.__setattr__(self, "distributions", tuple(dists))
 
 
-def _stage_backup(model, s, v_next, discount, solver):
+def _stage_backup(model, s, v_next, discount, solver, stage=None):
     obj = assemble_stage_objective(v_next, model.factor_maps[s], discount=discount)
     amb = model.ambiguities[s]
-    key = (id(amb), obj.n_actions)
-    template = model._templates.get(key)
+    template = model._templates.get(id(amb))
     if template is None:
-        template = model._templates[key] = SRobustTemplate(amb, obj.n_actions)
+        template = model._templates[id(amb)] = SRobustTemplate(amb)
     try:
         return solve_srobust(obj, amb, solver=solver, template=template)
     except ReformulationError as err:
-        raise EngineError(f"backup failed at state {s}: {err}") from err
+        where = f"state {s}" if stage is None else f"state {s}, stage {stage}"
+        raise EngineError(f"backup failed at {where}: {err}") from err
 
 
 def backward_induction(model: DrMdpModel, solver="simplex", certificates=True):
@@ -164,7 +164,7 @@ def backward_induction(model: DrMdpModel, solver="simplex", certificates=True):
     for t in range(model.horizon - 2, -1, -1):
         v_next = values[list(model.stages[t + 1])]
         for s in model.stages[t]:
-            sol = _stage_backup(model, s, v_next, 1.0, solver)
+            sol = _stage_backup(model, s, v_next, 1.0, solver, stage=t)
             values[s] = sol.value
             dists[s] = sol.policy
             if certificates:

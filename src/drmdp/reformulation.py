@@ -3,21 +3,21 @@
 The stage objective of a state is affine in the uncertain factor:
 value(π, ξ) = κ(π) + c(π)·ξ.  The adversary picks a distribution from a
 lifted ambiguity set to minimize its expectation; the decision maker picks
-a randomized action π to maximize the worst case.  Both directions compile
-to finite LPs:
+a randomized action π to maximize the worst case.  Replacing each
+conditional distribution by a point mass at its conditional mean (valid
+because the objective is linear and the moment functions convex) and
+scaling by the scenario weights, x_n = ω_n ξ̄_n, makes the adversary's
+problem one LP, min (Mπ)'v s.t. A v {≤, =} b with v free.  ``_adversary_rows``
+assembles A and b once per ambiguity set; M prices κ on the weights and
+C on the scaled means.
 
-* ``build_srobust_lp`` — the outer maximization with explicit multiplier
-  blocks (δ, α, β_j, γ_j): both semi-infinite robust constraint families
-  are LP-dualized in place, yielding one monolithic LP whose π block is the
-  robust randomized action.  Being the dual of the adversary problem, its
-  duals are a worst-case distribution: ``solve_srobust`` reads the saddle
-  certificate from them, so a robust backup solves this one LP only.
-* ``build_adversary_lp`` — the inner minimization for a fixed π, written
-  with perspective variables x_n = ω_n ξ̄_n after replacing each conditional
-  distribution by a point mass at its conditional mean (valid because the
-  objective is linear and the moment functions convex); it serves
-  fixed-policy evaluation.  Both LPs take the moment/weight polytope from
-  one assembler.
+* ``build_adversary_lp`` — that LP for a fixed π; it serves fixed-policy
+  evaluation.
+* ``build_srobust_lp`` / ``SRobustTemplate`` — its transpose with π made a
+  variable: max b'y s.t. A'y − Mπ = 0, 1'π = 1, π ≥ 0, y ≤ 0 on ≤ rows.
+  Its π block is the robust randomized action, and the duals of its rows
+  are an adversary point, so ``solve_srobust`` reads the saddle
+  certificate from the one LP a robust backup solves.
 * ``oracle_worst_case`` — an independent check that discretizes supports
   into grids and solves the primal moment problem over point masses.
 """
@@ -96,7 +96,7 @@ def assemble_stage_objective(v_next, fm: FactorMap, discount: float = 1.0) -> St
 
 
 # ---------------------------------------------------------------------------
-# Shared constraint assembly helpers
+# Adversary rows: the one constraint assembler
 # ---------------------------------------------------------------------------
 
 
@@ -138,6 +138,111 @@ def _group_moment_rows(amb: LiftedAmbiguitySet):
     return out
 
 
+def _adversary_rows(amb: LiftedAmbiguitySet):
+    """The adversary's constraints A v {≤, =} b over free variables v.
+
+    Variables: the weight-polytope coordinates "w" (scenario weights ω
+    first, then any auxiliaries), the scaled group moments ω̄_j μ_j and
+    ω̄_j ν_j, the scaled conditional means "x" (row n of the N × factor_dim
+    block is x_n = ω_n ξ̄_n) and one epigraph variable per max-block of
+    every moment function.  Rows: the weight polytope, the scaled moment
+    sets F(μ̂_j, ν̂_j) {≤, =} ω̄_j h, the scaled supports A x_n {≤, =} ω_n b,
+    the mean equalities Σ_{n∈j} x_n = μ̂_j, the piece epigraphs
+    a·x_n + b ω_n ≤ s and the moment aggregates Σ s ≤ ν̂_j.  No row
+    involves the policy or the action count.
+
+    Returns (layout, moment_rows, A, senses, b), where moment_rows[j]
+    indexes the aggregate rows of each group j with moment functions.
+    """
+    d, n = amb.factor_dim, amb.n_scenarios
+    cols = _Cols()
+    w = cols.add("w", amb.weight_set.dim)
+    for j, g in enumerate(amb.groups):
+        if g.mean_equality:
+            cols.add(("mu", j), d)
+        if g.n_moments:
+            cols.add(("nu", j), g.n_moments)
+    x = cols.add("x", n * d)
+    xs = [slice(x.start + i * d, x.start + (i + 1) * d) for i in range(n)]
+    for j, g in enumerate(amb.groups):
+        for i in g.scenarios:
+            for m, fn in enumerate(g.g_fns[i]):
+                for l in range(len(fn.terms)):
+                    cols.add(("s", j, i, m, l), 1)
+
+    rows = []
+
+    def row(vec_pairs, sense, rhs=0.0):
+        v = np.zeros(cols.total)
+        for sl, coeffs in vec_pairs:
+            v[sl] += coeffs
+        rows.append((v, sense, rhs))
+
+    for a, b in amb.weight_set.ineq:
+        row([(w, a)], LE, b)
+    for a, b in amb.weight_set.eq:
+        row([(w, a)], EQ, b)
+    for j, (f_in, h_in, f_eq, h_eq, mu_dim, n_m) in enumerate(_group_moment_rows(amb)):
+        wsel = np.zeros(amb.weight_set.dim)
+        wsel[list(amb.groups[j].scenarios)] = 1.0
+        for fmat, hvec, sense in ((f_in, h_in, LE), (f_eq, h_eq, EQ)):
+            for f, h in zip(fmat, hvec):
+                pairs = [(w, -h * wsel)]
+                if mu_dim:
+                    pairs.append((cols[("mu", j)], f[:mu_dim]))
+                if n_m:
+                    pairs.append((cols[("nu", j)], f[mu_dim:]))
+                row(pairs, sense)
+    for i, dset in enumerate(amb.supports):
+        wi = slice(i, i + 1)
+        for a, b in dset.ineq:
+            row([(xs[i], a), (wi, -b)], LE)
+        for a, b in dset.eq:
+            row([(xs[i], a), (wi, -b)], EQ)
+    moment_rows = {}
+    for j, g in enumerate(amb.groups):
+        if g.mean_equality:
+            for k in range(d):
+                pairs = [(xs[i], _unit(d, k)) for i in g.scenarios]
+                pairs.append((cols[("mu", j)], _unit(d, k, -1.0)))
+                row(pairs, EQ)
+        for i in g.scenarios:
+            for m, fn in enumerate(g.g_fns[i]):
+                for l, a, b in _pieces_of(fn):
+                    row([(xs[i], a), (slice(i, i + 1), b), (cols[("s", j, i, m, l)], -1.0)], LE)
+        if g.n_moments:
+            moment_rows[j] = np.arange(len(rows), len(rows) + g.n_moments)
+        for m in range(g.n_moments):
+            pairs = [
+                (cols[("s", j, i, m, l)], 1.0)
+                for i in g.scenarios
+                for l in range(len(g.g_fns[i][m].terms))
+            ]
+            pairs.append((cols[("nu", j)], _unit(g.n_moments, m, -1.0)))
+            row(pairs, LE)
+
+    amat = np.array([r[0] for r in rows]).reshape(len(rows), cols.total)
+    return cols, moment_rows, amat, tuple(r[1] for r in rows), np.array([r[2] for r in rows])
+
+
+def _cost_matrix(obj: StageObjective, amb: LiftedAmbiguitySet, layout) -> np.ndarray:
+    """M with (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n: κ_a on every scenario
+    weight and C_a on every scaled mean."""
+    if obj.factor_dim != amb.factor_dim:
+        raise ReformulationError("stage objective and ambiguity set disagree on factor_dim")
+    n = amb.n_scenarios
+    m = np.zeros((layout.total, obj.n_actions))
+    m[layout["w"].start : layout["w"].start + n] = obj.kappa_vec
+    m[layout["x"]] = np.tile(obj.c_mat.T, (n, 1))
+    return m
+
+
+def _unit(n, i, value=1.0):
+    e = np.zeros(n)
+    e[i] = value
+    return e
+
+
 # ---------------------------------------------------------------------------
 # Adversary LP (fixed policy)
 # ---------------------------------------------------------------------------
@@ -146,78 +251,13 @@ def _group_moment_rows(amb: LiftedAmbiguitySet):
 def build_adversary_lp(obj: StageObjective, amb: LiftedAmbiguitySet, pi):
     """Inner minimization for fixed π as one LP; returns (lp, layout).
 
-    Variables: the moment/weight-polytope coordinates (weights, auxiliaries
-    and scaled group moments ω̄_j μ_j, ω̄_j ν_j), the scaled conditional
-    means x_n = ω_n ξ̄_n, and per-piece epigraph variables for the moment
-    functions.  The LP value plus κ(π) is the worst-case expectation.
+    min (Mπ)'v subject to the adversary rows, v free: its value is the
+    worst-case expectation.
     """
-    pi = np.asarray(pi, dtype=float)
-    d = amb.factor_dim
-    n = amb.n_scenarios
-    cols, (p_in, q_in), (p_eq, q_eq) = _ambiguity_polytope(amb)
-    poly = slice(0, cols.total)
-    xs = [cols.add(("x", i), d) for i in range(n)]
-    svars = {}
-    for j, g in enumerate(amb.groups):
-        for i in g.scenarios:
-            for m, fn in enumerate(g.g_fns[i]):
-                for l in range(len(fn.terms)):
-                    svars[(j, i, m, l)] = cols.add(("s", j, i, m, l), 1)
-
-    rows = []
-
-    def row(vec_pairs, sense, rhs):
-        v = np.zeros(cols.total)
-        for sl, coeffs in vec_pairs:
-            v[sl] += coeffs
-        rows.append((v, sense, rhs))
-
-    # weight rows and scaled moment-set membership
-    for pmat, sense, qvec in ((p_in, LE, q_in), (p_eq, EQ, q_eq)):
-        for v, b in zip(pmat, qvec):
-            row([(poly, v)], sense, b)
-    for i, dset in enumerate(amb.supports):
-        wi = slice(i, i + 1)
-        for a, b in dset.ineq:
-            row([(xs[i], a), (wi, -b)], LE, 0.0)
-        for a, b in dset.eq:
-            row([(xs[i], a), (wi, -b)], EQ, 0.0)
-    for j, g in enumerate(amb.groups):
-        if g.mean_equality:
-            mu = cols[("mu", j)]
-            for k in range(d):
-                pairs = [(xs[i], _unit(d, k)) for i in g.scenarios]
-                pairs.append((mu, _unit(d, k, -1.0)))
-                row(pairs, EQ, 0.0)
-        for m in range(g.n_moments):
-            pairs = []
-            for i in g.scenarios:
-                fn = g.g_fns[i][m]
-                for l, a, b in _pieces_of(fn):
-                    sv = svars[(j, i, m, l)]
-                    row([(xs[i], a), (slice(i, i + 1), np.array([b])), (sv, np.array([-1.0]))], LE, 0.0)
-            for i in g.scenarios:
-                fn = g.g_fns[i][m]
-                for l in range(len(fn.terms)):
-                    pairs.append((svars[(j, i, m, l)], np.array([1.0])))
-            pairs.append((cols[("nu", j)], _unit(g.n_moments, m, -1.0)))
-            row(pairs, LE, 0.0)
-
-    c = np.zeros(cols.total)
-    cc = obj.coeff(pi)
-    for i in range(n):
-        c[xs[i]] = cc
-    amat = np.array([r[0] for r in rows])
-    lp = LinearProgram(
-        "min",
-        c,
-        amat,
-        tuple(r[1] for r in rows),
-        np.array([r[2] for r in rows]),
-        np.full(cols.total, -np.inf),
-        np.full(cols.total, np.inf),
-    )
-    return lp, cols
+    layout, _, amat, senses, b = _adversary_rows(amb)
+    c = _cost_matrix(obj, amb, layout) @ np.asarray(pi, dtype=float)
+    free = np.full(layout.total, np.inf)
+    return LinearProgram("min", c, amat, senses, b, -free, free), layout
 
 
 @dataclass(frozen=True)
@@ -247,7 +287,7 @@ def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, sol
     pi = np.asarray(pi, dtype=float)
     if abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < -1e-9):
         raise ReformulationError("policy must lie in the probability simplex")
-    lp, cols = build_adversary_lp(obj, amb, pi)
+    lp, layout = build_adversary_lp(obj, amb, pi)
     sol = get_solver(solver)(lp)
     if sol.status == "infeasible":
         raise ReformulationError(
@@ -255,19 +295,20 @@ def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, sol
         )
     if not sol.optimal:
         raise ReformulationError(f"adversary LP ended with status {sol.status}")
-    n = amb.n_scenarios
-    scaled = np.array([sol.x[cols[("x", i)]] for i in range(n)])
-    cert = _point_masses(amb, sol.x[cols["w"]][:n], scaled)
-    return sol.value + obj.kappa(pi), cert
+    return sol.value, _point_masses(amb, layout, sol.x)
 
 
-def _point_masses(amb: LiftedAmbiguitySet, weights, scaled_means) -> WorstCaseCertificate:
-    """Certificate from scenario weights ω and scaled means x_n = ω_n ξ̄_n.
+def _point_masses(amb: LiftedAmbiguitySet, layout, v) -> WorstCaseCertificate:
+    """Certificate from an adversary point v: weights ω and scaled means
+    x_n = ω_n ξ̄_n.
 
     Each mean is x_n / ω_n; a scenario without weight sits at a witness
     point of its support.  The weights are clipped at 0 and renormalised.
     """
-    means = np.zeros((amb.n_scenarios, amb.factor_dim))
+    n = amb.n_scenarios
+    weights = v[layout["w"]][:n]
+    scaled_means = v[layout["x"]].reshape(n, amb.factor_dim)
+    means = np.zeros((n, amb.factor_dim))
     live = weights > 1e-12
     means[live] = scaled_means[live] / weights[live, None]
     for i in np.flatnonzero(~live):
@@ -277,251 +318,73 @@ def _point_masses(amb: LiftedAmbiguitySet, weights, scaled_means) -> WorstCaseCe
 
 
 # ---------------------------------------------------------------------------
-# S-robust LP (maximize over policies)
+# S-robust LP (maximize over policies): the adversary LP's transpose
 # ---------------------------------------------------------------------------
 
 
-def _ambiguity_polytope(amb: LiftedAmbiguitySet):
-    """The joint moment/weight polytope: coordinates (w, μ_1, ν_1, …) with
-    the weight rows and the scaled moment-set rows F(μ̂_j, ν̂_j) ≤ ω̄_j h;
-    returns the coordinate layout, (G_in, g_in) and (G_eq, g_eq)."""
-    cols = _Cols()
-    w = cols.add("w", amb.weight_set.dim)
-    for j, g in enumerate(amb.groups):
-        if g.mean_equality:
-            cols.add(("mu", j), amb.factor_dim)
-        if g.n_moments:
-            cols.add(("nu", j), g.n_moments)
-    blocks_in, blocks_eq = [], []
-    weight_rows = (amb.weight_set.ineq_matrix(), amb.weight_set.eq_matrix())
-    for (a, b), sink in zip(weight_rows, (blocks_in, blocks_eq)):
-        block = np.zeros((a.shape[0], cols.total))
-        block[:, w] = a
-        sink.append((block, b))
-    for j, (f_in, h_in, f_eq, h_eq, mu_dim, n_m) in enumerate(_group_moment_rows(amb)):
-        wsel = np.zeros(amb.weight_set.dim)
-        wsel[list(amb.groups[j].scenarios)] = 1.0
-        for fmat, hvec, sink in ((f_in, h_in, blocks_in), (f_eq, h_eq, blocks_eq)):
-            block = np.zeros((fmat.shape[0], cols.total))
-            block[:, w] = -np.outer(hvec, wsel)
-            if mu_dim:
-                block[:, cols[("mu", j)]] = fmat[:, :mu_dim]
-            if n_m:
-                block[:, cols[("nu", j)]] = fmat[:, mu_dim:]
-            sink.append((block, np.zeros(fmat.shape[0])))
-
-    def stack(blocks):
-        return np.vstack([m for m, _ in blocks]), np.concatenate([v for _, v in blocks])
-
-    return cols, stack(blocks_in), stack(blocks_eq)
-
-
 class SRobustTemplate:
-    """Reusable compilation of the robust-policy LP for one ambiguity set
-    and action count.
+    """Reusable compilation of the robust-policy LP for one ambiguity set.
 
-    The constraint skeleton depends only on the ambiguity set; a stage
-    objective touches the π-columns of the factor-stationarity rows (c) and
-    the scenario value rows (κ).  ``instantiate`` fills those blocks into a
-    copy of the skeleton, so sweeping many states that share an ambiguity
-    set costs one matrix copy per state instead of a full rebuild.
+    The robust LP is the dual of the adversary LP with the policy made a
+    variable: max b'y subject to A'y − Mπ = 0 (one row per adversary
+    variable), 1'π = 1, π ≥ 0 and y ≤ 0 on the adversary's ≤ rows.  The
+    template stores A' and b once; ``instantiate`` prepends the π columns
+    −M of a stage objective, so every action count shares one template.
     """
 
-    def __init__(self, amb: LiftedAmbiguitySet, n_actions: int):
+    def __init__(self, amb: LiftedAmbiguitySet):
         self.amb = amb
-        self.n_actions = n_actions
         self._build()
 
     def _build(self):
-        amb = self.amb
-        na = self.n_actions
-        d = amb.factor_dim
-        n = amb.n_scenarios
-        vcols, (g_in_mat, g_in_rhs), (g_eq_mat, g_eq_rhs) = _ambiguity_polytope(amb)
-
-        cols = _Cols()
-        pi = cols.add("pi", na)
-        delta = cols.add("delta", 1)
-        alpha = cols.add("alpha", n)
-        betas, gammas = {}, {}
-        for j, g in enumerate(amb.groups):
-            if g.mean_equality:
-                betas[j] = cols.add(("beta", j), d)
-            if g.n_moments:
-                gammas[j] = cols.add(("gamma", j), g.n_moments)
-        eta = cols.add("eta", len(g_in_rhs))
-        rho = cols.add("rho", len(g_eq_rhs))
-        psi_in, psi_eq, psi_pc = {}, {}, {}
-        scen_pieces = {}
-        for i, dset in enumerate(amb.supports):
-            psi_in[i] = cols.add(("psi_in", i), len(dset.ineq))
-            psi_eq[i] = cols.add(("psi_eq", i), len(dset.eq))
-            pieces = []
-            for j in amb.groups_of(i):
-                g = amb.groups[j]
-                for m, fn in enumerate(g.g_fns[i]):
-                    for l, a, b in _pieces_of(fn):
-                        pieces.append((j, m, l, a, b))
-            scen_pieces[i] = pieces
-            psi_pc[i] = cols.add(("psi_pc", i), len(pieces))
-
-        lb = np.full(cols.total, -np.inf)
-        ub = np.full(cols.total, np.inf)
-        lb[pi] = 0.0
-        for j in gammas:
-            lb[gammas[j]] = 0.0
-        lb[eta] = 0.0
-        for i in range(n):
-            lb[psi_in[i]] = 0.0
-            lb[psi_pc[i]] = 0.0
-
-        rows = []
-        stat_rows = []  # per scenario: its factor-stationarity row per coordinate
-        value_rows = []
-
-        def row(vec_pairs, sense, rhs):
-            v = np.zeros(cols.total)
-            for sl, coeffs in vec_pairs:
-                v[sl] += coeffs
-            rows.append((v, sense, rhs))
-
-        ones = np.ones(na)
-        row([(pi, ones)], EQ, 1.0)
-
-        # (i) stationarity of the moment/weight polytope dualization:
-        # for each polytope coordinate, Σ η G + Σ ρ H equals the coefficient
-        # (α on weights, β/γ on moments, 0 on auxiliaries) of the bound row.
-        for coord in range(vcols.total):
-            pairs = [(eta, g_in_mat[:, coord]), (rho, g_eq_mat[:, coord])]
-            if coord < n:
-                e = np.zeros(n)
-                e[coord] = -1.0
-                pairs.append((alpha, e))
-            for j, g in enumerate(amb.groups):
-                if g.mean_equality:
-                    sl = vcols[("mu", j)]
-                    if sl.start <= coord < sl.stop:
-                        e = np.zeros(d)
-                        e[coord - sl.start] = -1.0
-                        pairs.append((betas[j], e))
-                if g.n_moments:
-                    sl = vcols[("nu", j)]
-                    if sl.start <= coord < sl.stop:
-                        e = np.zeros(g.n_moments)
-                        e[coord - sl.start] = -1.0
-                        pairs.append((gammas[j], e))
-            row(pairs, EQ, 0.0)
-        # bound row: δ dominates the dualized support value of the polytope
-        row(
-            [
-                (eta, g_in_rhs),
-                (rho, g_eq_rhs),
-                (delta, np.array([-1.0])),
-            ],
-            LE,
-            0.0,
-        )
-
-        # (ii) per scenario: dualized maximization over the support.
-        for i, dset in enumerate(amb.supports):
-            a_in, b_in = dset.ineq_matrix()
-            a_eq, b_eq = dset.eq_matrix()
-            pieces = scen_pieces[i]
-            pc_a = (
-                np.array([a for _, _, _, a, _ in pieces]).reshape(len(pieces), d)
-                if pieces
-                else np.zeros((0, d))
-            )
-            # factor-coordinate stationarity
-            stat_rows.append(range(len(rows), len(rows) + d))
-            for k in range(d):
-                pairs = [
-                    (psi_in[i], a_in[:, k]),
-                    (psi_eq[i], a_eq[:, k]),
-                    (psi_pc[i], pc_a[:, k]),
-                ]
-                for j in amb.groups_of(i):
-                    if amb.groups[j].mean_equality:
-                        e = np.zeros(d)
-                        e[k] = 1.0
-                        pairs.append((betas[j], e))
-                row(pairs, EQ, 0.0)
-            # per max-block: the piece multipliers aggregate to γ
-            block_members = {}
-            for idx, (j, m, l, _, _) in enumerate(pieces):
-                block_members.setdefault((j, m, l), []).append(idx)
-            for (j, m, _), members in block_members.items():
-                sel = np.zeros(len(pieces))
-                sel[members] = 1.0
-                e = np.zeros(amb.groups[j].n_moments)
-                e[m] = -1.0
-                row([(psi_pc[i], sel), (gammas[j], e)], EQ, 0.0)
-            # value row: α_n + κ(π) dominates the dualized support maximum
-            value_rows.append(len(rows))
-            row(
-                [
-                    (psi_in[i], b_in),
-                    (psi_eq[i], b_eq),
-                    (psi_pc[i], -np.array([b for *_, b in pieces]) if pieces else np.zeros(0)),
-                    (alpha, _unit(n, i, -1.0)),
-                ],
-                LE,
-                0.0,
-            )
-
-        c = np.zeros(cols.total)
-        c[delta] = -1.0
-        self.cols = cols
-        self.a0 = np.array([r[0] for r in rows])
-        self.senses = tuple(r[1] for r in rows)
-        self.rhs = np.array([r[2] for r in rows])
-        self.lb, self.ub, self.c = lb, ub, c
-        self.stat_rows = np.array(stat_rows, dtype=int).reshape(n, d)
-        self.value_rows = np.array(value_rows, dtype=int)
+        self.layout, self.moment_rows, amat, senses, self.b = _adversary_rows(self.amb)
+        self.at = np.ascontiguousarray(amat.T)
+        self.y_ub = np.where(np.array(senses) == LE, 0.0, np.inf)
 
     def instantiate(self, obj: StageObjective):
-        """Fill a stage objective into the skeleton; returns (lp, layout)."""
-        if obj.factor_dim != self.amb.factor_dim:
-            raise ReformulationError("stage objective and ambiguity set disagree on factor_dim")
-        if obj.n_actions != self.n_actions:
-            raise ReformulationError("template compiled for a different action count")
-        a = self.a0.copy()
-        pi = self.cols["pi"]
-        for k in range(self.amb.factor_dim):
-            a[np.ix_(self.stat_rows[:, k], range(pi.start, pi.stop))] = obj.c_mat[:, k]
-        a[np.ix_(self.value_rows, range(pi.start, pi.stop))] = -obj.kappa_vec
-        lp = LinearProgram("max", self.c, a, self.senses, self.rhs, self.lb, self.ub)
-        return lp, self.cols
+        """Fill a stage objective's π block into the transposed rows;
+        returns (lp, layout) with column blocks "pi" and "y"."""
+        m = _cost_matrix(obj, self.amb, self.layout)
+        n_vars, n_rows = self.at.shape
+        na = obj.n_actions
+        a = np.zeros((n_vars + 1, na + n_rows))
+        a[:n_vars, :na] = -m
+        a[:n_vars, na:] = self.at
+        a[n_vars, :na] = 1.0
+        rhs = np.zeros(n_vars + 1)
+        rhs[n_vars] = 1.0
+        cols = _Cols()
+        cols.add("pi", na)
+        cols.add("y", n_rows)
+        lp = LinearProgram(
+            "max",
+            np.concatenate([np.zeros(na), self.b]),
+            a,
+            (EQ,) * (n_vars + 1),
+            rhs,
+            np.concatenate([np.zeros(na), np.full(n_rows, -np.inf)]),
+            np.concatenate([np.full(na, np.inf), self.y_ub]),
+        )
+        return lp, cols
 
 
 def build_srobust_lp(obj: StageObjective, amb: LiftedAmbiguitySet):
     """One LP computing max_π (worst-case expectation); returns (lp, layout).
 
-    Variable blocks: π (simplex), the bound δ, scenario multipliers α,
-    mean multipliers β_j, moment multipliers γ_j ≥ 0, multipliers (η, ρ)
-    dualizing the moment/weight polytope, and per-scenario multipliers ψ_n
-    dualizing the support maximization.  The optimal value is −δ*.
+    Variable blocks: the policy π on the simplex and the multipliers y of
+    the adversary rows.  Its optimal value is the robust value.
     """
-    return SRobustTemplate(amb, obj.n_actions).instantiate(obj)
-
-
-def _unit(n, i, value=1.0):
-    e = np.zeros(n)
-    e[i] = value
-    return e
+    return SRobustTemplate(amb).instantiate(obj)
 
 
 @dataclass(frozen=True)
 class SRobustSolution:
-    """Robust randomized action with its value, supporting multipliers and
-    worst-case certificate."""
+    """Robust randomized action with its value, the moment multipliers
+    γ_j ≥ 0 and a worst-case certificate."""
 
     policy: np.ndarray
     value: float
-    alpha: np.ndarray
-    beta: dict
     gamma: dict
-    delta: float
     certificate: WorstCaseCertificate
 
     def saddle_residual(self, obj: StageObjective) -> float:
@@ -540,35 +403,27 @@ def solve_srobust(
 ) -> SRobustSolution:
     """Solve max_π inf_P E[value] as one LP; its duals give the certificate.
 
-    The LP dualizes the adversary problem, so its duals are a worst-case
-    distribution: the value rows' duals are the scenario weights ω and the
-    negated factor-stationarity duals are the scaled means x_n = ω_n ξ̄_n.
-    Pass a precompiled template when sweeping many states that share one
-    ambiguity set.
+    The LP's rows are the adversary's variables, so its duals are a
+    worst-case adversary point: the weight rows give ω and the scaled-mean
+    rows give x_n = ω_n ξ̄_n.  Pass a precompiled template when sweeping
+    many states that share one ambiguity set.
     """
     if template is None:
-        template = SRobustTemplate(amb, obj.n_actions)
+        template = SRobustTemplate(amb)
     lp, cols = template.instantiate(obj)
     sol = get_solver(solver)(lp)
     if not sol.optimal:
-        raise ReformulationError(f"robust subproblem LP ended with status {sol.status}")
+        raise ReformulationError(
+            f"robust LP ({lp.n_rows} rows × {lp.n_vars} columns) ended with status {sol.status}"
+        )
     pi = np.clip(sol.x[cols["pi"]], 0.0, None)
     pi /= pi.sum()
-    cert = _point_masses(amb, sol.y[template.value_rows], -sol.y[template.stat_rows])
-    gamma = {j: sol.x[cols[("gamma", j)]].copy() for j, g in enumerate(amb.groups) if g.n_moments}
-    beta = {
-        j: sol.x[cols[("beta", j)]].copy()
-        for j, g in enumerate(amb.groups)
-        if g.mean_equality
-    }
+    y = sol.x[cols["y"]]
     return SRobustSolution(
         policy=pi,
         value=sol.value,
-        alpha=sol.x[cols["alpha"]].copy(),
-        beta=beta,
-        gamma=gamma,
-        delta=float(sol.x[cols["delta"]][0]),
-        certificate=cert,
+        gamma={j: -y[r] for j, r in template.moment_rows.items()},
+        certificate=_point_masses(amb, template.layout, sol.y),
     )
 
 

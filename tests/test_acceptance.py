@@ -184,6 +184,7 @@ def test_criterion_5_value_iteration_fixed_point():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_trend_reproduction():
     t0 = time.time()
     cfg = NewsvendorConfig(repetitions=200, test_runs=1000, seed=606)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,20 @@ def test_solve_builds_the_document_once(runner, tmp_path, monkeypatch):
     )
     assert res.exit_code == 0, res.output
     assert len(builds) == 1  # the file has one ambiguity block
+
+
+def test_solve_failure_names_state_stage_shape_and_status(runner, tmp_path, monkeypatch):
+    import drmdp.lp as lp
+
+    monkeypatch.setitem(lp._SOLVERS, "highs", lambda prog: lp.LpSolution(lp.NUMERICAL_FAILURE))
+    res = runner.invoke(
+        main, ["solve", str(DATA / "finite_two_state.yaml"), "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 3
+    assert re.search(
+        r"state 0, stage 0: robust LP \(\d+ rows × \d+ columns\) "
+        r"ended with status numerical_failure", res.output
+    ), res.output
 
 
 def test_solve_malformed_file_exit_2(runner, tmp_path):

@@ -136,7 +136,7 @@ def test_templates_live_with_the_model(monkeypatch):
     builds = []
     template = drmdp.engine.SRobustTemplate
     monkeypatch.setattr(
-        drmdp.engine, "SRobustTemplate", lambda amb, n: builds.append(n) or template(amb, n)
+        drmdp.engine, "SRobustTemplate", lambda amb: builds.append(id(amb)) or template(amb)
     )
     model = random_infinite_model(np.random.default_rng(11), 3, 0.6)
     for _ in range(3):

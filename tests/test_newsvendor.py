@@ -145,6 +145,21 @@ def test_zero_radius_equals_mean_sample_dp():
     assert vf[0] == pytest.approx(classical[0], abs=1e-6)
 
 
+def test_backward_induction_builds_one_template(monkeypatch):
+    import drmdp.engine
+
+    builds = []
+    template = drmdp.engine.SRobustTemplate
+    monkeypatch.setattr(
+        drmdp.engine, "SRobustTemplate", lambda *args: builds.append(args) or template(*args)
+    )
+    cfg = NewsvendorConfig()
+    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(6))
+    solve_order_strategy(cfg, samples, 0.2, solver="highs")
+    # every state shares one ambiguity set; action counts run from 1 to 16
+    assert len(builds) == 1
+
+
 def test_robust_value_bounds_simulated_cost():
     # worst-case expected cost must upper-bound the simulated cost under the
     # true law whenever the true distribution lies in the ambiguity ball

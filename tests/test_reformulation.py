@@ -15,7 +15,7 @@ from drmdp.ambiguity import (
     identity_factor_map,
 )
 from drmdp.geometry import box, enumerate_vertices, simplex, singleton
-from drmdp.lp import solve_lp
+from drmdp.lp import get_solver, solve_lp
 from drmdp.reformulation import (
     ReformulationError,
     StageObjective,
@@ -235,18 +235,27 @@ def test_fixed_policy_consistency():
     rng = np.random.default_rng(5)
     d = simplex(3)
     samples = [rng.dirichlet(np.ones(3)) for _ in range(2)]
-    amb = build_wasserstein(samples, 0.2, d)
-    obj = StageObjective(rng.normal(size=2), rng.normal(size=(2, 3)))
-    for _ in range(5):
-        pi = rng.dirichlet(np.ones(2))
+    cases = [
+        (build_wasserstein(samples, 0.2, d),
+         StageObjective(rng.normal(size=2), rng.normal(size=(2, 3)))),
+        *_saddle_cases(),
+        (build_phi_divergence_tv([[0.0, 1.0], [1.0, 0.5], [0.3, 0.2]], 0.4),
+         StageObjective(rng.normal(size=3), rng.normal(size=(3, 2)))),
+        (build_uncertain_mean(box([0, 0], [1, 1]), [0, 0], [1, 1], [0.4, 0.6], 0.3),
+         StageObjective(rng.normal(size=2), rng.normal(size=(2, 2)))),
+    ]
+    for amb, obj in cases:
         lp, cols = build_srobust_lp(obj, amb)
-        lb, ub = lp.lb.copy(), lp.ub.copy()
-        lb[cols["pi"]] = pi
-        ub[cols["pi"]] = pi
-        pinned = dataclasses.replace(lp, lb=lb, ub=ub)
-        v_lp = solve_lp(pinned).value
-        v_adv, _ = worst_case_expectation(obj, amb, pi)
-        assert v_lp == pytest.approx(v_adv, abs=1e-8)
+        for _ in range(3):
+            pi = rng.dirichlet(np.ones(obj.n_actions))
+            lb, ub = lp.lb.copy(), lp.ub.copy()
+            lb[cols["pi"]] = pi
+            ub[cols["pi"]] = pi
+            pinned = dataclasses.replace(lp, lb=lb, ub=ub)
+            for solver in ("simplex", "highs"):
+                v_lp = get_solver(solver)(pinned).value
+                v_adv, _ = worst_case_expectation(obj, amb, pi, solver=solver)
+                assert v_lp == pytest.approx(v_adv, abs=1e-8)
 
 
 def test_policy_optimality_against_alternatives():
