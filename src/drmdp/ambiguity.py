@@ -13,7 +13,7 @@ factor space (identity maps recover ambiguity directly on the kernel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,6 +87,8 @@ class LiftedAmbiguitySet:
     weight_set: PolyhedralSet
     aug_dim: int = 0
     weight_aux_dim: int = 0
+    # the set's compiled adversary rows (an SRobustTemplate), built on first use
+    _template: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "supports", tuple(self.supports))
@@ -115,10 +117,6 @@ class LiftedAmbiguitySet:
     @property
     def n_scenarios(self) -> int:
         return len(self.supports)
-
-    @property
-    def base_dim(self) -> int:
-        return self.factor_dim - self.aug_dim
 
     def groups_of(self, n: int) -> tuple:
         """Indices of the condition groups containing scenario n."""

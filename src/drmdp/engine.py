@@ -1,22 +1,23 @@
 """Backward induction and value iteration over robust Bellman backups.
 
 Each state owns a factor map (affine kernel) and a lifted ambiguity set;
-one backup solves that state's robust subproblem.  Finite-horizon models
-carry a stage partition (the first stage is a single state and stage
-membership is unique); infinite-horizon models carry a discount in (0, 1)
-and iterate the γ-contraction to a fixed point.
+one backup solves that state's robust subproblem, or, with the policy
+pinned, its worst case.  Finite-horizon models carry a stage partition
+(the first stage is a single state and stage membership is unique) and run
+one backward pass; infinite-horizon models carry a discount in (0, 1) and
+iterate the γ-contraction to a fixed point.  Robust solves and fixed-policy
+evaluation share the backup, the backward pass and the contraction loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguity import FactorMap, LiftedAmbiguitySet
 from .reformulation import (
     ReformulationError,
-    SRobustTemplate,
     assemble_stage_objective,
     solve_srobust,
     worst_case_expectation,
@@ -39,8 +40,9 @@ class DrMdpModel:
     the *next stage's* states, in the order they appear in that stage (or
     over all states, in index order, for infinite horizon).  Terminal-stage
     states need no factor map; their values come from `terminal_values`
-    (zero by default).  Robust-LP templates compiled for the model's
-    ambiguity sets live, and die, with the model.
+    (zero by default).  Each ambiguity set keeps its own compiled LP
+    template, so states that share a set share one template, and the
+    templates die with the sets.
     """
 
     n_states: int
@@ -50,9 +52,6 @@ class DrMdpModel:
     discount: float = None
     terminal_values: np.ndarray = None
     state_labels: tuple = None
-    # id(ambiguity) -> SRobustTemplate; the model holds every ambiguity set
-    # it keys, so an id cannot be reused while the entry lives
-    _templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factor_maps", tuple(self.factor_maps))
@@ -127,23 +126,77 @@ class RandomizedPolicy:
                 dists.append(None)
                 continue
             d = np.asarray(d, dtype=float)
+            if not np.all(np.isfinite(d)):
+                raise EngineError("action distribution has a non-finite entry")
             if abs(d.sum() - 1.0) > 1e-9 or np.any(d < -1e-12):
                 raise EngineError("action distribution violates the simplex invariant")
             dists.append(np.clip(d, 0.0, None))
         object.__setattr__(self, "distributions", tuple(dists))
 
 
-def _stage_backup(model, s, v_next, discount, solver, stage=None):
+def _stage_backup(model, s, v_next, discount, solver, stage, pi):
+    """State s's backup against next-stage values: the robust backup when
+    pi is None, else the worst case of the fixed action distribution pi.
+    Returns (value, action distribution, certificate)."""
     obj = assemble_stage_objective(v_next, model.factor_maps[s], discount=discount)
     amb = model.ambiguities[s]
-    template = model._templates.get(id(amb))
-    if template is None:
-        template = model._templates[id(amb)] = SRobustTemplate(amb)
     try:
-        return solve_srobust(obj, amb, solver=solver, template=template)
+        if pi is None:
+            sol = solve_srobust(obj, amb, solver=solver)
+            return sol.value, sol.policy, sol.certificate
+        value, cert = worst_case_expectation(obj, amb, pi, solver=solver)
+        return value, pi, cert
     except ReformulationError as err:
         where = f"state {s}" if stage is None else f"state {s}, stage {stage}"
         raise EngineError(f"backup failed at {where}: {err}") from err
+
+
+def _backward_pass(model, solver, dists=None):
+    """One backward sweep from the terminal values; robust at every state,
+    or pinned to dists[s] when dists is given.  Returns (values,
+    distributions, certificates)."""
+    values = np.zeros(model.n_states)
+    policies = [None] * model.n_states
+    certs = {}
+    for k, s in enumerate(model.stages[-1]):
+        values[s] = model.terminal_values[k]
+    for t in range(model.horizon - 2, -1, -1):
+        v_next = values[list(model.stages[t + 1])]
+        for s in model.stages[t]:
+            pi = None if dists is None else dists[s]
+            values[s], policies[s], certs[s] = _stage_backup(model, s, v_next, 1.0, solver, t, pi)
+    return values, policies, certs
+
+
+def _sweep(model, v, solver, dists=None):
+    """One discounted backup at every state; see `_backward_pass`."""
+    values = np.zeros(model.n_states)
+    policies = [None] * model.n_states
+    certs = {}
+    for s in range(model.n_states):
+        pi = None if dists is None else dists[s]
+        values[s], policies[s], certs[s] = _stage_backup(
+            model, s, v, model.discount, solver, None, pi
+        )
+    return values, policies, certs
+
+
+def _contract(model, epsilon, v0, max_iter, sweep):
+    """Apply `sweep` until the contraction bound guarantees ‖v − v*‖_∞ ≤ ε;
+    returns (values, distributions, sweeps)."""
+    if model.is_finite:
+        raise EngineError("fixed-point iteration requires an infinite-horizon model")
+    if epsilon <= 0:
+        raise EngineError("epsilon must be positive")
+    gamma = model.discount
+    stop = epsilon * (1.0 - gamma) / (2.0 * gamma)
+    v = np.zeros(model.n_states) if v0 is None else np.asarray(v0, dtype=float).copy()
+    for it in range(1, max_iter + 1):
+        v_new, dists, _ = sweep(v)
+        if np.max(np.abs(v_new - v)) <= stop:
+            return v_new, dists, it
+        v = v_new
+    raise EngineError(f"value iteration did not converge within {max_iter} sweeps")
 
 
 def backward_induction(model: DrMdpModel, solver="simplex", certificates=True):
@@ -156,20 +209,8 @@ def backward_induction(model: DrMdpModel, solver="simplex", certificates=True):
     """
     if not model.is_finite:
         raise EngineError("backward_induction requires a finite-horizon model")
-    values = np.zeros(model.n_states)
-    dists = [None] * model.n_states
-    certs = {}
-    for k, s in enumerate(model.stages[-1]):
-        values[s] = model.terminal_values[k]
-    for t in range(model.horizon - 2, -1, -1):
-        v_next = values[list(model.stages[t + 1])]
-        for s in model.stages[t]:
-            sol = _stage_backup(model, s, v_next, 1.0, solver, stage=t)
-            values[s] = sol.value
-            dists[s] = sol.policy
-            if certificates:
-                certs[s] = sol.certificate
-    return ValueFunction(values), RandomizedPolicy(tuple(dists)), certs
+    values, dists, certs = _backward_pass(model, solver)
+    return ValueFunction(values), RandomizedPolicy(tuple(dists)), certs if certificates else {}
 
 
 def bellman_operator(model: DrMdpModel, v, solver="simplex"):
@@ -179,67 +220,37 @@ def bellman_operator(model: DrMdpModel, v, solver="simplex"):
     v = np.asarray(v, dtype=float)
     if v.shape != (model.n_states,) or not np.all(np.isfinite(v)):
         raise EngineError("value vector must be finite with one entry per state")
-    out = np.zeros(model.n_states)
-    dists = [None] * model.n_states
-    certs = {}
-    for s in range(model.n_states):
-        sol = _stage_backup(model, s, v, model.discount, solver)
-        out[s] = sol.value
-        dists[s] = sol.policy
-        certs[s] = sol.certificate
-    return out, dists, certs
+    return _sweep(model, v, solver)
 
 
 def value_iteration(model: DrMdpModel, epsilon: float, v0=None, solver="simplex", max_iter=MAX_VALUE_ITERATIONS):
     """Iterate the robust Bellman operator until the contraction bound
     guarantees ‖v − v*‖_∞ ≤ ε; returns (ValueFunction, RandomizedPolicy,
     iterations)."""
-    if epsilon <= 0:
-        raise EngineError("epsilon must be positive")
-    gamma = model.discount
-    stop = epsilon * (1.0 - gamma) / (2.0 * gamma)
-    v = np.zeros(model.n_states) if v0 is None else np.asarray(v0, dtype=float).copy()
-    for it in range(1, max_iter + 1):
-        v_new, dists, _ = bellman_operator(model, v, solver=solver)
-        if np.max(np.abs(v_new - v)) <= stop:
-            return ValueFunction(v_new), RandomizedPolicy(tuple(dists)), it
-        v = v_new
-    raise EngineError(f"value iteration did not converge within {max_iter} sweeps")
+    v, dists, it = _contract(
+        model, epsilon, v0, max_iter, lambda v: bellman_operator(model, v, solver=solver)
+    )
+    return ValueFunction(v), RandomizedPolicy(tuple(dists)), it
 
 
 def evaluate_policy_worst_case(model: DrMdpModel, policy: RandomizedPolicy, solver="simplex", epsilon=1e-6):
     """Worst-case value of a fixed policy at every state.
 
-    Finite horizon: one backward sweep with the policy pinned.  Infinite
+    Finite horizon: one backward pass with the policy pinned.  Infinite
     horizon: iterate the fixed-policy contraction to the ε stopping rule.
     """
     dists = policy.distributions
     if model.is_finite:
-        values = np.zeros(model.n_states)
-        for k, s in enumerate(model.stages[-1]):
-            values[s] = model.terminal_values[k]
-        for t in range(model.horizon - 2, -1, -1):
-            v_next = values[list(model.stages[t + 1])]
-            for s in model.stages[t]:
-                obj = assemble_stage_objective(v_next, model.factor_maps[s])
-                values[s], _ = worst_case_expectation(
-                    obj, model.ambiguities[s], dists[s], solver=solver
-                )
-        return values
-    gamma = model.discount
-    stop = epsilon * (1.0 - gamma) / (2.0 * gamma)
-    v = np.zeros(model.n_states)
-    for _ in range(MAX_VALUE_ITERATIONS):
-        v_new = np.zeros(model.n_states)
-        for s in range(model.n_states):
-            obj = assemble_stage_objective(v, model.factor_maps[s], discount=gamma)
-            v_new[s], _ = worst_case_expectation(
-                obj, model.ambiguities[s], dists[s], solver=solver
-            )
-        if np.max(np.abs(v_new - v)) <= stop:
-            return v_new
-        v = v_new
-    raise EngineError("fixed-policy evaluation did not converge")
+        decisions = [s for st in model.stages[:-1] for s in st]
+    else:
+        decisions = range(model.n_states)
+    if len(dists) != model.n_states or any(dists[s] is None for s in decisions):
+        raise EngineError("policy needs an action distribution at every decision state")
+    if model.is_finite:
+        return _backward_pass(model, solver, dists)[0]
+    return _contract(
+        model, epsilon, None, MAX_VALUE_ITERATIONS, lambda v: _sweep(model, v, solver, dists)
+    )[0]
 
 
 def classical_dp_finite(model: DrMdpModel, factors: dict) -> np.ndarray:

@@ -165,16 +165,7 @@ def product(*sets: PolyhedralSet) -> PolyhedralSet:
 
 def feasibility_check(s: PolyhedralSet):
     """Returns (True, witness) or (False, farkas_certificate)."""
-    lp = LinearProgram(
-        "min",
-        np.zeros(s.dim),
-        np.array([r[0] for r in s.lp_rows()]).reshape(-1, s.dim),
-        tuple(r[1] for r in s.lp_rows()),
-        np.array([r[2] for r in s.lp_rows()]),
-        np.full(s.dim, -np.inf),
-        np.full(s.dim, np.inf),
-    )
-    sol = solve_lp(lp)
+    sol = _extreme(s, np.zeros(s.dim), "min")
     if sol.optimal:
         return True, sol.x
     if sol.status == "infeasible":

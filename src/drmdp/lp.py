@@ -8,8 +8,7 @@ Bland's rule after a stall, explicit Farkas certificates on infeasibility,
 and a hard "numerical_failure" status instead of silent wrong answers.
 
 A pluggable seam (`get_solver`) lets callers substitute scipy's HiGHS for
-large batch workloads; the bundled simplex is the default and the only hard
-dependency.
+large batch workloads; the bundled simplex is the default.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-9
-CERT_TOL = 1e-8
 
 LE, EQ, GE = "<=", "=", ">="
 

@@ -12,6 +12,8 @@ fresh demand paths.
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,24 +273,17 @@ def run_experiment(cfg: NewsvendorConfig, solver="highs", workers=1, progress=No
 
     Repetition seeds derive from (cfg.seed, repetition) and results are
     merged in repetition order, so reruns are bitwise identical for any
-    worker count.
+    worker count.  `progress(rep)` is called as each repetition is merged;
+    with one worker every repetition runs in the calling thread.
     """
     record = ExperimentRecord()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda rep: _run_repetition(cfg, rep, solver), range(cfg.repetitions))
-            )
-    else:
-        results = []
-        for rep in range(cfg.repetitions):
-            results.append(_run_repetition(cfg, rep, solver))
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        results = run(lambda rep: _run_repetition(cfg, rep, solver), range(cfg.repetitions))
+        for rep, (rows, failures) in enumerate(results):
+            for row in rows:
+                record.add(*row)
+            record.failures.extend(failures)
             if progress is not None:
                 progress(rep)
-    for rows, failures in results:
-        for theta, n, rep, cost in rows:
-            record.add(theta, n, rep, cost)
-        record.failures.extend(failures)
     return record

@@ -8,12 +8,13 @@ conditional distribution by a point mass at its conditional mean (valid
 because the objective is linear and the moment functions convex) and
 scaling by the scenario weights, x_n = ω_n ξ̄_n, makes the adversary's
 problem one LP, min (Mπ)'v s.t. A v {≤, =} b with v free.  ``_adversary_rows``
-assembles A and b once per ambiguity set; M prices κ on the weights and
-C on the scaled means.
+assembles A and b; M prices κ on the weights and C on the scaled means.
+An ``SRobustTemplate`` holds A' and b, compiled once per ambiguity set and
+kept on the set, and serves both LPs a backup can need:
 
-* ``build_adversary_lp`` — that LP for a fixed π; it serves fixed-policy
-  evaluation.
-* ``build_srobust_lp`` / ``SRobustTemplate`` — its transpose with π made a
+* ``adversary_lp`` — that LP for a fixed π; ``worst_case_expectation``
+  solves it for fixed-policy evaluation.
+* ``instantiate`` / ``build_srobust_lp`` — its transpose with π made a
   variable: max b'y s.t. A'y − Mπ = 0, 1'π = 1, π ≥ 0, y ≤ 0 on ≤ rows.
   Its π block is the robust randomized action, and the duals of its rows
   are an adversary point, so ``solve_srobust`` reads the saddle
@@ -31,8 +32,6 @@ import numpy as np
 from .ambiguity import FactorMap, LiftedAmbiguitySet
 from .geometry import enumerate_vertices, feasibility_check
 from .lp import EQ, LE, LinearProgram, get_solver
-
-SADDLE_TOL = 1e-6
 
 
 class ReformulationError(Exception):
@@ -225,18 +224,6 @@ def _adversary_rows(amb: LiftedAmbiguitySet):
     return cols, moment_rows, amat, tuple(r[1] for r in rows), np.array([r[2] for r in rows])
 
 
-def _cost_matrix(obj: StageObjective, amb: LiftedAmbiguitySet, layout) -> np.ndarray:
-    """M with (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n: κ_a on every scenario
-    weight and C_a on every scaled mean."""
-    if obj.factor_dim != amb.factor_dim:
-        raise ReformulationError("stage objective and ambiguity set disagree on factor_dim")
-    n = amb.n_scenarios
-    m = np.zeros((layout.total, obj.n_actions))
-    m[layout["w"].start : layout["w"].start + n] = obj.kappa_vec
-    m[layout["x"]] = np.tile(obj.c_mat.T, (n, 1))
-    return m
-
-
 def _unit(n, i, value=1.0):
     e = np.zeros(n)
     e[i] = value
@@ -244,20 +231,8 @@ def _unit(n, i, value=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Adversary LP (fixed policy)
+# Worst case at a fixed policy
 # ---------------------------------------------------------------------------
-
-
-def build_adversary_lp(obj: StageObjective, amb: LiftedAmbiguitySet, pi):
-    """Inner minimization for fixed π as one LP; returns (lp, layout).
-
-    min (Mπ)'v subject to the adversary rows, v free: its value is the
-    worst-case expectation.
-    """
-    layout, _, amat, senses, b = _adversary_rows(amb)
-    c = _cost_matrix(obj, amb, layout) @ np.asarray(pi, dtype=float)
-    free = np.full(layout.total, np.inf)
-    return LinearProgram("min", c, amat, senses, b, -free, free), layout
 
 
 @dataclass(frozen=True)
@@ -285,17 +260,22 @@ def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, sol
     finite mixture of point masses at the conditional means.
     """
     pi = np.asarray(pi, dtype=float)
+    if pi.shape != (obj.n_actions,) or not np.all(np.isfinite(pi)):
+        raise ReformulationError(f"policy must have {obj.n_actions} finite entries, one per action")
     if abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < -1e-9):
         raise ReformulationError("policy must lie in the probability simplex")
-    lp, layout = build_adversary_lp(obj, amb, pi)
+    template = _template(amb)
+    lp = template.adversary_lp(obj, pi)
     sol = get_solver(solver)(lp)
     if sol.status == "infeasible":
         raise ReformulationError(
             "fixed-policy subproblem infeasible: the ambiguity set admits no distribution"
         )
     if not sol.optimal:
-        raise ReformulationError(f"adversary LP ended with status {sol.status}")
-    return sol.value, _point_masses(amb, layout, sol.x)
+        raise ReformulationError(
+            f"adversary LP ({lp.n_rows} rows × {lp.n_vars} columns) ended with status {sol.status}"
+        )
+    return sol.value, _point_masses(amb, template.layout, sol.x)
 
 
 def _point_masses(amb: LiftedAmbiguitySet, layout, v) -> WorstCaseCertificate:
@@ -323,28 +303,48 @@ def _point_masses(amb: LiftedAmbiguitySet, layout, v) -> WorstCaseCertificate:
 
 
 class SRobustTemplate:
-    """Reusable compilation of the robust-policy LP for one ambiguity set.
+    """Reusable compilation of one ambiguity set's adversary rows.
 
-    The robust LP is the dual of the adversary LP with the policy made a
-    variable: max b'y subject to A'y − Mπ = 0 (one row per adversary
-    variable), 1'π = 1, π ≥ 0 and y ≤ 0 on the adversary's ≤ rows.  The
-    template stores A' and b once; ``instantiate`` prepends the π columns
-    −M of a stage objective, so every action count shares one template.
+    The template stores A', b and the row senses once.  ``adversary_lp``
+    prices them at a fixed π.  The robust LP is the dual of the adversary
+    LP with the policy made a variable: max b'y subject to A'y − Mπ = 0
+    (one row per adversary variable), 1'π = 1, π ≥ 0 and y ≤ 0 on the
+    adversary's ≤ rows; ``instantiate`` prepends the π columns −M of a
+    stage objective, so every action count shares one template.  It keeps
+    the set's sizes, not the set, so a set and its template hold no cycle.
     """
 
     def __init__(self, amb: LiftedAmbiguitySet):
-        self.amb = amb
-        self._build()
+        self._build(amb)
 
-    def _build(self):
-        self.layout, self.moment_rows, amat, senses, self.b = _adversary_rows(self.amb)
+    def _build(self, amb):
+        self.n_scenarios, self.factor_dim = amb.n_scenarios, amb.factor_dim
+        self.layout, self.moment_rows, amat, self.senses, self.b = _adversary_rows(amb)
         self.at = np.ascontiguousarray(amat.T)
-        self.y_ub = np.where(np.array(senses) == LE, 0.0, np.inf)
+        self.y_ub = np.where(np.array(self.senses) == LE, 0.0, np.inf)
+
+    def _cost_matrix(self, obj: StageObjective) -> np.ndarray:
+        """M with (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n: κ_a on every
+        scenario weight and C_a on every scaled mean."""
+        if obj.factor_dim != self.factor_dim:
+            raise ReformulationError("stage objective and ambiguity set disagree on factor_dim")
+        n, layout = self.n_scenarios, self.layout
+        m = np.zeros((layout.total, obj.n_actions))
+        m[layout["w"].start : layout["w"].start + n] = obj.kappa_vec
+        m[layout["x"]] = np.tile(obj.c_mat.T, (n, 1))
+        return m
+
+    def adversary_lp(self, obj: StageObjective, pi) -> LinearProgram:
+        """The inner minimization at a fixed π: min (Mπ)'v over the
+        adversary rows, v free; its value is the worst-case expectation."""
+        free = np.full(self.layout.total, np.inf)
+        c = self._cost_matrix(obj) @ pi
+        return LinearProgram("min", c, self.at.T, self.senses, self.b, -free, free)
 
     def instantiate(self, obj: StageObjective):
         """Fill a stage objective's π block into the transposed rows;
         returns (lp, layout) with column blocks "pi" and "y"."""
-        m = _cost_matrix(obj, self.amb, self.layout)
+        m = self._cost_matrix(obj)
         n_vars, n_rows = self.at.shape
         na = obj.n_actions
         a = np.zeros((n_vars + 1, na + n_rows))
@@ -368,13 +368,20 @@ class SRobustTemplate:
         return lp, cols
 
 
+def _template(amb: LiftedAmbiguitySet) -> SRobustTemplate:
+    """The set's template, compiled on first use and kept on the set."""
+    if amb._template is None:
+        object.__setattr__(amb, "_template", SRobustTemplate(amb))
+    return amb._template
+
+
 def build_srobust_lp(obj: StageObjective, amb: LiftedAmbiguitySet):
     """One LP computing max_π (worst-case expectation); returns (lp, layout).
 
     Variable blocks: the policy π on the simplex and the multipliers y of
     the adversary rows.  Its optimal value is the robust value.
     """
-    return SRobustTemplate(amb).instantiate(obj)
+    return _template(amb).instantiate(obj)
 
 
 @dataclass(frozen=True)
@@ -395,21 +402,15 @@ class SRobustSolution:
         return abs(float(best_reply) - self.value)
 
 
-def solve_srobust(
-    obj: StageObjective,
-    amb: LiftedAmbiguitySet,
-    solver="simplex",
-    template: SRobustTemplate = None,
-) -> SRobustSolution:
+def solve_srobust(obj: StageObjective, amb: LiftedAmbiguitySet, solver="simplex") -> SRobustSolution:
     """Solve max_π inf_P E[value] as one LP; its duals give the certificate.
 
     The LP's rows are the adversary's variables, so its duals are a
     worst-case adversary point: the weight rows give ω and the scaled-mean
-    rows give x_n = ω_n ξ̄_n.  Pass a precompiled template when sweeping
-    many states that share one ambiguity set.
+    rows give x_n = ω_n ξ̄_n.  States that share an ambiguity set share its
+    template.
     """
-    if template is None:
-        template = SRobustTemplate(amb)
+    template = _template(amb)
     lp, cols = template.instantiate(obj)
     sol = get_solver(solver)(lp)
     if not sol.optimal:

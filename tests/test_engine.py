@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -12,6 +13,8 @@ from conftest import (
 )
 
 import drmdp.engine
+import drmdp.lp
+import drmdp.reformulation
 from drmdp.ambiguity import FactorMap, build_support_only, build_wasserstein
 from drmdp.engine import (
     DrMdpModel,
@@ -134,9 +137,9 @@ def test_saddle_certificate_randomized_policies(solver):
 
 def test_templates_live_with_the_model(monkeypatch):
     builds = []
-    template = drmdp.engine.SRobustTemplate
+    template = drmdp.reformulation.SRobustTemplate
     monkeypatch.setattr(
-        drmdp.engine, "SRobustTemplate", lambda amb: builds.append(id(amb)) or template(amb)
+        drmdp.reformulation, "SRobustTemplate", lambda amb: builds.append(id(amb)) or template(amb)
     )
     model = random_infinite_model(np.random.default_rng(11), 3, 0.6)
     for _ in range(3):
@@ -255,3 +258,34 @@ def test_model_validation_errors():
         )
     with pytest.raises(EngineError):
         RandomizedPolicy(([0.5, 0.6],))
+
+
+def test_malformed_policies_rejected():
+    with pytest.raises(EngineError, match="non-finite"):
+        RandomizedPolicy((np.array([np.nan, np.nan]),))
+    with pytest.raises(EngineError, match="non-finite"):
+        RandomizedPolicy((None, np.array([0.5, np.inf])))
+    model = random_staged_model(np.random.default_rng(3))
+    _, pol, _ = backward_induction(model)
+    for s in (model.stages[0][0], model.stages[-2][-1]):
+        dists = list(pol.distributions)
+        dists[s] = None
+        with pytest.raises(EngineError, match="every decision state"):
+            evaluate_policy_worst_case(model, RandomizedPolicy(tuple(dists)))
+    with pytest.raises(EngineError, match="every decision state"):
+        evaluate_policy_worst_case(model, RandomizedPolicy(pol.distributions[:-1]))
+
+
+def test_failed_fixed_policy_evaluation_names_state_and_stage(monkeypatch):
+    model = random_staged_model(np.random.default_rng(3))
+    _, pol, _ = backward_induction(model, solver="highs")
+    lp = drmdp.lp
+    monkeypatch.setitem(lp._SOLVERS, "highs", lambda prog: lp.LpSolution(lp.NUMERICAL_FAILURE))
+    t = model.horizon - 2
+    with pytest.raises(EngineError) as err:
+        evaluate_policy_worst_case(model, pol, solver="highs")
+    assert re.fullmatch(
+        rf"backup failed at state {model.stages[t][0]}, stage {t}: adversary LP "
+        r"\(\d+ rows × \d+ columns\) ended with status numerical_failure",
+        str(err.value),
+    ), str(err.value)

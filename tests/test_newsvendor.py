@@ -1,8 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
 
 from drmdp.ambiguity import build_support_only, build_wasserstein
-from drmdp.engine import RandomizedPolicy, backward_induction, classical_dp_finite
+from drmdp.engine import (
+    RandomizedPolicy,
+    backward_induction,
+    classical_dp_finite,
+    evaluate_policy_worst_case,
+)
 from drmdp.geometry import simplex
 from drmdp.newsvendor import (
     ExperimentRecord,
@@ -16,6 +23,7 @@ from drmdp.newsvendor import (
     simulate_policy,
     solve_order_strategy,
 )
+from drmdp.reformulation import assemble_stage_objective
 
 
 def _model_with_index(cfg, amb=None):
@@ -146,18 +154,59 @@ def test_zero_radius_equals_mean_sample_dp():
 
 
 def test_backward_induction_builds_one_template(monkeypatch):
-    import drmdp.engine
+    import drmdp.reformulation
 
     builds = []
-    template = drmdp.engine.SRobustTemplate
+    template = drmdp.reformulation.SRobustTemplate
     monkeypatch.setattr(
-        drmdp.engine, "SRobustTemplate", lambda *args: builds.append(args) or template(*args)
+        drmdp.reformulation, "SRobustTemplate", lambda *args: builds.append(args) or template(*args)
     )
     cfg = NewsvendorConfig()
     samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(6))
     solve_order_strategy(cfg, samples, 0.2, solver="highs")
     # every state shares one ambiguity set; action counts run from 1 to 16
     assert len(builds) == 1
+
+
+def test_fixed_policy_evaluation_reuses_the_template(monkeypatch):
+    import drmdp.reformulation
+
+    assemblies = []
+    rows = drmdp.reformulation._adversary_rows
+    monkeypatch.setattr(
+        drmdp.reformulation, "_adversary_rows", lambda amb: assemblies.append(id(amb)) or rows(amb)
+    )
+    cfg = NewsvendorConfig()
+    samples = sample_training_set(cfg.true_dist, 15, np.random.default_rng(6))
+    amb = build_wasserstein(samples, 0.5, simplex(cfg.n_demand), cfg.metric)
+    model, _ = build_newsvendor_model(cfg, amb)
+    vf, policy, _ = backward_induction(model, solver="highs")
+    assert len(assemblies) == 1
+    values = evaluate_policy_worst_case(model, policy, solver="highs")
+    obj = assemble_stage_objective(vf.values[list(model.stages[1])], model.factor_maps[0])
+    drmdp.reformulation.build_srobust_lp(obj, amb)
+    # the backups, the 49 fixed-policy LPs and the dumped root LP share one assembly
+    assert len(assemblies) == 1
+    assert values[0] == pytest.approx(vf[0], abs=1e-8)
+
+
+def test_progress_follows_repetition_order_for_any_worker_count(monkeypatch):
+    import drmdp.newsvendor as newsvendor
+
+    threads = []
+    run = newsvendor._run_repetition
+    monkeypatch.setattr(
+        newsvendor, "_run_repetition", lambda *args: threads.append(threading.get_ident()) or run(*args)
+    )
+    cfg = NewsvendorConfig(train_sizes=(5,), theta_grid=(0.0, 0.5), repetitions=3, test_runs=50)
+    seen, records = {}, {}
+    for workers in (1, 2):
+        seen[workers] = []
+        records[workers] = run_experiment(cfg, workers=workers, progress=seen[workers].append)
+        if workers == 1:
+            assert set(threads) == {threading.get_ident()}
+    assert seen[1] == seen[2] == [0, 1, 2]
+    assert records[1].rows == records[2].rows
 
 
 def test_robust_value_bounds_simulated_cost():

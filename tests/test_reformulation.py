@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -411,3 +413,27 @@ def test_invalid_policy_rejected():
     amb = build_support_only(box([0.0], [1.0]))
     with pytest.raises(ReformulationError):
         worst_case_expectation(obj, amb, [0.5])
+
+
+@pytest.mark.parametrize("solver", ["simplex", "highs"])
+def test_non_finite_or_misshapen_policy_rejected(solver):
+    obj = StageObjective([0.0, 1.0], [[1.0], [-1.0]])
+    amb = build_support_only(box([0.0], [1.0]))
+    for pi in ([np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf], [1.0], [0.5, 0.25, 0.25]):
+        with pytest.raises(ReformulationError, match="finite entries"):
+            worst_case_expectation(obj, amb, pi, solver=solver)
+    v, _ = worst_case_expectation(obj, amb, [0.5, 0.5], solver=solver)
+    assert v == pytest.approx(0.5)
+
+
+def test_set_and_template_free_without_the_cycle_collector():
+    obj = StageObjective([0.0, 0.5], [[1.0, -1.0], [0.0, 1.0]])
+    amb = build_wasserstein([np.array([0.2, 0.8]), np.array([0.6, 0.4])], 0.3, simplex(2), 1)
+    solve_srobust(obj, amb)
+    refs = (weakref.ref(amb), weakref.ref(amb._template))
+    gc.disable()
+    try:
+        del amb
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
