@@ -87,7 +87,8 @@ class LiftedAmbiguitySet:
     weight_set: PolyhedralSet
     aug_dim: int = 0
     weight_aux_dim: int = 0
-    # the set's compiled adversary rows (an SRobustTemplate), built on first use
+    # the set's compiled adversary rows and warm HiGHS model (an
+    # SRobustTemplate), built on first use
     _template: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -41,8 +41,8 @@ class DrMdpModel:
     over all states, in index order, for infinite horizon).  Terminal-stage
     states need no factor map; their values come from `terminal_values`
     (zero by default).  Each ambiguity set keeps its own compiled LP
-    template, so states that share a set share one template, and the
-    templates die with the sets.
+    template and warm HiGHS model, so states that share a set share both,
+    and both die with the set.
     """
 
     n_states: int

@@ -1,4 +1,4 @@
-"""Dense linear-programming kernel.
+"""Linear-programming kernel: a dense simplex and a HiGHS adapter.
 
 A self-contained two-phase simplex with primal and dual solutions plus
 optimality certificates.  Every robust-counterpart compilation and every
@@ -7,15 +7,22 @@ solver favours robustness over speed: Dantzig pricing with a switch to
 Bland's rule after a stall, explicit Farkas certificates on infeasibility,
 and a hard "numerical_failure" status instead of silent wrong answers.
 
-A pluggable seam (`get_solver`) lets callers substitute scipy's HiGHS for
-large batch workloads; the bundled simplex is the default.
+The seam (`get_solver`) also offers scipy's HiGHS under the same solution
+contract.  An LP may carry a scipy.sparse matrix, which HiGHS takes as is
+and the dense paths densify, and a `WarmHighs` handle: LPs that share every
+row and all but their leading columns are then solved on one persistent
+HiGHS model, swapping only the leading columns and re-running from the
+basis the previous solve left.  Without scipy's `_Highs` class the handle
+is ignored and each LP is solved cold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_matrix, issparse
 
 PIVOT_TOL = 1e-9
 
@@ -36,7 +43,9 @@ class LinearProgram:
     """min/max c'x subject to tagged rows and per-variable bounds.
 
     Rows are (coefficients, sense, rhs) with sense one of "<=", "=", ">=".
-    Bounds may be -inf / +inf.
+    Bounds may be -inf / +inf.  The matrix `a` is a dense array or a
+    scipy.sparse matrix.  `warm` optionally names the `WarmHighs` model the
+    HiGHS adapter solves this LP on; every other solver ignores it.
     """
 
     sense: str
@@ -46,18 +55,22 @@ class LinearProgram:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    warm: WarmHighs | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
         b = np.asarray(self.b, dtype=float)
         lb = np.asarray(self.lb, dtype=float)
         ub = np.asarray(self.ub, dtype=float)
         if self.sense not in ("min", "max"):
             raise LpError(f"unknown objective sense {self.sense!r}")
         n = c.shape[0]
-        if a.size == 0:
-            a = a.reshape(0, n)
+        if issparse(self.a):
+            a = self.a.astype(float, copy=False)
+        else:
+            a = np.atleast_2d(np.asarray(self.a, dtype=float))
+            if a.size == 0:
+                a = a.reshape(0, n)
         if a.shape[1] != n:
             raise LpError(f"constraint matrix has {a.shape[1]} columns, cost has {n}")
         m = a.shape[0]
@@ -67,9 +80,9 @@ class LinearProgram:
             raise LpError("bound vectors must match the variable count")
         if not np.all(np.isfinite(b)):
             raise LpError("right-hand sides must be finite")
-        for s in self.row_senses:
-            if s not in (LE, EQ, GE):
-                raise LpError(f"unknown row sense {s!r}")
+        unknown = set(self.row_senses) - {LE, EQ, GE}
+        if unknown:
+            raise LpError(f"unknown row sense {sorted(map(repr, unknown))[0]}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -84,6 +97,10 @@ class LinearProgram:
     @property
     def n_rows(self) -> int:
         return self.a.shape[0]
+
+    def dense_a(self) -> np.ndarray:
+        """The constraint matrix as a dense array."""
+        return self.a.toarray() if issparse(self.a) else self.a
 
 
 def make_lp(sense, c, rows, bounds=None) -> LinearProgram:
@@ -128,62 +145,45 @@ def residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
     Dual sign convention: y holds shadow prices for the *stated* sense, i.e.
     d(value)/d(b_i) = y_i.  For a max problem y_i >= 0 on "<=" rows; for a
     min problem y_i <= 0 on "<=" rows.  Reduced costs r = c - a'y vanish for
-    variables strictly between their bounds.
+    variables strictly between their bounds.  Dense and sparse matrices
+    alike cost one product with a and one with a'.
     """
     if not sol.optimal:
         raise LpError("residuals only defined for optimal solutions")
     x, y = sol.x, sol.y
+    senses = np.array(lp.row_senses)
+    le, ge = senses == LE, senses == GE
     scale = 1.0 + max(np.abs(lp.b).max(initial=0.0), np.abs(x).max(initial=0.0))
     ax = lp.a @ x
-    primal = 0.0
-    for i, s in enumerate(lp.row_senses):
-        if s == LE:
-            primal = max(primal, ax[i] - lp.b[i])
-        elif s == GE:
-            primal = max(primal, lp.b[i] - ax[i])
-        else:
-            primal = max(primal, abs(ax[i] - lp.b[i]))
-    primal = max(primal, np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0))
+    # row violation: excess on "<=", shortfall on ">=", either way on "="
+    row_excess = np.where(le, ax - lp.b, np.where(ge, lp.b - ax, np.abs(ax - lp.b)))
+    primal = max(
+        np.max(row_excess, initial=0.0),
+        np.max(lp.lb - x, initial=0.0),
+        np.max(x - lp.ub, initial=0.0),
+    )
 
     sign = 1.0 if lp.sense == "min" else -1.0
-    dual = 0.0
-    for i, s in enumerate(lp.row_senses):
-        if s == LE:
-            dual = max(dual, sign * y[i])  # min: y<=0, max: y>=0
-        elif s == GE:
-            dual = max(dual, -sign * y[i])
+    # min: y <= 0 on "<=" rows and y >= 0 on ">=" rows; flipped for max
+    dual = max(np.max(sign * y[le], initial=0.0), np.max(-sign * y[ge], initial=0.0))
     r = lp.c - lp.a.T @ y
     # Reduced-cost sign: for min, r_j >= 0 at a lower bound, <= 0 at an upper
-    # bound; flipped for max.  Variables off both bounds need r_j == 0.
+    # bound; flipped for max.  Variables off both bounds need r_j == 0, and
+    # fixed variables (at both bounds) may take any r_j.
     dscale = 1.0 + np.abs(lp.c).max(initial=0.0)
-    comp = 0.0
-    for j in range(lp.n_vars):
-        at_lb = x[j] - lp.lb[j] <= 1e-7 * scale
-        at_ub = lp.ub[j] - x[j] <= 1e-7 * scale
-        rj = sign * r[j]
-        if at_lb and at_ub:
-            continue
-        if at_lb:
-            dual = max(dual, -rj / dscale)
-        elif at_ub:
-            dual = max(dual, rj / dscale)
-        else:
-            dual = max(dual, abs(rj) / dscale)
+    at_lb = x - lp.lb <= 1e-7 * scale
+    at_ub = lp.ub - x <= 1e-7 * scale
+    rj = sign * r
+    wrong_sign = np.where(at_lb, -rj, np.where(at_ub, rj, np.abs(rj)))
+    wrong_sign[at_lb & at_ub] = 0.0
+    dual = max(dual, np.max(wrong_sign / dscale, initial=0.0))
     # Complementary slackness on rows: y_i != 0 only on tight rows.
-    for i, s in enumerate(lp.row_senses):
-        if s == EQ:
-            continue
-        slack = lp.b[i] - ax[i] if s == LE else ax[i] - lp.b[i]
-        comp = max(comp, abs(y[i] * slack) / (scale * dscale))
+    slack = np.where(le, lp.b - ax, ax - lp.b)
+    comp = np.max(np.abs(y * slack)[le | ge], initial=0.0) / (scale * dscale)
     # Strong duality: c'x == y'b + bound contributions.
-    bound_part = 0.0
-    for j in range(lp.n_vars):
-        at_lb = x[j] - lp.lb[j] <= 1e-7 * scale
-        at_ub = lp.ub[j] - x[j] <= 1e-7 * scale
-        if at_lb and abs(lp.lb[j]) > 0:
-            bound_part += r[j] * lp.lb[j]
-        elif at_ub and abs(lp.ub[j]) > 0:
-            bound_part += r[j] * lp.ub[j]
+    on_lb = at_lb & (lp.lb != 0)
+    on_ub = ~on_lb & at_ub & (lp.ub != 0)
+    bound_part = r[on_lb] @ lp.lb[on_lb] + r[on_ub] @ lp.ub[on_ub]
     gap = abs((lp.c @ x) - (y @ lp.b + bound_part)) / (scale * dscale)
     return {"primal": primal / scale, "dual": dual, "comp": comp, "gap": gap}
 
@@ -215,7 +215,7 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm:
     extra_rows: list[tuple[np.ndarray, str, float]] = []  # bound rows
 
     c = lp.c if lp.sense == "min" else -lp.c
-    a = lp.a
+    a = lp.dense_a()
     next_col = 0
     for j in range(n):
         lo, hi = lp.lb[j], lp.ub[j]
@@ -246,7 +246,7 @@ def _to_standard_form(lp: LinearProgram) -> _StandardForm:
     m0 = lp.n_rows
     n_struct = next_col
     a_struct = np.column_stack(cols) if cols else np.zeros((m0, 0))
-    b_adj = lp.b - lp.a @ shift
+    b_adj = lp.b - a @ shift
 
     n_bound = len(extra_rows)
     m = m0 + n_bound
@@ -421,30 +421,165 @@ def _load_highs_direct():
     return _highs_wrapper, HighsModelStatus, kHighsInf
 
 
+def _load_highs_model():
+    from scipy.optimize._highspy._core import HighsStatus, ObjSense, _Highs
+
+    return _Highs, ObjSense, HighsStatus
+
+
 try:
     _HIGHS_DIRECT = _load_highs_direct()
 except ImportError:  # pragma: no cover - depends on the scipy build
     _HIGHS_DIRECT = None
 
+try:
+    _HIGHS_MODEL = _load_highs_model()
+except ImportError:  # pragma: no cover - depends on the scipy build
+    _HIGHS_MODEL = None
+
+
+def _highs_status(status, model_status) -> str:
+    """The solution-contract status of a HiGHS model status."""
+    if status == model_status.kOptimal:
+        return OPTIMAL
+    if status == model_status.kInfeasible:
+        return INFEASIBLE
+    if status == model_status.kUnbounded:
+        return UNBOUNDED
+    return NUMERICAL_FAILURE
+
+
+def _highs_rows(lp: LinearProgram, highs_inf):
+    """Row intervals lhs ≤ Ax ≤ rhs in HiGHS' infinity."""
+    senses = np.array(lp.row_senses)
+    return np.where(senses == LE, -highs_inf, lp.b), np.where(senses == GE, highs_inf, lp.b)
+
+
+def _highs_cols(lp: LinearProgram, highs_inf):
+    """Column bounds in HiGHS' infinity."""
+    return np.where(np.isinf(lp.lb), -highs_inf, lp.lb), np.where(np.isinf(lp.ub), highs_inf, lp.ub)
+
+
+class WarmHighs:
+    """One persistent HiGHS model for a family of LPs that share their
+    objective sense, their rows and their last `n_shared` columns and differ
+    only in the columns before those (the leading columns).
+
+    Each solve deletes the previous leading columns, adds the new ones and
+    re-runs from the basis the previous solve left; HiGHS keeps the basis
+    status of the rows and the shared columns across the swap.  A run that
+    does not end optimal is repeated once from scratch before its status is
+    reported, so a stale basis never turns a solvable LP into a failure.
+    The handle holds no reference to whatever owns it, and a lock
+    serialises solves on it.
+    """
+
+    def __init__(self, n_shared: int):
+        self.n_shared = n_shared
+        self._lock = threading.Lock()
+        self._highs = None
+        self._n_lead = 0
+
+    def solve(self, lp: LinearProgram) -> LpSolution:
+        _, model_status, highs_inf = _HIGHS_DIRECT
+        n_lead = lp.n_vars - self.n_shared
+        a = lp.a.tocsc() if issparse(lp.a) else csc_matrix(lp.a)
+        lb, ub = _highs_cols(lp, highs_inf)
+        with self._lock:
+            if n_lead < 0 or (self._highs is not None and lp.n_rows != self._highs.getNumRow()):
+                raise LpError("LP does not share the rows and columns of its warm model")
+            if not self._swap_in(lp, a, n_lead, lb, ub):
+                # HiGHS rejected an entry (an infinite coefficient, say):
+                # drop the half-edited model; the next LP builds a new one
+                self._highs = None
+                return LpSolution(NUMERICAL_FAILURE)
+            status, its = self._run()
+            if status != model_status.kOptimal:
+                self._highs.clearSolver()
+                status, cold_its = self._run()
+                its += cold_its
+            status = _highs_status(status, model_status)
+            if status != OPTIMAL:
+                return LpSolution(status, iterations=its)
+            sol = self._highs.getSolution()
+            col_value = np.array(sol.col_value, dtype=float)
+            y = np.array(sol.row_dual, dtype=float)
+        # the model holds the shared columns first, the leading ones after
+        x = np.concatenate([col_value[self.n_shared :], col_value[: self.n_shared]])
+        return LpSolution(OPTIMAL, x=x, y=y, value=float(lp.c @ x), iterations=its)
+
+    def _swap_in(self, lp, a, n_lead, lb, ub) -> bool:
+        """Replace the model's leading columns by the LP's; on first use,
+        build the model from the LP's rows and shared columns.  Its
+        objective sense is the LP's, so the row duals are already shadow
+        prices for the stated sense.  False if HiGHS rejects an edit."""
+        highs_cls, obj_sense, highs_status = _HIGHS_MODEL
+        if self._highs is None:
+            self._highs = highs_cls()
+            self._highs.setOptionValue("output_flag", False)
+            self._highs.setOptionValue("log_to_console", False)
+            sense = obj_sense.kMaximize if lp.sense == "max" else obj_sense.kMinimize
+            self._highs.changeObjectiveSense(sense)
+            lhs, rhs = _highs_rows(lp, _HIGHS_DIRECT[2])
+            # the rows go in empty; the columns bring their entries
+            no_entries = (np.zeros(lp.n_rows, np.int32), np.zeros(0, np.int32), np.zeros(0))
+            shared = a[:, n_lead:]
+            edits = [
+                self._highs.addRows(lp.n_rows, lhs, rhs, 0, *no_entries),
+                self._highs.addCols(
+                    self.n_shared,
+                    lp.c[n_lead:],
+                    lb[n_lead:],
+                    ub[n_lead:],
+                    shared.nnz,
+                    shared.indptr[:-1],
+                    shared.indices,
+                    shared.data,
+                ),
+            ]
+        else:
+            old_lead = np.arange(self.n_shared, self.n_shared + self._n_lead, dtype=np.int32)
+            edits = [self._highs.deleteCols(self._n_lead, old_lead)]
+        nnz = a.indptr[n_lead]
+        edits.append(
+            self._highs.addCols(
+                n_lead,
+                lp.c[:n_lead],
+                lb[:n_lead],
+                ub[:n_lead],
+                nnz,
+                a.indptr[:n_lead],
+                a.indices[:nnz],
+                a.data[:nnz],
+            )
+        )
+        self._n_lead = n_lead
+        return highs_status.kError not in edits
+
+    def _run(self):
+        """One HiGHS run; returns (model status, simplex + IPM iterations)."""
+        self._highs.run()
+        info = self._highs.getInfo()
+        its = info.simplex_iteration_count + info.ipm_iteration_count
+        return self._highs.getModelStatus(), its
+
 
 def solve_lp_highs(lp: LinearProgram) -> LpSolution:
     """HiGHS adapter conforming to the same solution contract.
 
-    Calls the bundled HiGHS bindings directly in row-interval form
-    (lhs ≤ Ax ≤ rhs), which skips the generic linprog input pipeline; the
-    public linprog path remains as a fallback.
+    An LP with a warm handle is solved on the handle's persistent model.
+    Any other LP goes cold to the bundled HiGHS bindings in row-interval
+    form (lhs ≤ Ax ≤ rhs), which skips the generic linprog input pipeline;
+    the public linprog path remains as a fallback.
     """
     if _HIGHS_DIRECT is None:
         return _solve_lp_highs_public(lp)
-    from scipy.sparse import csc_matrix
-
+    if lp.warm is not None and _HIGHS_MODEL is not None:
+        return lp.warm.solve(lp)
     wrapper, model_status, highs_inf = _HIGHS_DIRECT
     c = np.ascontiguousarray(lp.c if lp.sense == "min" else -lp.c, dtype=float)
-    senses = np.array(lp.row_senses)
-    lhs = np.where(senses == LE, -highs_inf, lp.b)
-    rhs = np.where(senses == GE, highs_inf, lp.b)
-    lb = np.where(np.isinf(lp.lb), -highs_inf * np.ones(lp.n_vars), lp.lb)
-    ub = np.where(np.isinf(lp.ub), highs_inf * np.ones(lp.n_vars), lp.ub)
+    lhs, rhs = _highs_rows(lp, highs_inf)
+    lb, ub = _highs_cols(lp, highs_inf)
     a = csc_matrix(lp.a)
     res = wrapper(
         c,
@@ -458,13 +593,11 @@ def solve_lp_highs(lp: LinearProgram) -> LpSolution:
         np.empty(0, dtype=np.uint8),
         {"output_flag": False, "log_to_console": False},
     )
-    status = res.get("status")
-    if status == model_status.kInfeasible:
-        return LpSolution(INFEASIBLE)
-    if status == model_status.kUnbounded:
-        return LpSolution(UNBOUNDED)
-    if status != model_status.kOptimal or res.get("x") is None:
-        return LpSolution(NUMERICAL_FAILURE)
+    status = _highs_status(res.get("status"), model_status)
+    if status == OPTIMAL and res.get("x") is None:
+        status = NUMERICAL_FAILURE
+    if status != OPTIMAL:
+        return LpSolution(status)
     x = np.asarray(res["x"], dtype=float)
     y = np.asarray(res["lambda"], dtype=float)
     if lp.sense == "max":
@@ -480,6 +613,7 @@ def _solve_lp_highs_public(lp: LinearProgram) -> LpSolution:
     from scipy.sparse import csr_matrix
 
     c = lp.c if lp.sense == "min" else -lp.c
+    a = lp.dense_a()
     senses = np.array(lp.row_senses)
     le = senses == LE
     ge = senses == GE
@@ -489,14 +623,14 @@ def _solve_lp_highs_public(lp: LinearProgram) -> LpSolution:
     ub_orig_idx = []
     for i in range(lp.n_rows):
         if le[i]:
-            a_ub_rows.append(lp.a[i])
+            a_ub_rows.append(a[i])
             b_ub.append(lp.b[i])
             ub_orig_idx.append((i, 1.0))
         elif ge[i]:
-            a_ub_rows.append(-lp.a[i])
+            a_ub_rows.append(-a[i])
             b_ub.append(-lp.b[i])
             ub_orig_idx.append((i, -1.0))
-    a_eq = lp.a[eq] if np.any(eq) else None
+    a_eq = a[eq] if np.any(eq) else None
     b_eq = lp.b[eq] if np.any(eq) else None
     a_ub = csr_matrix(np.array(a_ub_rows)) if a_ub_rows else None
     res = linprog(
@@ -554,8 +688,9 @@ def dump_lp(lp: LinearProgram, names: list[str] | None = None) -> str:
     lines = ["Maximize" if lp.sense == "max" else "Minimize"]
     lines.append(" obj: " + expr(lp.c))
     lines.append("Subject To")
+    a = lp.dense_a()
     for i in range(lp.n_rows):
-        lines.append(f" c{i}: " + expr(lp.a[i]) + f" {lp.row_senses[i]} {lp.b[i]:.17g}")
+        lines.append(f" c{i}: " + expr(a[i]) + f" {lp.row_senses[i]} {lp.b[i]:.17g}")
     lines.append("Bounds")
     for j in range(n):
         lo, hi = lp.lb[j], lp.ub[j]

@@ -18,7 +18,9 @@ kept on the set, and serves both LPs a backup can need:
   variable: max b'y s.t. A'y − Mπ = 0, 1'π = 1, π ≥ 0, y ≤ 0 on ≤ rows.
   Its π block is the robust randomized action, and the duals of its rows
   are an adversary point, so ``solve_srobust`` reads the saddle
-  certificate from the one LP a robust backup solves.
+  certificate from the one LP a robust backup solves.  Only the π
+  columns change between backups, so on HiGHS the set's backups share
+  one warm-started model (``SRobustTemplate.warm``).
 * ``oracle_worst_case`` — an independent check that discretizes supports
   into grids and solves the primal moment problem over point masses.
 """
@@ -28,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from .ambiguity import FactorMap, LiftedAmbiguitySet
 from .geometry import enumerate_vertices, feasibility_check
-from .lp import EQ, LE, LinearProgram, get_solver
+from .lp import EQ, LE, LinearProgram, WarmHighs, get_solver
 
 
 class ReformulationError(Exception):
@@ -305,13 +308,20 @@ def _point_masses(amb: LiftedAmbiguitySet, layout, v) -> WorstCaseCertificate:
 class SRobustTemplate:
     """Reusable compilation of one ambiguity set's adversary rows.
 
-    The template stores A', b and the row senses once.  ``adversary_lp``
-    prices them at a fixed π.  The robust LP is the dual of the adversary
-    LP with the policy made a variable: max b'y subject to A'y − Mπ = 0
-    (one row per adversary variable), 1'π = 1, π ≥ 0 and y ≤ 0 on the
-    adversary's ≤ rows; ``instantiate`` prepends the π columns −M of a
-    stage objective, so every action count shares one template.  It keeps
-    the set's sizes, not the set, so a set and its template hold no cycle.
+    The template stores A' (sparse, column-compressed), b and the row
+    senses once.  ``adversary_lp`` prices them at a fixed π.  The robust LP
+    is the dual of the adversary LP with the policy made a variable:
+    max b'y subject to A'y − Mπ = 0 (one row per adversary variable),
+    1'π = 1, π ≥ 0 and y ≤ 0 on the adversary's ≤ rows.  ``instantiate``
+    puts the π columns −M of a stage objective in front of the fixed y
+    columns, so every action count shares one template.
+
+    The template also owns the set's persistent HiGHS model of that LP
+    (``warm``): a robust backup on the HiGHS backend swaps in its π columns
+    and re-solves from the basis the previous backup of the set left.  The
+    model lives and dies with the set, so warm state never crosses sets.
+    The template keeps the set's sizes, not the set, and the model keeps
+    no reference to the template, so none of them form a cycle.
     """
 
     def __init__(self, amb: LiftedAmbiguitySet):
@@ -320,37 +330,54 @@ class SRobustTemplate:
     def _build(self, amb):
         self.n_scenarios, self.factor_dim = amb.n_scenarios, amb.factor_dim
         self.layout, self.moment_rows, amat, self.senses, self.b = _adversary_rows(amb)
-        self.at = np.ascontiguousarray(amat.T)
+        self.at = csc_matrix(amat.T)
+        n_vars = self.at.shape[0]
         self.y_ub = np.where(np.array(self.senses) == LE, 0.0, np.inf)
+        # rows where M has entries: the scenario weights, then the scaled means
+        w, x = self.layout["w"], self.layout["x"]
+        self._m_rows = np.r_[w.start : w.start + self.n_scenarios, x.start : x.stop]
+        self._pi_rows = np.append(self._m_rows, n_vars).astype(self.at.indices.dtype)
+        self.warm = WarmHighs(self.at.shape[1])
 
-    def _cost_matrix(self, obj: StageObjective) -> np.ndarray:
-        """M with (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n: κ_a on every
+    def _cost_entries(self, obj: StageObjective) -> np.ndarray:
+        """M's entries, one row per action, at the adversary variables
+        ``_m_rows``: (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n puts κ_a on every
         scenario weight and C_a on every scaled mean."""
         if obj.factor_dim != self.factor_dim:
             raise ReformulationError("stage objective and ambiguity set disagree on factor_dim")
-        n, layout = self.n_scenarios, self.layout
-        m = np.zeros((layout.total, obj.n_actions))
-        m[layout["w"].start : layout["w"].start + n] = obj.kappa_vec
-        m[layout["x"]] = np.tile(obj.c_mat.T, (n, 1))
-        return m
+        n = self.n_scenarios
+        return np.hstack([np.repeat(obj.kappa_vec[:, None], n, 1), np.tile(obj.c_mat, (1, n))])
 
     def adversary_lp(self, obj: StageObjective, pi) -> LinearProgram:
         """The inner minimization at a fixed π: min (Mπ)'v over the
         adversary rows, v free; its value is the worst-case expectation."""
         free = np.full(self.layout.total, np.inf)
-        c = self._cost_matrix(obj) @ pi
+        c = np.zeros(self.layout.total)
+        c[self._m_rows] = pi @ self._cost_entries(obj)
         return LinearProgram("min", c, self.at.T, self.senses, self.b, -free, free)
 
     def instantiate(self, obj: StageObjective):
-        """Fill a stage objective's π block into the transposed rows;
-        returns (lp, layout) with column blocks "pi" and "y"."""
-        m = self._cost_matrix(obj)
-        n_vars, n_rows = self.at.shape
+        """Put a stage objective's π columns in front of the fixed y
+        columns; returns (lp, layout) with column blocks "pi" and "y".  The
+        LP carries the set's warm HiGHS model."""
         na = obj.n_actions
-        a = np.zeros((n_vars + 1, na + n_rows))
-        a[:n_vars, :na] = -m
-        a[:n_vars, na:] = self.at
-        a[n_vars, :na] = 1.0
+        n_vars, n_rows = self.at.shape
+        at, pi_rows = self.at, self._pi_rows
+        # π column a holds −M's entries of action a, then the 1 of 1'π = 1,
+        # zeros included; A' follows unchanged
+        pi_nnz = na * len(pi_rows)
+        data = np.empty(pi_nnz + at.nnz)
+        pi_vals = data[:pi_nnz].reshape(na, len(pi_rows))
+        pi_vals[:, :-1] = -self._cost_entries(obj)
+        pi_vals[:, -1] = 1.0
+        data[pi_nnz:] = at.data
+        indices = np.empty(pi_nnz + at.nnz, dtype=at.indices.dtype)
+        indices[:pi_nnz].reshape(na, len(pi_rows))[:] = pi_rows
+        indices[pi_nnz:] = at.indices
+        indptr = np.empty(na + 1 + n_rows, dtype=at.indptr.dtype)
+        indptr[: na + 1] = np.arange(0, pi_nnz + 1, len(pi_rows))
+        indptr[na + 1 :] = at.indptr[1:] + pi_nnz
+        a = csc_matrix((data, indices, indptr), shape=(n_vars + 1, na + n_rows))
         rhs = np.zeros(n_vars + 1)
         rhs[n_vars] = 1.0
         cols = _Cols()
@@ -364,6 +391,7 @@ class SRobustTemplate:
             rhs,
             np.concatenate([np.zeros(na), np.full(n_rows, -np.inf)]),
             np.concatenate([np.full(na, np.inf), self.y_ub]),
+            warm=self.warm,
         )
         return lp, cols
 

@@ -4,17 +4,29 @@ import numpy as np
 
 from drmdp.ambiguity import (
     FactorMap,
+    MixtureComponent,
+    build_hybrid_wasserstein_mad,
+    build_mixture,
+    build_phi_divergence_tv,
     build_support_only,
     build_uncertain_mean,
     build_wasserstein,
     identity_factor_map,
+    pad_factor_map,
 )
 from drmdp.engine import DrMdpModel
-from drmdp.geometry import box, simplex, singleton
+from drmdp.geometry import PolyhedralSet, box, simplex, singleton
+
+# the six ambiguity families random_simplex_ambiguity builds on request
+FAMILIES = ("wasserstein", "support", "tv", "mean", "hybrid", "mixture")
 
 
 def random_simplex_ambiguity(rng, dim, kind=None):
-    """A random ambiguity set over factor vectors in the dim-simplex."""
+    """A random ambiguity set over factor vectors in the dim-simplex.
+
+    Without a kind it draws from support-only, Wasserstein and uncertain
+    mean; any of FAMILIES can be asked for.  A hybrid set appends one
+    factor coordinate (the deviation center)."""
     kind = kind or rng.choice(["support", "wasserstein", "mean"])
     d = simplex(dim)
     if kind == "support":
@@ -23,6 +35,29 @@ def random_simplex_ambiguity(rng, dim, kind=None):
         k = int(rng.integers(1, 4))
         samples = [rng.dirichlet(np.ones(dim)) for _ in range(k)]
         return build_wasserstein(samples, float(rng.uniform(0.0, 1.0)), d)
+    if kind == "tv":
+        samples = [rng.dirichlet(np.ones(dim)) for _ in range(int(rng.integers(2, 4)))]
+        return build_phi_divergence_tv(samples, float(rng.uniform(0.1, 0.6)))
+    if kind == "hybrid":
+        samples = [rng.dirichlet(np.ones(dim)) for _ in range(2)]
+        mean = np.mean(samples, axis=0)
+        lo, hi = np.clip(mean - 0.2, 0.0, 1.0), np.clip(mean + 0.2, 0.0, 1.0)
+        return build_hybrid_wasserstein_mad(
+            samples, float(rng.uniform(0.1, 0.5)), d, 1, lo, hi, float(rng.uniform(0.05, 0.3))
+        )
+    if kind == "mixture":
+        center = rng.dirichlet(np.ones(dim))
+        components = [
+            MixtureComponent(d),
+            MixtureComponent(d, mean_set=box(center - 0.1, center + 0.1)),
+        ]
+        w = float(rng.uniform(0.2, 0.4))
+        weights = PolyhedralSet(
+            2,
+            [([1, 0], 1 - w), ([-1, 0], -w), ([0, 1], 1 - w), ([0, -1], -w)],
+            [([1, 1], 1.0)],
+        )
+        return build_mixture(components, weights)
     center = rng.dirichlet(np.ones(dim))
     return build_uncertain_mean(
         d, np.zeros(dim), np.ones(dim), center, float(rng.uniform(0.05, 0.5))
@@ -45,17 +80,30 @@ def shared_row_factor_map(rng, n_actions, n_next):
     )
 
 
-def random_infinite_model(rng, n_states=2, gamma=0.9):
+def _fitted(fm, amb):
+    """The factor map padded to the set's factor dimension."""
+    return pad_factor_map(fm, amb.factor_dim - fm.factor_dim)
+
+
+def random_infinite_model(rng, n_states=2, gamma=0.9, kind=None, actions=None):
+    """A discounted model.  With `actions` (one count per state) every state
+    shares one ambiguity set of the given kind."""
+    if actions is not None:
+        shared = random_simplex_ambiguity(rng, n_states, kind)
     fms, ambs = [], []
-    for _ in range(n_states):
-        n_actions = int(rng.integers(1, 4))
-        fms.append(shared_row_factor_map(rng, n_actions, n_states))
-        ambs.append(random_simplex_ambiguity(rng, n_states))
+    for s in range(n_states):
+        n_actions = int(rng.integers(1, 4)) if actions is None else actions[s]
+        fm = shared_row_factor_map(rng, n_actions, n_states)
+        amb = random_simplex_ambiguity(rng, n_states, kind) if actions is None else shared
+        fms.append(_fitted(fm, amb))
+        ambs.append(amb)
     return DrMdpModel(n_states, tuple(fms), tuple(ambs), discount=gamma)
 
 
-def random_staged_model(rng, mid_states=2, n_terminal=2):
-    """Three stages: one root, a middle layer, and a terminal layer."""
+def random_staged_model(rng, mid_states=2, n_terminal=2, kind=None, actions=None):
+    """Three stages: one root, a middle layer, and a terminal layer.  With
+    `actions` (one count per middle state) the middle states share one
+    ambiguity set of the given kind."""
     stages = (
         (0,),
         tuple(range(1, 1 + mid_states)),
@@ -65,12 +113,16 @@ def random_staged_model(rng, mid_states=2, n_terminal=2):
     fms = [None] * n_states
     ambs = [None] * n_states
     n_actions = int(rng.integers(1, 4))
-    fms[0] = shared_row_factor_map(rng, n_actions, mid_states)
-    ambs[0] = random_simplex_ambiguity(rng, mid_states)
-    for s in stages[1]:
-        n_actions = int(rng.integers(1, 4))
-        fms[s] = shared_row_factor_map(rng, n_actions, n_terminal)
-        ambs[s] = random_simplex_ambiguity(rng, n_terminal)
+    fm = shared_row_factor_map(rng, n_actions, mid_states)
+    ambs[0] = random_simplex_ambiguity(rng, mid_states, kind)
+    fms[0] = _fitted(fm, ambs[0])
+    if actions is not None:
+        shared = random_simplex_ambiguity(rng, n_terminal, kind)
+    for k, s in enumerate(stages[1]):
+        n_actions = int(rng.integers(1, 4)) if actions is None else actions[k]
+        fm = shared_row_factor_map(rng, n_actions, n_terminal)
+        ambs[s] = random_simplex_ambiguity(rng, n_terminal, kind) if actions is None else shared
+        fms[s] = _fitted(fm, ambs[s])
     return DrMdpModel(
         n_states,
         tuple(fms),

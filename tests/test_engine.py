@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import re
 import weakref
@@ -5,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from conftest import (
+    FAMILIES,
     random_infinite_model,
     random_simplex_ambiguity,
     random_staged_model,
@@ -289,3 +291,51 @@ def test_failed_fixed_policy_evaluation_names_state_and_stage(monkeypatch):
         r"\(\d+ rows × \d+ columns\) ended with status numerical_failure",
         str(err.value),
     ), str(err.value)
+
+
+def _check_warm_against_cold(monkeypatch):
+    """Solve every HiGHS LP warm and cold and compare; record each robust
+    backup's saddle gap and the LP sizes each warm model served."""
+    lp = drmdp.lp
+    served = {}
+
+    def warm_and_cold(prog):
+        warm = lp.solve_lp_highs(prog)
+        cold = lp.solve_lp_highs(dataclasses.replace(prog, warm=None))
+        assert warm.optimal and cold.optimal
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        assert max(lp.residuals(prog, warm).values()) <= 1e-7
+        served.setdefault(id(prog.warm), set()).add(prog.n_vars)
+        return warm
+
+    saddle_gaps = []
+    backup = drmdp.engine.solve_srobust
+
+    def checked_backup(obj, amb, solver):
+        sol = backup(obj, amb, solver=solver)
+        saddle_gaps.append(sol.saddle_residual(obj))
+        return sol
+
+    monkeypatch.setitem(lp._SOLVERS, "highs", warm_and_cold)
+    monkeypatch.setattr(drmdp.engine, "solve_srobust", checked_backup)
+    return served, saddle_gaps
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_warm_highs_matches_cold_per_backup(monkeypatch, kind):
+    served, saddle_gaps = _check_warm_against_cold(monkeypatch)
+    rng = np.random.default_rng(FAMILIES.index(kind))
+    for model in (
+        random_staged_model(rng, kind=kind),
+        random_staged_model(rng, mid_states=3, kind=kind, actions=(3, 1, 2)),
+        random_infinite_model(rng, kind=kind),
+        random_infinite_model(rng, n_states=3, kind=kind, actions=(3, 1, 2)),
+    ):
+        if model.is_finite:
+            backward_induction(model, solver="highs")
+        else:
+            value_iteration(model, 1e-6, solver="highs")
+    assert max(saddle_gaps) <= 1e-8
+    # the shared sets served LPs with different action counts on one model
+    assert None not in served
+    assert sum(len(sizes) == 3 for sizes in served.values()) >= 2

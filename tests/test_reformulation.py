@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from drmdp.ambiguity import (
     identity_factor_map,
 )
 from drmdp.geometry import box, enumerate_vertices, simplex, singleton
-from drmdp.lp import get_solver, solve_lp
+import drmdp.lp
+from drmdp.lp import WarmHighs, get_solver, solve_lp
 from drmdp.reformulation import (
     ReformulationError,
     StageObjective,
@@ -327,6 +330,83 @@ def test_linprog_fallback_duals_give_the_same_certificate(monkeypatch):
     assert len(calls) == len(direct)
 
 
+def _shared_set_sequences():
+    """Per _saddle_cases set, three objectives with 3, 1 and 2 actions."""
+    for amb, obj in _saddle_cases():
+        rng = np.random.default_rng(obj.n_actions + amb.n_scenarios)
+        d = amb.factor_dim
+        more = (StageObjective(rng.normal(size=k), rng.normal(size=(k, d))) for k in (1, 2))
+        yield amb, [obj, *more]
+
+
+def _solve_sequences(solver):
+    sequences = _shared_set_sequences()
+    return [[solve_srobust(o, amb, solver=solver) for o in objs] for amb, objs in sequences]
+
+
+def _same_solution(sol, ref, obj):
+    assert sol.value == pytest.approx(ref.value, abs=1e-9)
+    np.testing.assert_allclose(sol.policy, ref.policy, atol=1e-8)
+    np.testing.assert_allclose(sol.certificate.weights, ref.certificate.weights, atol=1e-8)
+    np.testing.assert_allclose(sol.certificate.mean, ref.certificate.mean, atol=1e-8)
+    assert sol.saddle_residual(obj) <= 1e-8
+
+
+def test_cold_adapter_when_the_highs_class_is_missing(monkeypatch):
+    warm = _solve_sequences("highs")
+    monkeypatch.setattr(drmdp.lp, "_HIGHS_MODEL", None)
+    wrapper, *rest = drmdp.lp._HIGHS_DIRECT
+    calls = []
+    monkeypatch.setattr(
+        drmdp.lp, "_HIGHS_DIRECT", (lambda *args: calls.append(1) or wrapper(*args), *rest)
+    )
+    n = 0
+    for (amb, objs), refs in zip(_shared_set_sequences(), warm):
+        for obj, ref in zip(objs, refs):
+            _same_solution(solve_srobust(obj, amb, solver="highs"), ref, obj)
+            n += 1
+        assert amb._template.warm._highs is None
+    assert len(calls) == n
+
+
+def test_failed_warm_run_is_retried_cold(monkeypatch):
+    model_status = drmdp.lp._HIGHS_DIRECT[1]
+    run = WarmHighs._run
+    runs = []
+
+    def flaky(self):
+        # a model's first run and the retry after a stall succeed; every
+        # other run (one warm-started by a column swap) stalls
+        status, its = run(self)
+        stall = bool(runs) and runs[-1] == "ok"
+        runs.append("stalled" if stall else "ok")
+        return (model_status.kIterationLimit if stall else status), its
+
+    cold = _solve_sequences("simplex")
+    monkeypatch.setattr(WarmHighs, "_run", flaky)
+    for (amb, objs), refs in zip(_shared_set_sequences(), cold):
+        runs.clear()
+        for obj, ref in zip(objs, refs):
+            _same_solution(solve_srobust(obj, amb, solver="highs"), ref, obj)
+        assert runs == ["ok"] + ["stalled", "ok"] * (len(objs) - 1)
+
+
+def test_warm_failure_reported_after_the_cold_retry(monkeypatch):
+    model_status = drmdp.lp._HIGHS_DIRECT[1]
+    runs = []
+
+    def stalled(self):
+        runs.append(1)
+        return model_status.kIterationLimit, 0
+
+    amb, obj = next(_saddle_cases())
+    solve_srobust(obj, amb, solver="highs")
+    monkeypatch.setattr(WarmHighs, "_run", stalled)
+    with pytest.raises(ReformulationError, match="ended with status numerical_failure"):
+        solve_srobust(obj, amb, solver="highs")
+    assert len(runs) == 2
+
+
 def test_scale_equivariance():
     rng = np.random.default_rng(8)
     amb = build_wasserstein([[0.2, 0.8]], 0.1, simplex(2))
@@ -437,3 +517,41 @@ def test_set_and_template_free_without_the_cycle_collector():
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_set_template_and_warm_model_free_without_the_cycle_collector():
+    amb = build_wasserstein([np.array([0.2, 0.8]), np.array([0.6, 0.4])], 0.3, simplex(2), 1)
+    for obj in (
+        StageObjective([0.0, 0.5], [[1.0, -1.0], [0.0, 1.0]]),
+        StageObjective([0.3], [[-1.0, 1.0]]),
+    ):
+        solve_srobust(obj, amb, solver="highs")
+    template = amb._template
+    assert template.warm._highs is not None
+    refs = [weakref.ref(x) for x in (amb, template, template.warm, template.warm._highs)]
+    del template
+    gc.disable()
+    try:
+        del amb
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_threads_sharing_one_set_get_their_own_answers():
+    rng = np.random.default_rng(12)
+    samples = [rng.dirichlet(np.ones(3)) for _ in range(4)]
+    amb = build_wasserstein(samples, 0.2, simplex(3))
+    objs = [StageObjective(rng.normal(size=k), rng.normal(size=(k, 3))) for k in (1, 4, 2, 3, 4, 2)]
+    refs = [solve_srobust(obj, amb, solver="simplex").value for obj in objs]
+    jobs = [objs[i % len(objs)] for i in range(60)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve_srobust, obj, amb, "highs") for obj in jobs]
+            values = [f.result(timeout=60).value for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, value in enumerate(values):
+        assert value == pytest.approx(refs[i % len(objs)], abs=1e-8)
