@@ -433,12 +433,7 @@ class ValidationReport:
 def _weight_marginal_min(amb: LiftedAmbiguitySet) -> float:
     """min over the weight polytope of the smallest weight coordinate."""
     w = amb.weight_set
-    lo = np.inf
-    for i in range(amb.n_scenarios):
-        e = np.zeros(w.dim)
-        e[i] = -1.0
-        lo = min(lo, -support_value(w, e))
-    return lo
+    return float(np.min(-support_value(w, -np.eye(w.dim)[: amb.n_scenarios])))
 
 
 def validate(amb: LiftedAmbiguitySet, fm: FactorMap = None) -> ValidationReport:
@@ -446,22 +441,14 @@ def validate(amb: LiftedAmbiguitySet, fm: FactorMap = None) -> ValidationReport:
     feasibility, strict-interior (Slater) surrogates, and — when a kernel
     map is supplied — transition-row validity over every support.
 
+    Small compact polytopes answer their support queries from a vertex list
+    instead of LPs, and a support object shared by several scenarios is
+    checked once, though every scenario keeps its own check names.
+
     A passing report is evidence, not a certificate, that strong duality
     holds for the robust counterpart.
     """
-    checks = []
-    for n, d in enumerate(amb.supports):
-        ok = is_nonempty_bounded(d)
-        checks.append((f"support_{n}_compact", ok, "nonempty and bounded" if ok else "empty or unbounded"))
-        if ok and d.ineq:
-            r = chebyshev_radius(PolyhedralSet(d.dim, d.ineq))
-            checks.append(
-                (
-                    f"support_{n}_slater",
-                    r > 1e-9,
-                    f"inequality-system inscribed radius {r:.2e}",
-                )
-            )
+    checks = _per_support(amb, _support_checks)
     w_ok = is_nonempty_bounded(amb.weight_set)
     checks.append(("weight_set_compact", w_ok, ""))
     if w_ok:
@@ -481,37 +468,46 @@ def validate(amb: LiftedAmbiguitySet, fm: FactorMap = None) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
+def _per_support(amb: LiftedAmbiguitySet, check):
+    """The checks check(d) returns for every scenario's support d, with the
+    `{n}` in each name set to the scenario index.  check runs once per
+    distinct support object."""
+    done, checks = {}, []
+    for n, d in enumerate(amb.supports):
+        if id(d) not in done:
+            done[id(d)] = check(d)
+        checks.extend((name.format(n=n), ok, detail) for name, ok, detail in done[id(d)])
+    return checks
+
+
+def _support_checks(d: PolyhedralSet):
+    ok = is_nonempty_bounded(d)
+    checks = [("support_{n}_compact", ok, "nonempty and bounded" if ok else "empty or unbounded")]
+    if ok and d.ineq:
+        r = chebyshev_radius(PolyhedralSet(d.dim, d.ineq))
+        checks.append(("support_{n}_slater", r > 1e-9, f"inequality-system inscribed radius {r:.2e}"))
+    return checks
+
+
 def _factor_map_checks(amb: LiftedAmbiguitySet, fm: FactorMap):
-    checks = []
     if fm.factor_dim != amb.factor_dim:
         return [("factor_map_dim", False, "factor_dim mismatch")]
-    checks.append(("factor_map_dim", True, ""))
-    for n, d in enumerate(amb.supports):
-        worst_entry = np.inf
-        sum_dev = 0.0
-        for a in range(fm.n_actions):
-            rows = slice(a * fm.n_next, (a + 1) * fm.n_next)
-            srow = fm.p_mat[rows].sum(axis=0)
-            soff = fm.p_offset[rows].sum()
-            hi = support_value(d, srow) + soff
-            lo = -support_value(d, -srow) + soff
-            sum_dev = max(sum_dev, abs(hi - 1.0), abs(lo - 1.0))
-            for k in range(fm.n_next):
-                row = fm.p_mat[a * fm.n_next + k]
-                off = fm.p_offset[a * fm.n_next + k]
-                worst_entry = min(worst_entry, -support_value(d, -row) + off)
-        checks.append(
-            (
-                f"rows_sum_to_one_support_{n}",
-                sum_dev <= 1e-9,
-                f"max deviation {sum_dev:.2e}",
-            )
-        )
-        checks.append(
-            (
-                f"rows_nonnegative_support_{n}",
-                worst_entry >= -1e-9,
-                f"min entry {worst_entry:.2e}",
-            )
-        )
-    return checks
+    # each action's summed transition row, its negation, then every
+    # transition row negated: one support_value call answers them all
+    row_sums = fm.p_mat.reshape(fm.n_actions, fm.n_next, -1).sum(axis=1)
+    sum_offsets = fm.p_offset.reshape(fm.n_actions, fm.n_next).sum(axis=1)
+    directions = np.vstack([row_sums, -row_sums, -fm.p_mat])
+
+    def row_checks(d):
+        values = support_value(d, directions)
+        hi = values[: fm.n_actions] + sum_offsets
+        lo = -values[fm.n_actions : 2 * fm.n_actions] + sum_offsets
+        entries = -values[2 * fm.n_actions :] + fm.p_offset
+        sum_dev = float(np.max(np.abs(np.concatenate([hi, lo]) - 1.0), initial=0.0))
+        worst_entry = float(np.min(entries, initial=np.inf))
+        return [
+            ("rows_sum_to_one_support_{n}", sum_dev <= 1e-9, f"max deviation {sum_dev:.2e}"),
+            ("rows_nonnegative_support_{n}", worst_entry >= -1e-9, f"min entry {worst_entry:.2e}"),
+        ]
+
+    return [("factor_map_dim", True, "")] + _per_support(amb, row_checks)

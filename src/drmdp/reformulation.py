@@ -446,7 +446,12 @@ def solve_srobust(obj: StageObjective, amb: LiftedAmbiguitySet, solver="simplex"
             f"robust LP ({lp.n_rows} rows × {lp.n_vars} columns) ended with status {sol.status}"
         )
     pi = np.clip(sol.x[cols["pi"]], 0.0, None)
-    pi /= pi.sum()
+    total = pi.sum()
+    if not np.isfinite(total) or abs(total - 1.0) > 1e-6:
+        raise ReformulationError(
+            f"robust LP ({lp.n_rows} rows × {lp.n_vars} columns) returned a policy summing to {total:.6g}"
+        )
+    pi /= total
     y = sol.x[cols["y"]]
     return SRobustSolution(
         policy=pi,

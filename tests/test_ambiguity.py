@@ -1,6 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import drmdp.geometry as geometry
+from conftest import FAMILIES, random_simplex_ambiguity, shared_row_factor_map
 from drmdp.ambiguity import (
     AmbiguityError,
     ConditionGroup,
@@ -24,6 +29,9 @@ from drmdp.geometry import (
     support_value,
 )
 from drmdp.ambiguity import FactorMap
+from drmdp.modelfile import parse_model_file
+
+DATA = Path(__file__).parent.parent / "src" / "drmdp" / "data"
 
 
 def test_support_only_simplex():
@@ -198,3 +206,70 @@ def test_theta_nesting_tv_weight_sets():
         lo = -support_value(amb.weight_set, -e)
         assert hi >= hi_prev - 1e-12 and lo <= lo_prev + 1e-12
         lo_prev, hi_prev = lo, hi
+
+
+def test_validate_solves_few_lps_on_a_small_support(monkeypatch):
+    # one state shaped like the benchmark's: a Wasserstein set over the
+    # 3-simplex, two actions sharing the factor as their transition row
+    amb = build_wasserstein([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], 0.3, simplex(3))
+    fm = shared_row_factor_map(np.random.default_rng(0), 2, 3)
+    calls = []
+    real = geometry.solve_lp
+    monkeypatch.setattr(geometry, "solve_lp", lambda lp: calls.append(lp) or real(lp))
+    rep = validate(amb, fm)
+    assert rep.passed
+    assert [name for name, _, _ in rep.checks] == [
+        "support_0_compact", "support_0_slater", "support_1_compact", "support_1_slater",
+        "weight_set_compact", "weight_normalization", "weight_interiority",
+        "group_0_moment_set_nonempty", "factor_map_dim",
+        "rows_sum_to_one_support_0", "rows_nonnegative_support_0",
+        "rows_sum_to_one_support_1", "rows_nonnegative_support_1",
+    ]
+    # the shared support's Chebyshev LP and the moment set's feasibility LP
+    assert len(calls) <= 2
+
+
+def _numbers(detail):
+    return [float(x) for x in re.findall(r"[-+]?\d+\.?\d*(?:e[-+]?\d+)?", detail)]
+
+
+def _assert_same_report(got, want):
+    assert [(n, ok) for n, ok, _ in got.checks] == [(n, ok) for n, ok, _ in want.checks]
+    for (_, _, a), (_, _, b) in zip(got.checks, want.checks):
+        assert _numbers(a) == pytest.approx(_numbers(b), abs=1e-12)
+
+
+def _reports(build):
+    """Validation reports of freshly built (ambiguity set, factor map) pairs,
+    once as built and once with every set kept on the LP path."""
+    out = []
+    for limit in (geometry.VERTEX_FORM_MAX_ACTIVE_SETS, -1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "VERTEX_FORM_MAX_ACTIVE_SETS", limit)
+            out.append([validate(amb, fm) for amb, fm in build()])
+    return out
+
+
+@pytest.mark.parametrize("name", ["boundary_weights", "finite_two_state", "infinite_two_state", "invalid_rows"])
+def test_vertex_form_keeps_bundled_reports(name):
+    def build():
+        model = parse_model_file(DATA / f"{name}.yaml").build()
+        return [(a, f) for a, f in zip(model.ambiguities, model.factor_maps) if a is not None]
+
+    for got, want in zip(*_reports(build)):
+        _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_vertex_form_keeps_random_reports(kind):
+    def build():
+        rng = np.random.default_rng(7)
+        out = []
+        for dim in (2, 3):
+            amb = random_simplex_ambiguity(rng, dim, kind)
+            fm = shared_row_factor_map(rng, 2, dim)
+            out.append((amb, pad_factor_map(fm, amb.factor_dim - dim)))
+        return out
+
+    for got, want in zip(*_reports(build)):
+        _assert_same_report(got, want)

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+import drmdp.geometry as geometry
 from drmdp.geometry import (
     GeometryError,
     NotCompactError,
@@ -21,6 +24,8 @@ from drmdp.geometry import (
     simplex,
     singleton,
     support_value,
+    _extreme,
+    _vertex_form_of,
 )
 
 
@@ -148,3 +153,165 @@ def test_dimension_validation():
         PolyhedralSet(2, [([1.0], 0.0)])
     with pytest.raises(GeometryError):
         intersect(simplex(2), simplex(3))
+
+
+def test_enumerate_vertices_dependent_equality_rows():
+    # the free dimensions come from the rank of the equality rows, not their count
+    twice = intersect(simplex(3), simplex(3))
+    got = {tuple(np.round(v, 9)) for v in enumerate_vertices(twice).vertices}
+    assert got == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
+    segment = PolyhedralSet(2, [([-1, 0], 0.0), ([0, -1], 0.0)], [([1, 1], 1.0), ([2, 2], 2.0)])
+    got = {tuple(np.round(v, 9)) for v in enumerate_vertices(segment).vertices}
+    assert got == {(1.0, 0.0), (0.0, 1.0)}
+
+
+# ---------------------------------------------------------------------------
+# Vertex form against the LP reference
+# ---------------------------------------------------------------------------
+
+
+def _lp_support(s, direction):
+    """The LP path's support value: one `_extreme` LP."""
+    sol = _extreme(s, direction, "max")
+    if sol.status == "unbounded":
+        raise NotCompactError("set not compact")
+    if not sol.optimal:
+        raise GeometryError(f"support LP status {sol.status}")
+    return sol.value
+
+
+def _lp_box(s):
+    return np.array([[-_lp_support(s, -e), _lp_support(s, e)] for e in np.eye(s.dim)])
+
+
+def _lp_nonempty_bounded(s):
+    if not feasibility_check(s)[0]:
+        return False
+    try:
+        _lp_box(s)
+    except NotCompactError:
+        return False
+    return True
+
+
+def _outcome(fn, *args):
+    """fn's answer, or the class of the geometry error it raised."""
+    try:
+        return fn(*args)
+    except GeometryError as err:
+        return type(err)
+
+
+def _assert_matches_lp(s, rng):
+    directions = rng.normal(size=(4, s.dim))
+    for d in directions:
+        got, want = _outcome(support_value, s, d), _outcome(_lp_support, s, d)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got == pytest.approx(want, abs=1e-9)
+    got, want = _outcome(bounding_box, s), _outcome(_lp_box, s)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got == pytest.approx(want, abs=1e-9)
+    assert is_nonempty_bounded(s) == _lp_nonempty_bounded(s)
+
+
+def _random_polytope(rng):
+    """Random rows around an interior point, sometimes with an equality row
+    through it and sometimes that row again, scaled: compact or not."""
+    dim = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 7))
+    point = rng.normal(size=dim)
+    a = rng.normal(size=(m, dim))
+    b = a @ point + rng.uniform(0.1, 1.0, size=m)
+    eq = []
+    if dim > 1 and rng.random() < 0.4:
+        c = rng.normal(size=dim)
+        eq = [(c, c @ point)]
+        if rng.random() < 0.5:
+            eq.append((2.0 * c, 2.0 * (c @ point)))
+    return PolyhedralSet(dim, list(zip(a, b)), eq)
+
+
+def test_vertex_form_matches_lp_on_random_polytopes():
+    rng = np.random.default_rng(11)
+    compact = 0
+    for _ in range(150):
+        s = _random_polytope(rng)
+        _assert_matches_lp(s, rng)
+        compact += _vertex_form_of(s) is not None
+    # both paths are exercised
+    assert 30 <= compact <= 140
+
+
+def _loop_vertices(s):
+    """Reference enumerator: one least-squares solve per active set."""
+    a_eq, b_eq = s.eq_matrix()
+    a_in, b_in = s.ineq_matrix()
+    need = s.dim - (np.linalg.matrix_rank(a_eq) if a_eq.shape[0] else 0)
+    found = []
+    for idx in combinations(range(a_in.shape[0]), need):
+        amat = np.vstack([a_eq, a_in[list(idx)]])
+        bvec = np.concatenate([b_eq, b_in[list(idx)]])
+        if amat.shape[0] < s.dim:
+            continue
+        x, _, rank, _ = np.linalg.lstsq(amat, bvec, rcond=None)
+        if rank < s.dim or np.max(np.abs(amat @ x - bvec)) > 1e-8 or not s.contains(x, tol=1e-8):
+            continue
+        if not any(np.max(np.abs(x - u)) <= 1e-7 for u in found):
+            found.append(x)
+    return np.array(found).reshape(-1, s.dim)
+
+
+def test_batched_enumeration_matches_loop():
+    rng = np.random.default_rng(4)
+    for _ in range(150):
+        s = _random_polytope(rng)
+        got, want = enumerate_vertices(s).vertices, _loop_vertices(s)
+        assert got.shape == want.shape
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+# (set, whether it gets a vertex form)
+SPECIAL_SETS = {
+    "half-space": (PolyhedralSet(2, [([1, 0], 1.0)]), False),
+    "slab": (PolyhedralSet(2, [([1, 0], 1.0), ([-1, 0], 0.0)]), False),
+    "line": (PolyhedralSet(2, eq=[([1, 1], 1.0)]), False),
+    "quadrant": (PolyhedralSet(2, [([-1, 0], 0.0), ([0, -1], 0.0)]), False),
+    "ray": (PolyhedralSet(2, [([-1, 0], 0.0)], [([1, -1], 0.0)]), False),
+    "empty": (PolyhedralSet(2, [([1, 0], -1.0), ([-1, 0], -1.0)]), False),
+    "inconsistent equalities": (
+        PolyhedralSet(2, [([-1, 0], 0.0), ([0, -1], 0.0)], [([1, 1], 1.0), ([2, 2], 3.0)]),
+        False,
+    ),
+    "dependent equalities": (intersect(simplex(3), simplex(3)), True),
+    "segment": (
+        PolyhedralSet(2, [([-1, 0], 0.0), ([0, -1], 0.0)], [([1, 1], 1.0), ([2, 2], 2.0)]),
+        True,
+    ),
+    "simplex": (simplex(3), True),
+    "box": (box([0, -1, 2], [1, 2, 3]), True),
+    "singleton": (singleton([0.2, 0.3]), True),
+    "many facets": (norm_ball([0.0, 0.0, 0.0], 1.0, 1), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_SETS))
+def test_vertex_form_keeps_lp_answers_and_errors(name):
+    s, has_form = SPECIAL_SETS[name]
+    _assert_matches_lp(s, np.random.default_rng(2))
+    assert (_vertex_form_of(s) is not None) == has_form
+
+
+def test_vertex_form_answers_without_lps(monkeypatch):
+    calls = []
+    real = geometry.solve_lp
+    monkeypatch.setattr(geometry, "solve_lp", lambda lp: calls.append(lp) or real(lp))
+    s = intersect(simplex(4), PolyhedralSet(4, [([1, 1, 0, 0], 0.6)]))
+    assert is_nonempty_bounded(s)
+    assert bounding_box(s) == pytest.approx(np.array([[0, 0.6], [0, 0.6], [0, 1], [0, 1]]), abs=1e-12)
+    rows = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 3.0]])
+    assert support_value(s, rows) == pytest.approx([1.2, 3.0], abs=1e-12)
+    assert not calls

@@ -5,6 +5,7 @@ import pytest
 
 from drmdp.ambiguity import build_support_only, build_wasserstein
 from drmdp.engine import (
+    EngineError,
     RandomizedPolicy,
     backward_induction,
     classical_dp_finite,
@@ -255,3 +256,12 @@ def test_paired_t_statistic_sign():
         rec.add(2.0, 5, rep, 11.0 + 0.1 * rep)
     t = paired_t_statistic(rec, 2.0, 0.0, 5)
     assert t > 10.0  # constant positive paired difference
+
+
+def test_policy_that_does_not_sum_to_one_is_rejected():
+    # the dense simplex returns a policy summing to 0 on this LP; normalising
+    # it would give a NaN policy, so the backup fails and names its state
+    cfg = NewsvendorConfig()
+    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1), draws=20)
+    with pytest.raises(EngineError, match=r"state 1, stage 1: .* policy summing to 0"):
+        solve_order_strategy(cfg, samples, 0.0, solver="simplex")
