@@ -484,9 +484,38 @@ def _support_checks(d: PolyhedralSet):
     ok = is_nonempty_bounded(d)
     checks = [("support_{n}_compact", ok, "nonempty and bounded" if ok else "empty or unbounded")]
     if ok and d.ineq:
-        r = chebyshev_radius(PolyhedralSet(d.dim, d.ineq))
+        r = _hull_radius(d)
         checks.append(("support_{n}_slater", r > 1e-9, f"inequality-system inscribed radius {r:.2e}"))
     return checks
+
+
+def _hull_radius(d: PolyhedralSet) -> float:
+    """Inscribed radius of a nonempty support's inequality rows inside the
+    affine hull of its equality rows.
+
+    With x = x0 + N z, x0 the hull's least-norm point and N an orthonormal
+    basis of the equality rows' null space, it is the Chebyshev radius of
+    {z : A N z ≤ b − A x0}.  A row the hull holds constant (A_i N = 0)
+    bounds it instead by its distance from the hull, so a support whose
+    equality rows pin one point is strictly feasible exactly when every
+    inequality is slack there.
+    """
+    if not d.eq:
+        return chebyshev_radius(PolyhedralSet(d.dim, d.ineq))
+    a_in, b_in = d.ineq_matrix()
+    a_eq, b_eq = d.eq_matrix()
+    u, sv, vt = np.linalg.svd(a_eq)
+    rank = int(np.sum(sv > sv[0] * max(a_eq.shape) * np.finfo(float).eps))
+    basis = vt[rank:].T
+    a_z = a_in @ basis
+    b_z = b_in - a_in @ (vt[:rank].T @ (u[:, :rank].T @ b_eq / sv[:rank]))
+    norms = np.linalg.norm(a_in, axis=1)
+    flat = np.linalg.norm(a_z, axis=1) <= 1e-9 * norms
+    # a zero row, 0 ≤ b, reads its slack b: tight exactly when b = 0
+    r = float(np.min(b_z[flat] / np.where(norms > 0.0, norms, 1.0)[flat], initial=np.inf))
+    if not np.all(flat):
+        r = min(r, chebyshev_radius(PolyhedralSet(basis.shape[1], zip(a_z[~flat], b_z[~flat]))))
+    return r
 
 
 def _factor_map_checks(amb: LiftedAmbiguitySet, fm: FactorMap):

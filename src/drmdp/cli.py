@@ -67,16 +67,16 @@ def solve(model_path, epsilon, dump_lp_path, out):
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if model.is_finite:
-            vf, policy, certs = backward_induction(model, solver="highs")
+            vf, policy, certs = backward_induction(model)
             root = model.stages[0][0]
             classical = classical_dp_finite(model, certificate_factors(certs))
             residual = abs(classical[root] - vf[root])
             iterations = model.horizon - 1
             v_next = vf.values[list(model.stages[1])]
         else:
-            vf, policy, iterations = value_iteration(model, epsilon, solver="highs")
+            vf, policy, iterations = value_iteration(model, epsilon)
             root = 0
-            again, _, _ = bellman_operator(model, vf.values, solver="highs")
+            again, _, _ = bellman_operator(model, vf.values)
             residual = float(np.max(np.abs(again - vf.values)))
             v_next = vf.values
         if dump_lp_path is not None:

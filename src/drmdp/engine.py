@@ -199,7 +199,7 @@ def _contract(model, epsilon, v0, max_iter, sweep):
     raise EngineError(f"value iteration did not converge within {max_iter} sweeps")
 
 
-def backward_induction(model: DrMdpModel, solver="simplex", certificates=True):
+def backward_induction(model: DrMdpModel, solver="highs", certificates=True):
     """Finite-horizon robust dynamic program.
 
     Returns (ValueFunction, RandomizedPolicy, certificates) where
@@ -213,7 +213,7 @@ def backward_induction(model: DrMdpModel, solver="simplex", certificates=True):
     return ValueFunction(values), RandomizedPolicy(tuple(dists)), certs if certificates else {}
 
 
-def bellman_operator(model: DrMdpModel, v, solver="simplex"):
+def bellman_operator(model: DrMdpModel, v, solver="highs"):
     """One robust backup at every state; returns (new values, policies, certs)."""
     if model.is_finite:
         raise EngineError("bellman_operator requires an infinite-horizon model")
@@ -223,7 +223,7 @@ def bellman_operator(model: DrMdpModel, v, solver="simplex"):
     return _sweep(model, v, solver)
 
 
-def value_iteration(model: DrMdpModel, epsilon: float, v0=None, solver="simplex", max_iter=MAX_VALUE_ITERATIONS):
+def value_iteration(model: DrMdpModel, epsilon: float, v0=None, solver="highs", max_iter=MAX_VALUE_ITERATIONS):
     """Iterate the robust Bellman operator until the contraction bound
     guarantees ‖v − v*‖_∞ ≤ ε; returns (ValueFunction, RandomizedPolicy,
     iterations)."""
@@ -233,7 +233,7 @@ def value_iteration(model: DrMdpModel, epsilon: float, v0=None, solver="simplex"
     return ValueFunction(v), RandomizedPolicy(tuple(dists)), it
 
 
-def evaluate_policy_worst_case(model: DrMdpModel, policy: RandomizedPolicy, solver="simplex", epsilon=1e-6):
+def evaluate_policy_worst_case(model: DrMdpModel, policy: RandomizedPolicy, solver="highs", epsilon=1e-6):
     """Worst-case value of a fixed policy at every state.
 
     Finite horizon: one backward pass with the policy pinned.  Infinite

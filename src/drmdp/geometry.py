@@ -21,6 +21,11 @@ from math import comb
 
 import numpy as np
 
+# Geometry LPs go to the dense simplex, not the library's HiGHS default:
+# they are tiny (the TV weight polytope's bounding-box LP has 6 variables
+# and 14 rows, and took 0.66 ms per solve on the simplex against 1.0 ms on a
+# fresh HiGHS model, 300 solves each, 2-vCPU x86), and feasibility_check
+# returns the simplex's Farkas certificate.
 from .lp import EQ, GE, LE, LinearProgram, LpError, solve_lp
 
 VERTEX_DEDUP_TOL = 1e-7

@@ -1,19 +1,21 @@
-"""Linear-programming kernel: a dense simplex and a HiGHS adapter.
+"""Linear-programming kernel: a HiGHS adapter and a dense simplex.
 
-A self-contained two-phase simplex with primal and dual solutions plus
-optimality certificates.  Every robust-counterpart compilation and every
-verification oracle in this package funnels through :func:`solve_lp`, so the
-solver favours robustness over speed: Dantzig pricing with a switch to
-Bland's rule after a stall, explicit Farkas certificates on infeasibility,
-and a hard "numerical_failure" status instead of silent wrong answers.
+Robust backups, fixed-policy evaluations and the oracles take their LP
+backend from the seam `get_solver`; the default everywhere is scipy's
+HiGHS under this module's solution contract.  An LP may carry a
+scipy.sparse matrix, which HiGHS takes as is and the dense paths densify,
+and a `WarmHighs` handle: LPs that share every row and all but their
+leading columns are then solved on one persistent HiGHS model, swapping
+only the leading columns and re-running from the basis the previous solve
+left.  An LP without a handle is solved on a fresh model.  A scipy build
+without the bundled HiGHS bindings falls back to `linprog`.
 
-The seam (`get_solver`) also offers scipy's HiGHS under the same solution
-contract.  An LP may carry a scipy.sparse matrix, which HiGHS takes as is
-and the dense paths densify, and a `WarmHighs` handle: LPs that share every
-row and all but their leading columns are then solved on one persistent
-HiGHS model, swapping only the leading columns and re-running from the
-basis the previous solve left.  Without scipy's `_Highs` class the handle
-is ignored and each LP is solved cold.
+The self-contained two-phase dense simplex (`solve_lp`) returns primal and
+dual solutions plus optimality certificates.  It favours robustness over
+speed: Dantzig pricing with a switch to Bland's rule after a stall,
+explicit Farkas certificates on infeasibility, and a hard
+"numerical_failure" status instead of silent wrong answers.  The geometry
+helpers call it directly, and the seam offers it as "simplex".
 """
 
 from __future__ import annotations
@@ -414,28 +416,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 
-def _load_highs_direct():
-    from scipy.optimize._highspy._core import HighsModelStatus, kHighsInf
-    from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
-
-    return _highs_wrapper, HighsModelStatus, kHighsInf
-
-
-def _load_highs_model():
-    from scipy.optimize._highspy._core import HighsStatus, ObjSense, _Highs
-
-    return _Highs, ObjSense, HighsStatus
-
-
 try:
-    _HIGHS_DIRECT = _load_highs_direct()
-except ImportError:  # pragma: no cover - depends on the scipy build
-    _HIGHS_DIRECT = None
+    from scipy.optimize._highspy._core import (
+        HighsModelStatus,
+        HighsStatus,
+        ObjSense,
+        _Highs,
+        kHighsInf,
+    )
 
-try:
-    _HIGHS_MODEL = _load_highs_model()
+    _HIGHS = (_Highs, HighsModelStatus, kHighsInf, ObjSense, HighsStatus)
 except ImportError:  # pragma: no cover - depends on the scipy build
-    _HIGHS_MODEL = None
+    _HIGHS = None
 
 
 def _highs_status(status, model_status) -> str:
@@ -449,17 +441,6 @@ def _highs_status(status, model_status) -> str:
     return NUMERICAL_FAILURE
 
 
-def _highs_rows(lp: LinearProgram, highs_inf):
-    """Row intervals lhs ≤ Ax ≤ rhs in HiGHS' infinity."""
-    senses = np.array(lp.row_senses)
-    return np.where(senses == LE, -highs_inf, lp.b), np.where(senses == GE, highs_inf, lp.b)
-
-
-def _highs_cols(lp: LinearProgram, highs_inf):
-    """Column bounds in HiGHS' infinity."""
-    return np.where(np.isinf(lp.lb), -highs_inf, lp.lb), np.where(np.isinf(lp.ub), highs_inf, lp.ub)
-
-
 class WarmHighs:
     """One persistent HiGHS model for a family of LPs that share their
     objective sense, their rows and their last `n_shared` columns and differ
@@ -467,11 +448,12 @@ class WarmHighs:
 
     Each solve deletes the previous leading columns, adds the new ones and
     re-runs from the basis the previous solve left; HiGHS keeps the basis
-    status of the rows and the shared columns across the swap.  A run that
-    does not end optimal is repeated once from scratch before its status is
-    reported, so a stale basis never turns a solvable LP into a failure.
-    The handle holds no reference to whatever owns it, and a lock
-    serialises solves on it.
+    status of the rows and the shared columns across the swap.  A
+    warm-started run that does not end optimal is repeated once from
+    scratch before its status is reported, so a stale basis never turns a
+    solvable LP into a failure.  `WarmHighs(0)` shares no column and serves
+    a single LP on a fresh model.  The handle holds no reference to
+    whatever owns it, and a lock serialises solves on it.
     """
 
     def __init__(self, n_shared: int):
@@ -481,12 +463,14 @@ class WarmHighs:
         self._n_lead = 0
 
     def solve(self, lp: LinearProgram) -> LpSolution:
-        _, model_status, highs_inf = _HIGHS_DIRECT
+        _, model_status, highs_inf, _, _ = _HIGHS
         n_lead = lp.n_vars - self.n_shared
         a = lp.a.tocsc() if issparse(lp.a) else csc_matrix(lp.a)
-        lb, ub = _highs_cols(lp, highs_inf)
+        lb = np.where(np.isinf(lp.lb), -highs_inf, lp.lb)
+        ub = np.where(np.isinf(lp.ub), highs_inf, lp.ub)
         with self._lock:
-            if n_lead < 0 or (self._highs is not None and lp.n_rows != self._highs.getNumRow()):
+            warm_started = self._highs is not None
+            if n_lead < 0 or (warm_started and lp.n_rows != self._highs.getNumRow()):
                 raise LpError("LP does not share the rows and columns of its warm model")
             if not self._swap_in(lp, a, n_lead, lb, ub):
                 # HiGHS rejected an entry (an infinite coefficient, say):
@@ -494,7 +478,7 @@ class WarmHighs:
                 self._highs = None
                 return LpSolution(NUMERICAL_FAILURE)
             status, its = self._run()
-            if status != model_status.kOptimal:
+            if warm_started and status != model_status.kOptimal:
                 self._highs.clearSolver()
                 status, cold_its = self._run()
                 its += cold_its
@@ -513,14 +497,16 @@ class WarmHighs:
         build the model from the LP's rows and shared columns.  Its
         objective sense is the LP's, so the row duals are already shadow
         prices for the stated sense.  False if HiGHS rejects an edit."""
-        highs_cls, obj_sense, highs_status = _HIGHS_MODEL
+        highs_cls, _, highs_inf, obj_sense, highs_status = _HIGHS
         if self._highs is None:
             self._highs = highs_cls()
             self._highs.setOptionValue("output_flag", False)
             self._highs.setOptionValue("log_to_console", False)
             sense = obj_sense.kMaximize if lp.sense == "max" else obj_sense.kMinimize
             self._highs.changeObjectiveSense(sense)
-            lhs, rhs = _highs_rows(lp, _HIGHS_DIRECT[2])
+            senses = np.array(lp.row_senses)
+            lhs = np.where(senses == LE, -highs_inf, lp.b)
+            rhs = np.where(senses == GE, highs_inf, lp.b)
             # the rows go in empty; the columns bring their entries
             no_entries = (np.zeros(lp.n_rows, np.int32), np.zeros(0, np.int32), np.zeros(0))
             shared = a[:, n_lead:]
@@ -567,44 +553,13 @@ class WarmHighs:
 def solve_lp_highs(lp: LinearProgram) -> LpSolution:
     """HiGHS adapter conforming to the same solution contract.
 
-    An LP with a warm handle is solved on the handle's persistent model.
-    Any other LP goes cold to the bundled HiGHS bindings in row-interval
-    form (lhs ≤ Ax ≤ rhs), which skips the generic linprog input pipeline;
-    the public linprog path remains as a fallback.
+    An LP with a warm handle is solved on the handle's persistent model,
+    any other LP on a fresh one.  Without scipy's bundled HiGHS bindings
+    the public linprog path solves every LP.
     """
-    if _HIGHS_DIRECT is None:
+    if _HIGHS is None:
         return _solve_lp_highs_public(lp)
-    if lp.warm is not None and _HIGHS_MODEL is not None:
-        return lp.warm.solve(lp)
-    wrapper, model_status, highs_inf = _HIGHS_DIRECT
-    c = np.ascontiguousarray(lp.c if lp.sense == "min" else -lp.c, dtype=float)
-    lhs, rhs = _highs_rows(lp, highs_inf)
-    lb, ub = _highs_cols(lp, highs_inf)
-    a = csc_matrix(lp.a)
-    res = wrapper(
-        c,
-        a.indptr,
-        a.indices,
-        np.asarray(a.data, dtype=float),
-        np.ascontiguousarray(lhs, dtype=float),
-        np.ascontiguousarray(rhs, dtype=float),
-        np.ascontiguousarray(lb, dtype=float),
-        np.ascontiguousarray(ub, dtype=float),
-        np.empty(0, dtype=np.uint8),
-        {"output_flag": False, "log_to_console": False},
-    )
-    status = _highs_status(res.get("status"), model_status)
-    if status == OPTIMAL and res.get("x") is None:
-        status = NUMERICAL_FAILURE
-    if status != OPTIMAL:
-        return LpSolution(status)
-    x = np.asarray(res["x"], dtype=float)
-    y = np.asarray(res["lambda"], dtype=float)
-    if lp.sense == "max":
-        y = -y
-    value = float(lp.c @ x)
-    its = int(res.get("simplex_nit") or 0) + int(res.get("ipm_nit") or 0)
-    return LpSolution(OPTIMAL, x=x, y=y, value=value, iterations=its)
+    return (lp.warm or WarmHighs(0)).solve(lp)
 
 
 def _solve_lp_highs_public(lp: LinearProgram) -> LpSolution:

@@ -158,7 +158,7 @@ def sample_training_set(p, n, rng, draws=20):
     return list(counts / draws)
 
 
-def solve_order_strategy(cfg: NewsvendorConfig, samples, theta, solver="simplex"):
+def solve_order_strategy(cfg: NewsvendorConfig, samples, theta, solver="highs"):
     """Robust order strategy for a Wasserstein ball of radius θ around the
     empirical distribution of the training samples.  Returns (value at the
     initial state, policy, index)."""

@@ -256,7 +256,7 @@ class WorstCaseCertificate:
         return obj.kappa(pi) + float(self.weights @ (self.means @ cc))
 
 
-def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, solver="simplex"):
+def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, solver="highs"):
     """Worst-case expected stage value at a fixed policy.
 
     Returns (value, certificate); the certificate reproduces the value as a
@@ -430,7 +430,7 @@ class SRobustSolution:
         return abs(float(best_reply) - self.value)
 
 
-def solve_srobust(obj: StageObjective, amb: LiftedAmbiguitySet, solver="simplex") -> SRobustSolution:
+def solve_srobust(obj: StageObjective, amb: LiftedAmbiguitySet, solver="highs") -> SRobustSolution:
     """Solve max_π inf_P E[value] as one LP; its duals give the certificate.
 
     The LP's rows are the adversary's variables, so its duals are a
@@ -482,7 +482,7 @@ def _grid_points(dset, step):
     return np.array(out)
 
 
-def oracle_worst_case(obj: StageObjective, amb: LiftedAmbiguitySet, pi, grid_step, solver="simplex"):
+def oracle_worst_case(obj: StageObjective, amb: LiftedAmbiguitySet, pi, grid_step, solver="highs"):
     """Worst case over grid-supported distributions — an upper bound on the
     true worst case, converging as the grid refines.
 

@@ -140,6 +140,23 @@ def test_weight_interiority_failure_detected():
     assert any(name == "weight_interiority" for name, _ in rep.failures())
 
 
+def test_slater_measures_a_support_inside_its_affine_hull():
+    def slater(d):
+        (check,) = [c for c in validate(build_support_only(d)).checks if c[0] == "support_0_slater"]
+        return check[1], float(check[2].split()[-1])
+
+    # {0}: the equality row leaves a line on which both inequalities bind at 0
+    assert slater(PolyhedralSet(2, [([-1, 0], 0.0), ([0, -1], 0.0)], [([1, 1], 0.0)])) == (False, 0.0)
+    # equality rows that pin a point: strictly feasible iff every inequality is slack there
+    pinned = [([1, 0], 0.0), ([0, 1], 0.0)]
+    assert slater(PolyhedralSet(2, [([-1, 0], 1.0), ([0, -1], 2.0)], pinned)) == (True, 1.0)
+    assert not slater(PolyhedralSet(2, [([-1, 0], 0.0), ([0, -1], 2.0)], pinned))[0]
+    # the simplex's inradius within its hyperplane is 1 / sqrt(dim (dim - 1))
+    for dim in (2, 3, 5):
+        ok, radius = slater(simplex(dim))
+        assert ok and radius == pytest.approx(1 / np.sqrt(dim * (dim - 1)), rel=5e-3)
+
+
 def test_factor_map_row_checks():
     # two actions over two next-states driven by a scalar factor in [0, 1]
     fm = FactorMap(

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -171,6 +174,25 @@ def test_get_solver_seam():
     assert get_solver("simplex") is solve_lp
     with pytest.raises(LpError):
         get_solver("nope")
+
+
+def test_every_solver_keyword_defaults_to_highs():
+    import drmdp
+
+    defaults = {}
+    for info in pkgutil.iter_modules(drmdp.__path__):
+        module = importlib.import_module(f"drmdp.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            param = inspect.signature(fn).parameters.get("solver")
+            if param is not None and not name.startswith("_") and fn.__module__ == module.__name__:
+                defaults[name] = param.default
+    assert {
+        "backward_induction", "bellman_operator", "value_iteration",
+        "evaluate_policy_worst_case", "worst_case_expectation", "solve_srobust",
+        "oracle_worst_case", "solve_order_strategy", "run_experiment",
+    } <= defaults.keys()
+    (default,) = set(defaults.values())
+    assert get_solver(default) is solve_lp_highs
 
 
 def test_dump_lp_roundtrippable_text():

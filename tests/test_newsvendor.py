@@ -154,6 +154,19 @@ def test_zero_radius_equals_mean_sample_dp():
     assert vf[0] == pytest.approx(classical[0], abs=1e-6)
 
 
+def test_default_backend_solves_the_paper_sized_zero_radius_case():
+    # the dense simplex fails on these backups; called without a solver,
+    # the robust value at θ = 0 is classical DP at the sample mean
+    cfg = NewsvendorConfig()
+    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1), draws=20)
+    value, _, index = solve_order_strategy(cfg, samples, 0.0)
+    amb = build_wasserstein(samples, 0.0, simplex(cfg.n_demand), cfg.metric)
+    model, _ = build_newsvendor_model(cfg, amb)
+    xibar = np.mean(samples, axis=0)
+    classical = classical_dp_finite(model, {sid: xibar for sid in index.values()})
+    assert value == pytest.approx(classical[0], abs=1e-6)
+
+
 def test_backward_induction_builds_one_template(monkeypatch):
     import drmdp.reformulation
 

@@ -309,7 +309,7 @@ def test_linprog_fallback_duals_give_the_same_certificate(monkeypatch):
     import drmdp.lp
 
     direct = [solve_srobust(obj, amb, solver="highs") for amb, obj in _saddle_cases()]
-    monkeypatch.setattr(drmdp.lp, "_HIGHS_DIRECT", None)
+    monkeypatch.setattr(drmdp.lp, "_HIGHS", None)
     calls = []
     fallback = drmdp.lp._solve_lp_highs_public
     monkeypatch.setattr(
@@ -352,25 +352,8 @@ def _same_solution(sol, ref, obj):
     assert sol.saddle_residual(obj) <= 1e-8
 
 
-def test_cold_adapter_when_the_highs_class_is_missing(monkeypatch):
-    warm = _solve_sequences("highs")
-    monkeypatch.setattr(drmdp.lp, "_HIGHS_MODEL", None)
-    wrapper, *rest = drmdp.lp._HIGHS_DIRECT
-    calls = []
-    monkeypatch.setattr(
-        drmdp.lp, "_HIGHS_DIRECT", (lambda *args: calls.append(1) or wrapper(*args), *rest)
-    )
-    n = 0
-    for (amb, objs), refs in zip(_shared_set_sequences(), warm):
-        for obj, ref in zip(objs, refs):
-            _same_solution(solve_srobust(obj, amb, solver="highs"), ref, obj)
-            n += 1
-        assert amb._template.warm._highs is None
-    assert len(calls) == n
-
-
 def test_failed_warm_run_is_retried_cold(monkeypatch):
-    model_status = drmdp.lp._HIGHS_DIRECT[1]
+    model_status = drmdp.lp._HIGHS[1]
     run = WarmHighs._run
     runs = []
 
@@ -392,7 +375,7 @@ def test_failed_warm_run_is_retried_cold(monkeypatch):
 
 
 def test_warm_failure_reported_after_the_cold_retry(monkeypatch):
-    model_status = drmdp.lp._HIGHS_DIRECT[1]
+    model_status = drmdp.lp._HIGHS[1]
     runs = []
 
     def stalled(self):
