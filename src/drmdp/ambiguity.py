@@ -24,6 +24,7 @@ from .geometry import (
     box,
     chebyshev_radius,
     feasibility_check,
+    intersect,
     is_nonempty_bounded,
     norm_ball,
     norm_distance,
@@ -221,10 +222,7 @@ def build_uncertain_mean(
         raise AmbiguityError("support must be nonempty and bounded")
     mean_set = box(mean_lo, mean_hi)
     if radius < np.inf:
-        mean_set = PolyhedralSet(
-            d.dim,
-            mean_set.ineq + norm_ball(center, radius, norm).ineq,
-        )
+        mean_set = intersect(mean_set, norm_ball(center, radius, norm))
     ok, _ = feasibility_check(mean_set)
     if not ok:
         raise AmbiguityError("mean set is empty")
@@ -246,28 +244,13 @@ def build_phi_divergence_tv(samples, theta: float, eps_floor: float = EPS_FLOOR)
     if not samples:
         raise AmbiguityError("at least one sample required")
     n = len(samples)
-    dim = 2 * n
-    ineq, eq = [], []
-    for i in range(n):
-        row = np.zeros(dim)
-        row[i], row[n + i] = 1.0, -1.0  # ω_i − u_i ≤ 1/N
-        ineq.append((row.copy(), 1.0 / n))
-        row2 = np.zeros(dim)
-        row2[i], row2[n + i] = -1.0, -1.0  # −ω_i − u_i ≤ −1/N
-        ineq.append((row2, -1.0 / n))
-        lo = np.zeros(dim)
-        lo[i] = -1.0
-        ineq.append((lo, -eps_floor))
-        unn = np.zeros(dim)
-        unn[n + i] = -1.0
-        ineq.append((unn, 0.0))
-    budget = np.zeros(dim)
-    budget[n:] = 1.0
-    ineq.append((budget, theta))
-    ones = np.zeros(dim)
-    ones[:n] = 1.0
-    eq.append((ones, 1.0))
-    w = PolyhedralSet(dim, ineq, eq)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    # per scenario i: ω_i − u_i ≤ 1/N, −ω_i − u_i ≤ −1/N, −ω_i ≤ −eps_floor, −u_i ≤ 0
+    blocks = ([eye, -eye], [-eye, -eye], [-eye, zero], [zero, -eye])
+    rows = np.stack([np.hstack(b) for b in blocks], axis=1).reshape(4 * n, 2 * n)
+    rhs = np.tile([1.0 / n, -1.0 / n, -eps_floor, 0.0], n)
+    budget = np.repeat([0.0, 1.0], n)
+    w = PolyhedralSet(2 * n, [*zip(rows, rhs), (budget, theta)], [(1.0 - budget, 1.0)])
     supports = tuple(singleton(s) for s in samples)
     return LiftedAmbiguitySet(samples[0].shape[0], supports, (), w, weight_aux_dim=n)
 
@@ -348,29 +331,13 @@ def build_hybrid_wasserstein_mad(
             (np.concatenate([-np.ones(nb), [1.0]]), 0.0),
         ),),
     )
-    ineq, eq = [], []
-    for i in range(nb):
-        e = np.zeros(dim + 1)
-        e[i] = 1.0
-        ineq.append((e.copy(), mean_hi[i]))
-        ineq.append((-e, -mean_lo[i]))
-    em = np.zeros(dim + 1)
-    em[nb] = 1.0
-    ineq.append((em.copy(), m_hi))
-    ineq.append((-em, -m_lo))
-    tie = np.zeros(dim + 1)
-    tie[:nb], tie[nb] = 1.0, -1.0  # e·μ_ξ = μ_m
-    eq.append((tie, 0.0))
-    nu = np.zeros(dim + 1)
-    nu[dim] = 1.0
-    ineq.append((nu.copy(), float(mad_bound)))
-    ineq.append((-nu, 0.0))
-    mad_group = ConditionGroup(
-        tuple(range(n)),
-        True,
-        {i: (dev,) for i in range(n)},
-        PolyhedralSet(dim + 1, ineq, eq),
+    # moment vector (μ_ξ, μ_m, ν): a box, and e·μ_ξ = μ_m
+    tie = np.concatenate([np.ones(nb), [-1.0, 0.0]])
+    moment = intersect(
+        box(np.r_[mean_lo, m_lo, 0.0], np.r_[mean_hi, m_hi, mad_bound]),
+        PolyhedralSet(dim + 1, eq=[(tie, 0.0)]),
     )
+    mad_group = ConditionGroup(tuple(range(n)), True, {i: (dev,) for i in range(n)}, moment)
     return LiftedAmbiguitySet(
         dim, supports, (w_group, mad_group), base.weight_set, aug_dim=1
     )
@@ -483,7 +450,7 @@ def _per_support(amb: LiftedAmbiguitySet, check):
 def _support_checks(d: PolyhedralSet):
     ok = is_nonempty_bounded(d)
     checks = [("support_{n}_compact", ok, "nonempty and bounded" if ok else "empty or unbounded")]
-    if ok and d.ineq:
+    if ok and d.b_in.size:
         r = _hull_radius(d)
         checks.append(("support_{n}_slater", r > 1e-9, f"inequality-system inscribed radius {r:.2e}"))
     return checks
@@ -500,8 +467,8 @@ def _hull_radius(d: PolyhedralSet) -> float:
     equality rows pin one point is strictly feasible exactly when every
     inequality is slack there.
     """
-    if not d.eq:
-        return chebyshev_radius(PolyhedralSet(d.dim, d.ineq))
+    if not d.b_eq.size:
+        return chebyshev_radius(d)
     a_in, b_in = d.ineq_matrix()
     a_eq, b_eq = d.eq_matrix()
     u, sv, vt = np.linalg.svd(a_eq)

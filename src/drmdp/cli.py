@@ -70,14 +70,14 @@ def solve(model_path, epsilon, dump_lp_path, out):
             vf, policy, certs = backward_induction(model)
             root = model.stages[0][0]
             classical = classical_dp_finite(model, certificate_factors(certs))
-            residual = abs(classical[root] - vf[root])
+            residual_name, residual = "saddle_residual", abs(classical[root] - vf[root])
             iterations = model.horizon - 1
             v_next = vf.values[list(model.stages[1])]
         else:
             vf, policy, iterations = value_iteration(model, epsilon)
             root = 0
             again, _, _ = bellman_operator(model, vf.values)
-            residual = float(np.max(np.abs(again - vf.values)))
+            residual_name, residual = "bellman_residual", float(np.max(np.abs(again - vf.values)))
             v_next = vf.values
         if dump_lp_path is not None:
             obj = assemble_stage_objective(
@@ -104,13 +104,13 @@ def solve(model_path, epsilon, dump_lp_path, out):
                 w.writerow([s, labels[s], a, repr(float(prob))])
     summary = {
         "value_at_root": vf[root],
-        "saddle_residual": residual,
+        residual_name: residual,
         "iterations": iterations,
         "horizon": "finite" if model.is_finite else "infinite",
         "n_states": model.n_states,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    click.echo(f"value at root state: {vf[root]:.10g} (residual {residual:.3g})")
+    click.echo(f"value at root state: {vf[root]:.10g} ({residual_name} {residual:.3g})")
 
 
 @main.command()

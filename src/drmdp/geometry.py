@@ -5,6 +5,11 @@ inequality/equality form, sum-of-max-of-affine convex functions (norm
 distances, deviations, affine maps), and a brute-force vertex enumerator
 used as an independent oracle by the higher layers.
 
+A polyhedron is built from (row, rhs) pairs and kept as read-only float
+arrays, A_in x <= b_in and A_eq x = b_eq.  Every consumer reads those
+arrays: membership, the LPs below, vertex enumeration, the validation
+checks and the adversary LP's row blocks.
+
 Vertex enumeration also answers support queries on small polytopes.  The
 first query on a set tries to prove it a compact polytope with few active
 sets; if that succeeds, the set keeps its vertex list, and support values,
@@ -15,18 +20,19 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.linalg import block_diag
 
 # Geometry LPs go to the dense simplex, not the library's HiGHS default:
 # they are tiny (the TV weight polytope's bounding-box LP has 6 variables
 # and 14 rows, and took 0.66 ms per solve on the simplex against 1.0 ms on a
 # fresh HiGHS model, 300 solves each, 2-vCPU x86), and feasibility_check
 # returns the simplex's Farkas certificate.
-from .lp import EQ, GE, LE, LinearProgram, LpError, solve_lp
+from .lp import EQ, LE, LinearProgram, solve_lp
 
 VERTEX_DEDUP_TOL = 1e-7
 FEAS_TOL = 1e-9
@@ -49,86 +55,77 @@ class NotCompactError(GeometryError):
 
 
 def _rows(entries, dim, what):
-    out = []
+    """(row, rhs) pairs as a (k, dim) matrix and a k-vector, both read-only."""
+    rows, rhs = [], []
     for a, b in entries:
         a = np.asarray(a, dtype=float).reshape(-1)
         if a.shape[0] != dim:
             raise GeometryError(f"{what} row has dimension {a.shape[0]}, set has {dim}")
-        out.append((a, float(b)))
-    return tuple(out)
+        rows.append(a)
+        rhs.append(float(b))
+    mat, vec = np.array(rows).reshape(len(rows), dim), np.array(rhs, dtype=float)
+    mat.flags.writeable = vec.flags.writeable = False
+    return mat, vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyhedralSet:
-    """{x : a.x <= b for (a,b) in ineq, c.x = d for (c,d) in eq}."""
+    """{x : a_in x <= b_in, a_eq x = b_eq}.
+
+    Built from (row, rhs) pairs, `ineq` and `eq`, and kept as the read-only
+    float arrays a_in (k, dim), b_in (k,), a_eq and b_eq, which
+    `ineq_matrix` and `eq_matrix` return.
+    """
 
     dim: int
-    ineq: tuple = ()
-    eq: tuple = ()
+    ineq: InitVar[tuple] = ()
+    eq: InitVar[tuple] = ()
+    a_in: np.ndarray = field(init=False)
+    b_in: np.ndarray = field(init=False)
+    a_eq: np.ndarray = field(init=False)
+    b_eq: np.ndarray = field(init=False)
     # (k, dim) vertex array once the set is proven a small compact
     # polytope, (0, dim) once it is not; built on the first support query
-    _vertex_form: object = field(default=None, init=False, repr=False, compare=False)
+    _vertex_form: object = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, ineq, eq):
         if self.dim <= 0:
             raise GeometryError("dimension must be positive")
-        object.__setattr__(self, "ineq", _rows(self.ineq, self.dim, "inequality"))
-        object.__setattr__(self, "eq", _rows(self.eq, self.dim, "equality"))
+        for name, arr in zip(("a_in", "b_in"), _rows(ineq, self.dim, "inequality")):
+            object.__setattr__(self, name, arr)
+        for name, arr in zip(("a_eq", "b_eq"), _rows(eq, self.dim, "equality")):
+            object.__setattr__(self, name, arr)
 
     def contains(self, x, tol=FEAS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise GeometryError("point dimension mismatch")
-        ok = all(a @ x <= b + tol for a, b in self.ineq)
-        return ok and all(abs(c @ x - d) <= tol for c, d in self.eq)
+        ok = np.all(self.a_in @ x <= self.b_in + tol)
+        return bool(ok and np.all(np.abs(self.a_eq @ x - self.b_eq) <= tol))
 
     def ineq_matrix(self):
-        if not self.ineq:
-            return np.zeros((0, self.dim)), np.zeros(0)
-        return np.array([a for a, _ in self.ineq]), np.array([b for _, b in self.ineq])
+        return self.a_in, self.b_in
 
     def eq_matrix(self):
-        if not self.eq:
-            return np.zeros((0, self.dim)), np.zeros(0)
-        return np.array([c for c, _ in self.eq]), np.array([d for _, d in self.eq])
-
-    def lp_rows(self):
-        rows = [(a, LE, b) for a, b in self.ineq]
-        rows += [(c, EQ, d) for c, d in self.eq]
-        return rows
+        return self.a_eq, self.b_eq
 
 
 def box(lo, hi) -> PolyhedralSet:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     dim = lo.shape[0]
-    ineq = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        ineq.append((e.copy(), hi[i]))
-        ineq.append((-e, -lo[i]))
-    return PolyhedralSet(dim, ineq)
+    # x_i <= hi_i, then -x_i <= -lo_i, coordinate by coordinate
+    rows = np.kron(np.eye(dim), [[1.0], [-1.0]])
+    return PolyhedralSet(dim, zip(rows, np.column_stack([hi, -lo]).ravel()))
 
 
 def simplex(dim: int) -> PolyhedralSet:
-    ineq = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = -1.0
-        ineq.append((e, 0.0))
-    return PolyhedralSet(dim, ineq, [(np.ones(dim), 1.0)])
+    return PolyhedralSet(dim, zip(-np.eye(dim), np.zeros(dim)), [(np.ones(dim), 1.0)])
 
 
 def singleton(point) -> PolyhedralSet:
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    dim = point.shape[0]
-    eq = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        eq.append((e, point[i]))
-    return PolyhedralSet(dim, eq=eq)
+    return PolyhedralSet(point.shape[0], eq=zip(np.eye(point.shape[0]), point))
 
 
 def norm_ball(center, radius, norm) -> PolyhedralSet:
@@ -137,48 +134,35 @@ def norm_ball(center, radius, norm) -> PolyhedralSet:
     dim = center.shape[0]
     if radius < 0:
         raise GeometryError("radius must be nonnegative")
-    ineq = []
     if norm == "inf":
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = 1.0
-            ineq.append((e.copy(), center[i] + radius))
-            ineq.append((-e, radius - center[i]))
-    elif norm == 1:
-        # all sign patterns of sum_i s_i (x_i - c_i) <= radius
-        for signs in np.ndindex(*([2] * dim)):
-            s = np.array([1.0 if k == 0 else -1.0 for k in signs])
-            ineq.append((s, radius + s @ center))
-    else:
+        return box(center - radius, center + radius)
+    if norm != 1:
         raise GeometryError("norm must be 1 or 'inf'")
-    return PolyhedralSet(dim, ineq)
+    # all sign patterns of sum_i s_i (x_i - c_i) <= radius
+    signs = 1.0 - 2.0 * np.array(list(np.ndindex(*([2] * dim))))
+    # cumsum adds left to right, so each s @ center is bit-identical to the
+    # dot product of that row alone
+    return PolyhedralSet(dim, zip(signs, radius + np.cumsum(signs * center, axis=1)[:, -1]))
 
 
 def intersect(*sets: PolyhedralSet) -> PolyhedralSet:
     dim = sets[0].dim
     if any(s.dim != dim for s in sets):
         raise GeometryError("cannot intersect sets of different dimension")
-    ineq = [r for s in sets for r in s.ineq]
-    eq = [r for s in sets for r in s.eq]
-    return PolyhedralSet(dim, ineq, eq)
+    return PolyhedralSet(
+        dim,
+        zip(np.vstack([s.a_in for s in sets]), np.concatenate([s.b_in for s in sets])),
+        zip(np.vstack([s.a_eq for s in sets]), np.concatenate([s.b_eq for s in sets])),
+    )
 
 
 def product(*sets: PolyhedralSet) -> PolyhedralSet:
     """Cartesian product, block-diagonal constraint layout."""
-    dim = sum(s.dim for s in sets)
-    ineq, eq = [], []
-    off = 0
-    for s in sets:
-        for a, b in s.ineq:
-            row = np.zeros(dim)
-            row[off : off + s.dim] = a
-            ineq.append((row, b))
-        for c, d in s.eq:
-            row = np.zeros(dim)
-            row[off : off + s.dim] = c
-            eq.append((row, d))
-        off += s.dim
-    return PolyhedralSet(dim, ineq, eq)
+    return PolyhedralSet(
+        sum(s.dim for s in sets),
+        zip(block_diag(*(s.a_in for s in sets)), np.concatenate([s.b_in for s in sets])),
+        zip(block_diag(*(s.a_eq for s in sets)), np.concatenate([s.b_eq for s in sets])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +181,12 @@ def feasibility_check(s: PolyhedralSet):
 
 
 def _extreme(s: PolyhedralSet, direction, sense):
-    rows = s.lp_rows()
     lp = LinearProgram(
         sense,
         np.asarray(direction, dtype=float),
-        np.array([r[0] for r in rows]).reshape(-1, s.dim),
-        tuple(r[1] for r in rows),
-        np.array([r[2] for r in rows]),
+        np.vstack([s.a_in, s.a_eq]),
+        (LE,) * len(s.b_in) + (EQ,) * len(s.b_eq),
+        np.concatenate([s.b_in, s.b_eq]),
         np.full(s.dim, -np.inf),
         np.full(s.dim, np.inf),
     )
@@ -353,25 +336,19 @@ def _vertex_form_of(s: PolyhedralSet):
 def chebyshev_radius(s: PolyhedralSet) -> float:
     """Radius of the largest inscribed ball, with equality rows treated as
     inequality pairs (so flat sets report 0); strict-feasibility surrogate."""
-    a_in, b_in = s.ineq_matrix()
-    a_eq, b_eq = s.eq_matrix()
     n = s.dim
     c = np.zeros(n + 1)
     c[n] = 1.0
-    rows = []
-    for i in range(a_in.shape[0]):
-        rows.append((np.concatenate([a_in[i], [np.linalg.norm(a_in[i])]]), LE, b_in[i]))
-    for i in range(a_eq.shape[0]):
-        nrm = np.linalg.norm(a_eq[i])
-        rows.append((np.concatenate([a_eq[i], [nrm]]), LE, b_eq[i]))
-        rows.append((np.concatenate([-a_eq[i], [nrm]]), LE, -b_eq[i]))
-    rows.append((c, LE, 1e6))  # cap to keep the LP bounded for cones
+    # each equality row as the pair a.x <= d, -a.x <= -d
+    a_eq = np.stack([s.a_eq, -s.a_eq], axis=1).reshape(-1, n)
+    a = np.vstack([s.a_in, a_eq])
     lp = LinearProgram(
         "max",
         c,
-        np.array([r[0] for r in rows]),
-        tuple(r[1] for r in rows),
-        np.array([r[2] for r in rows]),
+        np.vstack([np.column_stack([a, np.linalg.norm(a, axis=1)]), c]),
+        (LE,) * (a.shape[0] + 1),
+        # the last row caps the radius to keep the LP bounded for cones
+        np.concatenate([s.b_in, np.column_stack([s.b_eq, -s.b_eq]).ravel(), [1e6]]),
         np.concatenate([np.full(n, -np.inf), [0.0]]),
         np.full(n + 1, np.inf),
     )
@@ -402,7 +379,7 @@ class PwlConvexFn:
         for block in self.terms:
             if not block:
                 raise GeometryError("max-block must be nonempty")
-            blocks.append(_rows(block, self.dim, "pwl piece"))
+            blocks.append(tuple(zip(*_rows(block, self.dim, "pwl piece"))))
         object.__setattr__(self, "terms", tuple(blocks))
 
     def __call__(self, x) -> float:

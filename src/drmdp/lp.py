@@ -27,6 +27,8 @@ import numpy as np
 from scipy.sparse import csc_matrix, issparse
 
 PIVOT_TOL = 1e-9
+# largest residual (see `residuals`) the dense simplex returns as optimal
+SIMPLEX_RESIDUAL_TOL = 1e-7
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -330,7 +332,10 @@ def _simplex_phase(tab, basis, costs, allowed, start_iter, stall_after, max_iter
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase dense simplex; deterministic given identical input."""
+    """Two-phase dense simplex; deterministic given identical input.
+
+    An optimum whose largest residual exceeds SIMPLEX_RESIDUAL_TOL is
+    reported as "numerical_failure"."""
     sf = _to_standard_form(lp)
     m, n_sc = sf.a.shape
     n_tot = n_sc + m  # structural+slack, then artificials
@@ -408,7 +413,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     value = float(lp.c @ x)
     if lp.sense == "max":
         y = -y
-    return LpSolution(OPTIMAL, x=x, y=y, value=value, iterations=it)
+    sol = LpSolution(OPTIMAL, x=x, y=y, value=value, iterations=it)
+    # pivoting error can leave a basis that is not optimal, or not even
+    # feasible: such an answer is a failure, not an optimum
+    if not all(r <= SIMPLEX_RESIDUAL_TOL for r in residuals(lp, sol).values()):
+        return LpSolution(NUMERICAL_FAILURE, iterations=it)
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,9 @@ def _adversary_rows(amb: LiftedAmbiguitySet):
     sets F(μ̂_j, ν̂_j) {≤, =} ω̄_j h, the scaled supports A x_n {≤, =} ω_n b,
     the mean equalities Σ_{n∈j} x_n = μ̂_j, the piece epigraphs
     a·x_n + b ω_n ≤ s and the moment aggregates Σ s ≤ ν̂_j.  No row
-    involves the policy or the action count.
+    involves the policy or the action count.  The polytopes' rows go in
+    as matrix blocks; only the epigraph and aggregate rows are placed one
+    at a time.
 
     Returns (layout, moment_rows, A, senses, b), where moment_rows[j]
     indexes the aggregate rows of each group j with moment functions.
@@ -172,48 +174,51 @@ def _adversary_rows(amb: LiftedAmbiguitySet):
                 for l in range(len(fn.terms)):
                     cols.add(("s", j, i, m, l), 1)
 
-    rows = []
+    blocks = []  # (matrix, senses, rhs) per block of rows, in row order
 
-    def row(vec_pairs, sense, rhs=0.0):
-        v = np.zeros(cols.total)
+    def block(k, sense, rhs=0.0):
+        """k rows of one sense, zero until the caller fills them in."""
+        mat = np.zeros((k, cols.total))
+        blocks.append((mat, (sense,) * k, np.broadcast_to(rhs, (k,))))
+        return mat
+
+    def row(vec_pairs, sense):
+        v = block(1, sense)[0]
         for sl, coeffs in vec_pairs:
             v[sl] += coeffs
-        rows.append((v, sense, rhs))
 
-    for a, b in amb.weight_set.ineq:
-        row([(w, a)], LE, b)
-    for a, b in amb.weight_set.eq:
-        row([(w, a)], EQ, b)
+    ws = amb.weight_set
+    block(len(ws.b_in), LE, ws.b_in)[:, w] = ws.a_in
+    block(len(ws.b_eq), EQ, ws.b_eq)[:, w] = ws.a_eq
     for j, (f_in, h_in, f_eq, h_eq, mu_dim, n_m) in enumerate(_group_moment_rows(amb)):
-        wsel = np.zeros(amb.weight_set.dim)
+        wsel = np.zeros(ws.dim)
         wsel[list(amb.groups[j].scenarios)] = 1.0
         for fmat, hvec, sense in ((f_in, h_in, LE), (f_eq, h_eq, EQ)):
-            for f, h in zip(fmat, hvec):
-                pairs = [(w, -h * wsel)]
-                if mu_dim:
-                    pairs.append((cols[("mu", j)], f[:mu_dim]))
-                if n_m:
-                    pairs.append((cols[("nu", j)], f[mu_dim:]))
-                row(pairs, sense)
+            mat = block(len(hvec), sense)
+            mat[:, w] = -np.outer(hvec, wsel)
+            if mu_dim:
+                mat[:, cols[("mu", j)]] = fmat[:, :mu_dim]
+            if n_m:
+                mat[:, cols[("nu", j)]] = fmat[:, mu_dim:]
     for i, dset in enumerate(amb.supports):
-        wi = slice(i, i + 1)
-        for a, b in dset.ineq:
-            row([(xs[i], a), (wi, -b)], LE)
-        for a, b in dset.eq:
-            row([(xs[i], a), (wi, -b)], EQ)
+        for a, b, sense in ((dset.a_in, dset.b_in, LE), (dset.a_eq, dset.b_eq, EQ)):
+            mat = block(len(b), sense)
+            mat[:, xs[i]] = a
+            mat[:, i] = -b
     moment_rows = {}
     for j, g in enumerate(amb.groups):
         if g.mean_equality:
-            for k in range(d):
-                pairs = [(xs[i], _unit(d, k)) for i in g.scenarios]
-                pairs.append((cols[("mu", j)], _unit(d, k, -1.0)))
-                row(pairs, EQ)
+            mat = block(d, EQ)
+            for i in g.scenarios:
+                mat[:, xs[i]] += np.eye(d)
+            mat[:, cols[("mu", j)]] = -np.eye(d)
         for i in g.scenarios:
             for m, fn in enumerate(g.g_fns[i]):
                 for l, a, b in _pieces_of(fn):
                     row([(xs[i], a), (slice(i, i + 1), b), (cols[("s", j, i, m, l)], -1.0)], LE)
         if g.n_moments:
-            moment_rows[j] = np.arange(len(rows), len(rows) + g.n_moments)
+            start = sum(len(rhs) for _, _, rhs in blocks)
+            moment_rows[j] = np.arange(start, start + g.n_moments)
         for m in range(g.n_moments):
             pairs = [
                 (cols[("s", j, i, m, l)], 1.0)
@@ -223,8 +228,8 @@ def _adversary_rows(amb: LiftedAmbiguitySet):
             pairs.append((cols[("nu", j)], _unit(g.n_moments, m, -1.0)))
             row(pairs, LE)
 
-    amat = np.array([r[0] for r in rows]).reshape(len(rows), cols.total)
-    return cols, moment_rows, amat, tuple(r[1] for r in rows), np.array([r[2] for r in rows])
+    mats, senses, rhs = zip(*blocks)
+    return cols, moment_rows, np.vstack(mats), tuple(s for ss in senses for s in ss), np.concatenate(rhs)
 
 
 def _unit(n, i, value=1.0):
@@ -512,9 +517,9 @@ def oracle_worst_case(obj: StageObjective, amb: LiftedAmbiguitySet, pi, grid_ste
             v[sl] += coeffs
         rows.append((v, sense, rhs))
 
-    for a, b in amb.weight_set.ineq:
+    for a, b in zip(*amb.weight_set.ineq_matrix()):
         row([(w, a)], LE, b)
-    for a, b in amb.weight_set.eq:
+    for a, b in zip(*amb.weight_set.eq_matrix()):
         row([(w, a)], EQ, b)
     for i in range(n):
         sel = np.zeros(amb.weight_set.dim)

@@ -31,6 +31,23 @@ def test_solve_finite_matches_golden(runner, tmp_path):
     assert len(policy_lines) == 3  # one decision state, two actions
 
 
+@pytest.mark.parametrize(
+    "name, reported, absent",
+    [
+        ("infinite_two_state.yaml", "bellman_residual", "saddle_residual"),
+        ("finite_two_state.yaml", "saddle_residual", "bellman_residual"),
+    ],
+)
+def test_solve_names_the_residual_it_reports(runner, tmp_path, name, reported, absent):
+    # a discounted model reports ‖Tv − v‖∞, a finite one the saddle gap
+    res = runner.invoke(main, ["solve", str(DATA / name), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert absent not in summary
+    assert 0.0 <= summary[reported] <= 1e-6
+    assert f"({reported} " in res.output
+
+
 def test_solve_builds_the_document_once(runner, tmp_path, monkeypatch):
     import drmdp.modelfile as modelfile
 

@@ -246,6 +246,46 @@ def test_vertex_form_matches_lp_on_random_polytopes():
     assert 30 <= compact <= 140
 
 
+def _loop_contains(s, x, tol):
+    """Reference membership test, one row at a time."""
+    a_in, b_in = s.ineq_matrix()
+    a_eq, b_eq = s.eq_matrix()
+    ok = all(a @ x <= b + tol for a, b in zip(a_in, b_in))
+    return ok and all(abs(c @ x - d) <= tol for c, d in zip(a_eq, b_eq))
+
+
+def test_contains_matches_the_row_by_row_reference():
+    rng = np.random.default_rng(17)
+    outcomes = {True: 0, False: 0}
+    within_tol_outside = 0
+    for _ in range(200):
+        s = _random_polytope(rng)
+        a_in, b_in = s.ineq_matrix()
+        a_eq, b_eq = s.eq_matrix()
+        for tol in (geometry.FEAS_TOL, 1e-7):
+            # a point on face i, within the equality rows' hyperplane, then
+            # moved off the face by offset * tol; no offset, nor twice one
+            # (the doubled equality row), lands on the tolerance itself,
+            # where the last bit of a reordered sum decides
+            for offset in (-0.3, 0.3, 1.7):
+                i = int(rng.integers(len(b_in)))
+                x = rng.normal(size=s.dim)
+                direction = a_in[i]
+                if len(b_eq):
+                    c = a_eq[0]
+                    x = x - (c @ x - b_eq[0]) / (c @ c) * c
+                    direction = direction - (direction @ c) / (c @ c) * c
+                x = x + (b_in[i] - a_in[i] @ x) / (a_in[i] @ direction) * direction
+                x = x + offset * tol / (a_in[i] @ direction) * direction
+                if len(b_eq) and rng.random() < 0.5:
+                    x = x + offset * tol * a_eq[0] / (a_eq[0] @ a_eq[0])
+                got = s.contains(x, tol)
+                assert got == _loop_contains(s, x, tol)
+                outcomes[got] += 1
+                within_tol_outside += got and not _loop_contains(s, x, 0.0)
+    assert min(outcomes.values()) >= 200 and within_tol_outside >= 50
+
+
 def _loop_vertices(s):
     """Reference enumerator: one least-squares solve per active set."""
     a_eq, b_eq = s.eq_matrix()

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -271,10 +272,36 @@ def test_paired_t_statistic_sign():
     assert t > 10.0  # constant positive paired difference
 
 
-def test_policy_that_does_not_sum_to_one_is_rejected():
-    # the dense simplex returns a policy summing to 0 on this LP; normalising
+def test_policy_that_does_not_sum_to_one_is_rejected(monkeypatch):
+    # a robust LP reported optimal with a policy summing to 0: normalising
     # it would give a NaN policy, so the backup fails and names its state
-    cfg = NewsvendorConfig()
+    import drmdp.lp
+
+    highs = drmdp.lp._SOLVERS["highs"]
+
+    def zero_policy(lp):
+        sol = highs(lp)
+        if sol.optimal and lp.warm is not None:  # robust LPs: π columns lead
+            x = sol.x.copy()
+            x[: lp.n_vars - lp.warm.n_shared] = 0.0
+            sol = dataclasses.replace(sol, x=x)
+        return sol
+
+    monkeypatch.setitem(drmdp.lp._SOLVERS, "highs", zero_policy)
+    # three periods: state 1, stage 1 is the first backup
+    cfg = NewsvendorConfig(horizon=3)
     samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1), draws=20)
     with pytest.raises(EngineError, match=r"state 1, stage 1: .* policy summing to 0"):
+        solve_order_strategy(cfg, samples, 0.0)
+
+
+def test_simplex_reports_its_wrong_optimum_as_a_numerical_failure():
+    # the dense simplex ends this robust LP at a basis with a policy summing
+    # to 0 and residual 0.021; the residual check turns it into a failure
+    cfg = NewsvendorConfig()
+    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1), draws=20)
+    with pytest.raises(
+        EngineError,
+        match=r"state 1, stage 1: robust LP \(57 rows × 104 columns\) ended with status numerical_failure",
+    ):
         solve_order_strategy(cfg, samples, 0.0, solver="simplex")

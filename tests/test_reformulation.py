@@ -538,3 +538,114 @@ def test_threads_sharing_one_set_get_their_own_answers():
         sys.setswitchinterval(interval)
     for i, value in enumerate(values):
         assert value == pytest.approx(refs[i % len(objs)], abs=1e-8)
+
+
+# ------------------- adversary rows against a row-by-row loop ----------------
+
+
+def _loop_adversary_rows(amb):
+    """The adversary rows placed one at a time, each polytope row read as
+    a (row, rhs) pair: the reference for `_adversary_rows`, which places
+    the polytopes as matrix blocks.  Returns (slices, moment_rows, A,
+    senses, b)."""
+    from drmdp.lp import EQ, LE
+    from drmdp.reformulation import _Cols, _group_moment_rows, _pieces_of, _unit
+
+    d, n = amb.factor_dim, amb.n_scenarios
+    cols = _Cols()
+    w = cols.add("w", amb.weight_set.dim)
+    for j, g in enumerate(amb.groups):
+        if g.mean_equality:
+            cols.add(("mu", j), d)
+        if g.n_moments:
+            cols.add(("nu", j), g.n_moments)
+    x = cols.add("x", n * d)
+    xs = [slice(x.start + i * d, x.start + (i + 1) * d) for i in range(n)]
+    for j, g in enumerate(amb.groups):
+        for i in g.scenarios:
+            for m, fn in enumerate(g.g_fns[i]):
+                for l in range(len(fn.terms)):
+                    cols.add(("s", j, i, m, l), 1)
+
+    rows = []
+
+    def row(vec_pairs, sense, rhs=0.0):
+        v = np.zeros(cols.total)
+        for sl, coeffs in vec_pairs:
+            v[sl] += coeffs
+        rows.append((v, sense, rhs))
+
+    for a, b in zip(*amb.weight_set.ineq_matrix()):
+        row([(w, a)], LE, b)
+    for a, b in zip(*amb.weight_set.eq_matrix()):
+        row([(w, a)], EQ, b)
+    for j, (f_in, h_in, f_eq, h_eq, mu_dim, n_m) in enumerate(_group_moment_rows(amb)):
+        wsel = np.zeros(amb.weight_set.dim)
+        wsel[list(amb.groups[j].scenarios)] = 1.0
+        for fmat, hvec, sense in ((f_in, h_in, LE), (f_eq, h_eq, EQ)):
+            for f, h in zip(fmat, hvec):
+                pairs = [(w, -h * wsel)]
+                if mu_dim:
+                    pairs.append((cols[("mu", j)], f[:mu_dim]))
+                if n_m:
+                    pairs.append((cols[("nu", j)], f[mu_dim:]))
+                row(pairs, sense)
+    for i, dset in enumerate(amb.supports):
+        wi = slice(i, i + 1)
+        for a, b in zip(*dset.ineq_matrix()):
+            row([(xs[i], a), (wi, -b)], LE)
+        for a, b in zip(*dset.eq_matrix()):
+            row([(xs[i], a), (wi, -b)], EQ)
+    moment_rows = {}
+    for j, g in enumerate(amb.groups):
+        if g.mean_equality:
+            for k in range(d):
+                pairs = [(xs[i], _unit(d, k)) for i in g.scenarios]
+                pairs.append((cols[("mu", j)], _unit(d, k, -1.0)))
+                row(pairs, EQ)
+        for i in g.scenarios:
+            for m, fn in enumerate(g.g_fns[i]):
+                for l, a, b in _pieces_of(fn):
+                    row([(xs[i], a), (slice(i, i + 1), b), (cols[("s", j, i, m, l)], -1.0)], LE)
+        if g.n_moments:
+            moment_rows[j] = np.arange(len(rows), len(rows) + g.n_moments)
+        for m in range(g.n_moments):
+            pairs = [
+                (cols[("s", j, i, m, l)], 1.0)
+                for i in g.scenarios
+                for l in range(len(g.g_fns[i][m].terms))
+            ]
+            pairs.append((cols[("nu", j)], _unit(g.n_moments, m, -1.0)))
+            row(pairs, LE)
+
+    amat = np.array([r[0] for r in rows]).reshape(len(rows), cols.total)
+    return (cols.slices, moment_rows, amat, tuple(r[1] for r in rows),
+            np.array([r[2] for r in rows]))
+
+
+def _adversary_row_cases():
+    from conftest import FAMILIES, random_simplex_ambiguity
+
+    from drmdp.newsvendor import NewsvendorConfig, sample_training_set
+
+    for kind in FAMILIES:
+        for seed in range(4):
+            yield random_simplex_ambiguity(np.random.default_rng(seed), 3, kind)
+    cfg = NewsvendorConfig()
+    samples = sample_training_set(cfg.true_dist, 15, np.random.default_rng(1))
+    yield build_wasserstein(samples, 0.5, simplex(cfg.n_demand), cfg.metric)
+
+
+def test_block_adversary_rows_match_the_row_by_row_reference():
+    from drmdp.reformulation import _template
+
+    for amb in _adversary_row_cases():
+        slices, moment_rows, amat, senses, b = _loop_adversary_rows(amb)
+        template = _template(amb)
+        assert template.layout.slices == slices
+        assert template.moment_rows.keys() == moment_rows.keys()
+        for j, rows in moment_rows.items():
+            np.testing.assert_array_equal(template.moment_rows[j], rows)
+        np.testing.assert_array_equal(template.at.toarray(), amat.T)
+        assert template.senses == senses
+        np.testing.assert_array_equal(template.b, b)
