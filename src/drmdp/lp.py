@@ -31,6 +31,8 @@ PIVOT_TOL = 1e-9
 SIMPLEX_RESIDUAL_TOL = 1e-7
 
 LE, EQ, GE = "<=", "=", ">="
+# the side of each row sense: +1 on "<=", -1 on ">=", 0 on "="
+_ROW_SIDE = {LE: 1, GE: -1, EQ: 0}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -155,21 +157,20 @@ def residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
     if not sol.optimal:
         raise LpError("residuals only defined for optimal solutions")
     x, y = sol.x, sol.y
-    senses = np.array(lp.row_senses)
-    le, ge = senses == LE, senses == GE
+    side = np.array([_ROW_SIDE[s] for s in lp.row_senses], dtype=np.int8)
+    le, ge = side > 0, side < 0
+    # ndarray.max has a third of np.max's call cost; the maxima stay apart:
+    # numpy breaks 0.0/-0.0 ties by position, so merging could flip a zero's sign
     scale = 1.0 + max(np.abs(lp.b).max(initial=0.0), np.abs(x).max(initial=0.0))
     ax = lp.a @ x
+    excess, shortfall = ax - lp.b, lp.b - ax
     # row violation: excess on "<=", shortfall on ">=", either way on "="
-    row_excess = np.where(le, ax - lp.b, np.where(ge, lp.b - ax, np.abs(ax - lp.b)))
-    primal = max(
-        np.max(row_excess, initial=0.0),
-        np.max(lp.lb - x, initial=0.0),
-        np.max(x - lp.ub, initial=0.0),
-    )
+    row_excess = np.where(le, excess, np.where(ge, shortfall, np.abs(excess)))
+    primal = max(row_excess.max(initial=0.0), (lp.lb - x).max(initial=0.0), (x - lp.ub).max(initial=0.0))
 
     sign = 1.0 if lp.sense == "min" else -1.0
     # min: y <= 0 on "<=" rows and y >= 0 on ">=" rows; flipped for max
-    dual = max(np.max(sign * y[le], initial=0.0), np.max(-sign * y[ge], initial=0.0))
+    dual = max((sign * y[le]).max(initial=0.0), (-sign * y[ge]).max(initial=0.0))
     r = lp.c - lp.a.T @ y
     # Reduced-cost sign: for min, r_j >= 0 at a lower bound, <= 0 at an upper
     # bound; flipped for max.  Variables off both bounds need r_j == 0, and
@@ -180,10 +181,10 @@ def residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
     rj = sign * r
     wrong_sign = np.where(at_lb, -rj, np.where(at_ub, rj, np.abs(rj)))
     wrong_sign[at_lb & at_ub] = 0.0
-    dual = max(dual, np.max(wrong_sign / dscale, initial=0.0))
+    dual = max(dual, (wrong_sign / dscale).max(initial=0.0))
     # Complementary slackness on rows: y_i != 0 only on tight rows.
-    slack = np.where(le, lp.b - ax, ax - lp.b)
-    comp = np.max(np.abs(y * slack)[le | ge], initial=0.0) / (scale * dscale)
+    slack = np.where(le, shortfall, excess)
+    comp = np.abs(y * slack)[side != 0].max(initial=0.0) / (scale * dscale)
     # Strong duality: c'x == y'b + bound contributions.
     on_lb = at_lb & (lp.lb != 0)
     on_ub = ~on_lb & at_ub & (lp.ub != 0)

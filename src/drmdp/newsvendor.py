@@ -78,18 +78,16 @@ def _state_factor_map(cfg: NewsvendorConfig, s: int) -> FactorMap:
     """Transition rows over all inventories: entry for s' sums the demand
     probabilities that drive clamp(s + a − d) to s'.  Rewards are the
     negated period costs (the engine maximizes)."""
-    invs = cfg.inventories
-    inv_index = {v: k for k, v in enumerate(invs)}
-    n_next = len(invs)
-    actions = range(0, cfg.s_max - s + 1)
-    n_actions = len(actions)
+    n_next = len(cfg.inventories)
+    n_actions = cfg.s_max - s + 1
+    orders = np.arange(n_actions)[:, None]
+    demands = np.arange(cfg.n_demand)
+    # next-inventory index of every (order, demand) pair; each pair owns
+    # one entry, as demand d only ever fills column d
+    nxt = cfg.clamp(s + orders - demands) - cfg.s_min
     p_mat = np.zeros((n_actions * n_next, cfg.n_demand))
-    r_offset = np.zeros(n_actions)
-    for a in actions:
-        for d in range(cfg.n_demand):
-            nxt = inv_index[int(cfg.clamp(s + a - d))]
-            p_mat[a * n_next + nxt, d] += 1.0
-        r_offset[a] = -cfg.period_cost(s, a)
+    p_mat[orders * n_next + nxt, demands] = 1.0
+    r_offset = np.array([-cfg.period_cost(s, a) for a in range(n_actions)])
     return FactorMap(
         n_actions,
         n_next,

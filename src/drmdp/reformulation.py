@@ -9,20 +9,20 @@ because the objective is linear and the moment functions convex) and
 scaling by the scenario weights, x_n = ω_n ξ̄_n, makes the adversary's
 problem one LP, min (Mπ)'v s.t. A v {≤, =} b with v free.  ``_adversary_rows``
 assembles A and b; M prices κ on the weights and C on the scaled means.
-An ``SRobustTemplate`` holds A' and b, compiled once per ambiguity set and
-kept on the set, and serves both LPs a backup can need:
 
-* ``adversary_lp`` — that LP for a fixed π; ``worst_case_expectation``
-  solves it for fixed-policy evaluation.
-* ``instantiate`` / ``build_srobust_lp`` — its transpose with π made a
-  variable: max b'y s.t. A'y − Mπ = 0, 1'π = 1, π ≥ 0, y ≤ 0 on ≤ rows.
-  Its π block is the robust randomized action, and the duals of its rows
-  are an adversary point, so ``solve_srobust`` reads the saddle
-  certificate from the one LP a robust backup solves.  Only the π
-  columns change between backups, so on HiGHS the set's backups share
-  one warm-started model (``SRobustTemplate.warm``).
-* ``oracle_worst_case`` — an independent check that discretizes supports
-  into grids and solves the primal moment problem over point masses.
+Every backup solves that LP's dual with π made a variable, the robust LP:
+max b'y s.t. A'y − Mπ = 0, 1'π = 1, π ≥ 0, y ≤ 0 on ≤ rows.  An
+``SRobustTemplate`` holds A' and b, compiled once per ambiguity set and
+kept on the set, and ``instantiate`` puts a stage objective's π columns in
+front of them.  ``solve_srobust`` reads the robust randomized action from
+the π block; ``worst_case_expectation`` pins π to a fixed policy through
+its bounds, which makes the LP the dual of the adversary LP at that π.
+Either way the duals of the LP's rows are a worst-case adversary point, the
+certificate.  Only the π columns and their bounds change between backups,
+so on HiGHS all of a set's backups share one warm-started model
+(``SRobustTemplate.warm``).  ``oracle_worst_case`` is an independent check
+that discretizes supports into grids and solves the primal moment problem
+over point masses.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from scipy.sparse import csc_matrix
 
 from .ambiguity import FactorMap, LiftedAmbiguitySet
 from .geometry import enumerate_vertices, feasibility_check
-from .lp import EQ, LE, LinearProgram, WarmHighs, get_solver
+from .lp import EQ, LE, UNBOUNDED, LinearProgram, WarmHighs, get_solver
 
 
 class ReformulationError(Exception):
@@ -264,8 +264,10 @@ class WorstCaseCertificate:
 def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, solver="highs"):
     """Worst-case expected stage value at a fixed policy.
 
-    Returns (value, certificate); the certificate reproduces the value as a
-    finite mixture of point masses at the conditional means.
+    Solves the set's robust LP with its π columns pinned to pi, on the same
+    template and warm model as the robust backups.  Returns (value,
+    certificate); the certificate, read from the LP's row duals, reproduces
+    the value as a finite mixture of point masses at the conditional means.
     """
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (obj.n_actions,) or not np.all(np.isfinite(pi)):
@@ -273,17 +275,8 @@ def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, sol
     if abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < -1e-9):
         raise ReformulationError("policy must lie in the probability simplex")
     template = _template(amb)
-    lp = template.adversary_lp(obj, pi)
-    sol = get_solver(solver)(lp)
-    if sol.status == "infeasible":
-        raise ReformulationError(
-            "fixed-policy subproblem infeasible: the ambiguity set admits no distribution"
-        )
-    if not sol.optimal:
-        raise ReformulationError(
-            f"adversary LP ({lp.n_rows} rows × {lp.n_vars} columns) ended with status {sol.status}"
-        )
-    return sol.value, _point_masses(amb, template.layout, sol.x)
+    _, _, sol = _solve(template, obj, pi, solver)
+    return sol.value, _point_masses(amb, template.layout, sol.y)
 
 
 def _point_masses(amb: LiftedAmbiguitySet, layout, v) -> WorstCaseCertificate:
@@ -314,19 +307,20 @@ class SRobustTemplate:
     """Reusable compilation of one ambiguity set's adversary rows.
 
     The template stores A' (sparse, column-compressed), b and the row
-    senses once.  ``adversary_lp`` prices them at a fixed π.  The robust LP
-    is the dual of the adversary LP with the policy made a variable:
-    max b'y subject to A'y − Mπ = 0 (one row per adversary variable),
-    1'π = 1, π ≥ 0 and y ≤ 0 on the adversary's ≤ rows.  ``instantiate``
-    puts the π columns −M of a stage objective in front of the fixed y
-    columns, so every action count shares one template.
+    senses once.  The robust LP is the dual of the adversary LP with the
+    policy made a variable: max b'y subject to A'y − Mπ = 0 (one row per
+    adversary variable), 1'π = 1, π ≥ 0 and y ≤ 0 on the adversary's ≤
+    rows.  ``instantiate`` puts the π columns −M of a stage objective in
+    front of the fixed y columns, so every action count shares one
+    template; pinning π by its bounds gives the fixed-policy LP.
 
     The template also owns the set's persistent HiGHS model of that LP
-    (``warm``): a robust backup on the HiGHS backend swaps in its π columns
-    and re-solves from the basis the previous backup of the set left.  The
-    model lives and dies with the set, so warm state never crosses sets.
-    The template keeps the set's sizes, not the set, and the model keeps
-    no reference to the template, so none of them form a cycle.
+    (``warm``): a backup on the HiGHS backend, robust or fixed-policy,
+    swaps in its π columns and re-solves from the basis the previous backup
+    of the set left.  The model lives and dies with the set, so warm state
+    never crosses sets.  The template keeps the set's sizes, not the set,
+    and the model keeps no reference to the template, so none of them form
+    a cycle.
     """
 
     def __init__(self, amb: LiftedAmbiguitySet):
@@ -338,33 +332,27 @@ class SRobustTemplate:
         self.at = csc_matrix(amat.T)
         n_vars = self.at.shape[0]
         self.y_ub = np.where(np.array(self.senses) == LE, 0.0, np.inf)
-        # rows where M has entries: the scenario weights, then the scaled means
+        # rows of the π columns: M's entries at the scenario weights and the
+        # scaled means, then the 1 of 1'π = 1
         w, x = self.layout["w"], self.layout["x"]
-        self._m_rows = np.r_[w.start : w.start + self.n_scenarios, x.start : x.stop]
-        self._pi_rows = np.append(self._m_rows, n_vars).astype(self.at.indices.dtype)
+        pi_rows = np.r_[w.start : w.start + self.n_scenarios, x.start : x.stop, n_vars]
+        self._pi_rows = pi_rows.astype(self.at.indices.dtype)
         self.warm = WarmHighs(self.at.shape[1])
 
     def _cost_entries(self, obj: StageObjective) -> np.ndarray:
-        """M's entries, one row per action, at the adversary variables
-        ``_m_rows``: (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n puts κ_a on every
-        scenario weight and C_a on every scaled mean."""
+        """M's entries, one row per action, at the scenario weights and
+        the scaled means: (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n puts κ_a
+        on every scenario weight and C_a on every scaled mean."""
         if obj.factor_dim != self.factor_dim:
             raise ReformulationError("stage objective and ambiguity set disagree on factor_dim")
         n = self.n_scenarios
         return np.hstack([np.repeat(obj.kappa_vec[:, None], n, 1), np.tile(obj.c_mat, (1, n))])
 
-    def adversary_lp(self, obj: StageObjective, pi) -> LinearProgram:
-        """The inner minimization at a fixed π: min (Mπ)'v over the
-        adversary rows, v free; its value is the worst-case expectation."""
-        free = np.full(self.layout.total, np.inf)
-        c = np.zeros(self.layout.total)
-        c[self._m_rows] = pi @ self._cost_entries(obj)
-        return LinearProgram("min", c, self.at.T, self.senses, self.b, -free, free)
-
-    def instantiate(self, obj: StageObjective):
+    def instantiate(self, obj: StageObjective, pi=None):
         """Put a stage objective's π columns in front of the fixed y
         columns; returns (lp, layout) with column blocks "pi" and "y".  The
-        LP carries the set's warm HiGHS model."""
+        π columns range over [0, ∞), or are pinned to [pi, pi] when a
+        policy is given.  The LP carries the set's warm HiGHS model."""
         na = obj.n_actions
         n_vars, n_rows = self.at.shape
         at, pi_rows = self.at, self._pi_rows
@@ -394,8 +382,8 @@ class SRobustTemplate:
             a,
             (EQ,) * (n_vars + 1),
             rhs,
-            np.concatenate([np.zeros(na), np.full(n_rows, -np.inf)]),
-            np.concatenate([np.full(na, np.inf), self.y_ub]),
+            np.concatenate([np.zeros(na) if pi is None else pi, np.full(n_rows, -np.inf)]),
+            np.concatenate([np.full(na, np.inf) if pi is None else pi, self.y_ub]),
             warm=self.warm,
         )
         return lp, cols
@@ -444,12 +432,7 @@ def solve_srobust(obj: StageObjective, amb: LiftedAmbiguitySet, solver="highs") 
     template.
     """
     template = _template(amb)
-    lp, cols = template.instantiate(obj)
-    sol = get_solver(solver)(lp)
-    if not sol.optimal:
-        raise ReformulationError(
-            f"robust LP ({lp.n_rows} rows × {lp.n_vars} columns) ended with status {sol.status}"
-        )
+    lp, cols, sol = _solve(template, obj, None, solver)
     pi = np.clip(sol.x[cols["pi"]], 0.0, None)
     total = pi.sum()
     if not np.isfinite(total) or abs(total - 1.0) > 1e-6:
@@ -464,6 +447,21 @@ def solve_srobust(obj: StageObjective, amb: LiftedAmbiguitySet, solver="highs") 
         gamma={j: -y[r] for j, r in template.moment_rows.items()},
         certificate=_point_masses(amb, template.layout, sol.y),
     )
+
+
+def _solve(template: SRobustTemplate, obj: StageObjective, pi, solver):
+    """Instantiate the set's LP, π pinned to pi unless pi is None, and
+    solve it; returns (lp, layout, solution) or raises on a non-optimum."""
+    lp, cols = template.instantiate(obj, pi)
+    sol = get_solver(solver)(lp)
+    name = "robust LP" if pi is None else "fixed-policy LP"
+    what = f"{name} ({lp.n_rows} rows × {lp.n_vars} columns)"
+    if sol.status == UNBOUNDED:
+        # unbounded duals: the adversary's rows admit no point
+        raise ReformulationError(f"{what} is unbounded: the ambiguity set admits no distribution")
+    if not sol.optimal:
+        raise ReformulationError(f"{what} ended with status {sol.status}")
+    return lp, cols, sol
 
 
 # ---------------------------------------------------------------------------

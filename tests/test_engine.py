@@ -287,7 +287,7 @@ def test_failed_fixed_policy_evaluation_names_state_and_stage(monkeypatch):
     with pytest.raises(EngineError) as err:
         evaluate_policy_worst_case(model, pol, solver="highs")
     assert re.fullmatch(
-        rf"backup failed at state {model.stages[t][0]}, stage {t}: adversary LP "
+        rf"backup failed at state {model.stages[t][0]}, stage {t}: fixed-policy LP "
         r"\(\d+ rows × \d+ columns\) ended with status numerical_failure",
         str(err.value),
     ), str(err.value)
@@ -305,7 +305,7 @@ def _check_warm_against_cold(monkeypatch):
         assert warm.optimal and cold.optimal
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
         assert max(lp.residuals(prog, warm).values()) <= 1e-7
-        served.setdefault(id(prog.warm), set()).add(prog.n_vars)
+        served.setdefault(prog.warm, set()).add(prog.n_vars)
         return warm
 
     saddle_gaps = []
@@ -332,9 +332,13 @@ def test_warm_highs_matches_cold_per_backup(monkeypatch, kind):
         random_infinite_model(rng, n_states=3, kind=kind, actions=(3, 1, 2)),
     ):
         if model.is_finite:
-            backward_induction(model, solver="highs")
+            vf, pol, _ = backward_induction(model, solver="highs")
         else:
-            value_iteration(model, 1e-6, solver="highs")
+            vf, pol, _ = value_iteration(model, 1e-6, solver="highs")
+        # the fixed-policy LPs run on the same warm models
+        evals = evaluate_policy_worst_case(model, pol, solver="highs")
+        if model.is_finite:
+            np.testing.assert_allclose(evals, vf.values, atol=1e-8)
     assert max(saddle_gaps) <= 1e-8
     # the shared sets served LPs with different action counts on one model
     assert None not in served

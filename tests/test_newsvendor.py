@@ -62,6 +62,38 @@ def test_action_set_shrinks_with_inventory():
     assert _state_factor_map(cfg, 0).n_actions == 11
 
 
+def _loop_state_factor_map(cfg, s):
+    """The factor map built one (order, demand) pair at a time with scalar
+    clamps: the reference for `_state_factor_map`."""
+    invs = cfg.inventories
+    n_next, n_actions = len(invs), cfg.s_max - s + 1
+    p_mat = np.zeros((n_actions * n_next, cfg.n_demand))
+    r_offset = np.zeros(n_actions)
+    for a in range(n_actions):
+        for d in range(cfg.n_demand):
+            p_mat[a * n_next + invs.index(int(cfg.clamp(s + a - d))), d] += 1.0
+        r_offset[a] = -cfg.period_cost(s, a)
+    return p_mat, r_offset
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        NewsvendorConfig(),
+        NewsvendorConfig(s_min=-2, s_max=4, order_cost=1.5, holding_cost=0.5,
+                         backorder_cost=4.0, true_dist=(0.1, 0.2, 0.3, 0.15, 0.15, 0.1)),
+    ],
+)
+def test_factor_maps_match_the_loop_reference(cfg):
+    for s in cfg.inventories:
+        fm = _state_factor_map(cfg, s)
+        p_mat, r_offset = _loop_state_factor_map(cfg, s)
+        assert fm.n_actions == cfg.s_max - s + 1 and fm.n_next == len(cfg.inventories)
+        assert fm.p_mat.tobytes() == p_mat.tobytes() and fm.p_mat.shape == p_mat.shape
+        assert fm.r_offset.tobytes() == r_offset.tobytes()
+        assert not fm.p_offset.any() and not fm.r_mat.any()
+
+
 def test_deterministic_demand_transition():
     cfg = NewsvendorConfig()
     fm = _state_factor_map(cfg, 0)
@@ -184,6 +216,7 @@ def test_backward_induction_builds_one_template(monkeypatch):
 
 
 def test_fixed_policy_evaluation_reuses_the_template(monkeypatch):
+    import drmdp.lp
     import drmdp.reformulation
 
     assemblies = []
@@ -197,11 +230,18 @@ def test_fixed_policy_evaluation_reuses_the_template(monkeypatch):
     model, _ = build_newsvendor_model(cfg, amb)
     vf, policy, _ = backward_induction(model, solver="highs")
     assert len(assemblies) == 1
+    highs_models = []
+    highs_cls, *rest = drmdp.lp._HIGHS
+    monkeypatch.setattr(
+        drmdp.lp, "_HIGHS", (lambda: highs_models.append(1) or highs_cls(), *rest)
+    )
     values = evaluate_policy_worst_case(model, policy, solver="highs")
     obj = assemble_stage_objective(vf.values[list(model.stages[1])], model.factor_maps[0])
     drmdp.reformulation.build_srobust_lp(obj, amb)
     # the backups, the 49 fixed-policy LPs and the dumped root LP share one assembly
     assert len(assemblies) == 1
+    # and the fixed-policy LPs run on the set's warm model, not on fresh ones
+    assert highs_models == []
     assert values[0] == pytest.approx(vf[0], abs=1e-8)
 
 

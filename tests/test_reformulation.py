@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import sys
 import weakref
@@ -9,6 +8,7 @@ import pytest
 
 from drmdp.ambiguity import (
     FactorMap,
+    LiftedAmbiguitySet,
     MixtureComponent,
     build_hybrid_wasserstein_mad,
     build_mixture,
@@ -18,14 +18,14 @@ from drmdp.ambiguity import (
     build_wasserstein,
     identity_factor_map,
 )
-from drmdp.geometry import box, enumerate_vertices, simplex, singleton
+from drmdp.geometry import PolyhedralSet, box, enumerate_vertices, simplex, singleton
 import drmdp.lp
-from drmdp.lp import WarmHighs, get_solver, solve_lp
+from drmdp.lp import LinearProgram, WarmHighs, get_solver, solve_lp
 from drmdp.reformulation import (
     ReformulationError,
     StageObjective,
+    _template,
     assemble_stage_objective,
-    build_srobust_lp,
     oracle_worst_case,
     solve_srobust,
     worst_case_expectation,
@@ -250,17 +250,41 @@ def test_fixed_policy_consistency():
          StageObjective(rng.normal(size=2), rng.normal(size=(2, 2)))),
     ]
     for amb, obj in cases:
-        lp, cols = build_srobust_lp(obj, amb)
+        # the primal adversary LP, min (Mπ)'v over the set's rows with v
+        # free: an independent reference for the pinned robust LP
+        template = _template(amb)
+        n, layout = amb.n_scenarios, template.layout
+        free = np.full(layout.total, np.inf)
         for _ in range(3):
             pi = rng.dirichlet(np.ones(obj.n_actions))
-            lb, ub = lp.lb.copy(), lp.ub.copy()
-            lb[cols["pi"]] = pi
-            ub[cols["pi"]] = pi
-            pinned = dataclasses.replace(lp, lb=lb, ub=ub)
+            cost = np.zeros(layout.total)
+            cost[layout["w"].start : layout["w"].start + n] = obj.kappa(pi)
+            cost[layout["x"]] = np.tile(obj.coeff(pi), n)
+            adversary = LinearProgram(
+                "min", cost, template.at.T, template.senses, template.b, -free, free
+            )
             for solver in ("simplex", "highs"):
-                v_lp = get_solver(solver)(pinned).value
-                v_adv, _ = worst_case_expectation(obj, amb, pi, solver=solver)
-                assert v_lp == pytest.approx(v_adv, abs=1e-8)
+                v_ref = get_solver(solver)(adversary).value
+                v_adv, cert = worst_case_expectation(obj, amb, pi, solver=solver)
+                assert v_adv == pytest.approx(v_ref, abs=1e-8)
+                assert cert.expectation(obj, pi) == pytest.approx(v_adv, abs=1e-8)
+
+
+@pytest.mark.parametrize("solver", ["simplex", "highs"])
+def test_empty_ambiguity_set_admits_no_distribution(solver):
+    one = PolyhedralSet(1, eq=[([1.0], 1.0)])
+    empty_support = LiftedAmbiguitySet(
+        1, (PolyhedralSet(1, [([1.0], -1.0), ([-1.0], -1.0)]),), (), one
+    )
+    empty_weights = LiftedAmbiguitySet(
+        1, (box([0.0], [1.0]),), (), PolyhedralSet(1, [([1.0], 0.5)], [([1.0], 1.0)])
+    )
+    obj = StageObjective([0.0, 0.0], [[1.0], [-1.0]])
+    for amb in (empty_support, empty_weights):
+        with pytest.raises(ReformulationError, match="the ambiguity set admits no distribution"):
+            solve_srobust(obj, amb, solver=solver)
+        with pytest.raises(ReformulationError, match="the ambiguity set admits no distribution"):
+            worst_case_expectation(obj, amb, [0.5, 0.5], solver=solver)
 
 
 def test_policy_optimality_against_alternatives():
