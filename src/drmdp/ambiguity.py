@@ -469,8 +469,7 @@ def _hull_radius(d: PolyhedralSet) -> float:
     """
     if not d.b_eq.size:
         return chebyshev_radius(d)
-    a_in, b_in = d.ineq_matrix()
-    a_eq, b_eq = d.eq_matrix()
+    a_in, b_in, a_eq, b_eq = d.a_in, d.b_in, d.a_eq, d.b_eq
     u, sv, vt = np.linalg.svd(a_eq)
     rank = int(np.sum(sv > sv[0] * max(a_eq.shape) * np.finfo(float).eps))
     basis = vt[rank:].T

@@ -8,7 +8,9 @@ used as an independent oracle by the higher layers.
 A polyhedron is built from (row, rhs) pairs and kept as read-only float
 arrays, A_in x <= b_in and A_eq x = b_eq.  Every consumer reads those
 arrays: membership, the LPs below, vertex enumeration, the validation
-checks and the adversary LP's row blocks.
+checks and the adversary LP's row blocks.  A piecewise-linear function is
+kept the same way, as its pieces' rows, offsets and max-block indices, and
+evaluation, lifting and the adversary LP's epigraph blocks read those.
 
 Vertex enumeration also answers support queries on small polytopes.  The
 first query on a set tries to prove it a compact polytope with few active
@@ -73,8 +75,8 @@ class PolyhedralSet:
     """{x : a_in x <= b_in, a_eq x = b_eq}.
 
     Built from (row, rhs) pairs, `ineq` and `eq`, and kept as the read-only
-    float arrays a_in (k, dim), b_in (k,), a_eq and b_eq, which
-    `ineq_matrix` and `eq_matrix` return.
+    float arrays a_in (k, dim), b_in (k,), a_eq and b_eq, which every
+    consumer reads directly.
     """
 
     dim: int
@@ -102,12 +104,6 @@ class PolyhedralSet:
             raise GeometryError("point dimension mismatch")
         ok = np.all(self.a_in @ x <= self.b_in + tol)
         return bool(ok and np.all(np.abs(self.a_eq @ x - self.b_eq) <= tol))
-
-    def ineq_matrix(self):
-        return self.a_in, self.b_in
-
-    def eq_matrix(self):
-        return self.a_eq, self.b_eq
 
 
 def box(lo, hi) -> PolyhedralSet:
@@ -266,8 +262,7 @@ def enumerate_vertices(s: PolyhedralSet, dim_guard=VERTEX_DIM_GUARD) -> VertexLi
     """
     if s.dim > dim_guard:
         raise GeometryError(f"vertex enumeration refused above dimension {dim_guard}")
-    a_eq, b_eq = s.eq_matrix()
-    a_in, b_in = s.ineq_matrix()
+    a_eq, b_eq, a_in, b_in = s.a_eq, s.b_eq, s.a_in, s.b_in
     need = s.dim - _rank(a_eq)
     combos = list(combinations(range(a_in.shape[0]), need))
     k = len(combos)
@@ -321,8 +316,7 @@ def _vertex_form_of(s: PolyhedralSet):
     verts = s._vertex_form
     if verts is None:
         verts = np.zeros((0, s.dim))
-        a_eq, _ = s.eq_matrix()
-        a_in, _ = s.ineq_matrix()
+        a_eq, a_in = s.a_eq, s.a_in
         m, need = a_in.shape[0], s.dim - _rank(a_eq)
         active_sets = comb(m, need) + (comb(m, need - 1) if need else 0)
         if s.dim <= VERTEX_DIM_GUARD and active_sets <= VERTEX_FORM_MAX_ACTIVE_SETS:
@@ -363,42 +357,50 @@ def chebyshev_radius(s: PolyhedralSet) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PwlConvexFn:
     """f(x) = sum over max-blocks of max over pieces of (a.x + b).
+
+    Built from `terms`, a tuple of nonempty max-blocks of (a, b) pieces,
+    and kept as read-only arrays: the piece rows a (k, dim), the offsets
+    b (k,) and block (k,), the index of each piece's max-block.  Pieces
+    keep their order, so block runs from 0 up to n_blocks - 1.
 
     Convexity is automatic from the representation.  Norm distances and
     affine maps are expressible; see the constructors below.
     """
 
     dim: int
-    terms: tuple  # tuple of blocks; block = tuple of (a: ndarray, b: float)
+    terms: InitVar[tuple]
+    n_blocks: int = field(init=False)
+    a: np.ndarray = field(init=False)
+    b: np.ndarray = field(init=False)
+    block: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        blocks = []
-        for block in self.terms:
-            if not block:
-                raise GeometryError("max-block must be nonempty")
-            blocks.append(tuple(zip(*_rows(block, self.dim, "pwl piece"))))
-        object.__setattr__(self, "terms", tuple(blocks))
+    def __post_init__(self, terms):
+        terms = tuple(tuple(block) for block in terms)
+        if not all(terms):
+            raise GeometryError("max-block must be nonempty")
+        a, b = _rows((piece for block in terms for piece in block), self.dim, "pwl piece")
+        block = np.repeat(np.arange(len(terms)), [len(t) for t in terms])
+        block.flags.writeable = False
+        for name, value in (("n_blocks", len(terms)), ("a", a), ("b", b), ("block", block)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise GeometryError("pwl evaluation dimension mismatch")
-        return float(sum(max(a @ x + b for a, b in block) for block in self.terms))
+        best = np.full(self.n_blocks, -np.inf)
+        np.maximum.at(best, self.block, self.a @ x + self.b)
+        return float(best.sum())
 
     def lift(self, total_dim: int, offset: int = 0) -> "PwlConvexFn":
         """Embed into a larger variable space at the given offset."""
-        blocks = []
-        for block in self.terms:
-            pieces = []
-            for a, b in block:
-                row = np.zeros(total_dim)
-                row[offset : offset + self.dim] = a
-                pieces.append((row, b))
-            blocks.append(tuple(pieces))
-        return PwlConvexFn(total_dim, tuple(blocks))
+        a = np.zeros((len(self.b), total_dim))
+        a[:, offset : offset + self.dim] = self.a
+        blocks = (self.block == l for l in range(self.n_blocks))
+        return PwlConvexFn(total_dim, (zip(a[sel], self.b[sel]) for sel in blocks))
 
 
 def affine_fn(a, b=0.0) -> PwlConvexFn:
@@ -406,29 +408,23 @@ def affine_fn(a, b=0.0) -> PwlConvexFn:
     return PwlConvexFn(a.shape[0], ((tuple([(a, float(b))])),))
 
 
+def _signed_pieces(center):
+    """The pieces x_i - c_i and c_i - x_i, coordinate by coordinate."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    rows = np.kron(np.eye(center.shape[0]), [[1.0], [-1.0]])
+    return list(zip(rows, np.column_stack([-center, center]).ravel()))
+
+
 def one_norm_distance(center) -> PwlConvexFn:
     """||x - center||_1: one max-block per coordinate, two pieces each."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    dim = center.shape[0]
-    blocks = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        blocks.append(((e.copy(), -center[i]), (-e, center[i])))
-    return PwlConvexFn(dim, tuple(blocks))
+    pieces = _signed_pieces(center)
+    return PwlConvexFn(len(pieces) // 2, tuple(zip(pieces[::2], pieces[1::2])))
 
 
 def inf_norm_distance(center) -> PwlConvexFn:
     """||x - center||_inf: one max-block with 2*dim pieces."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    dim = center.shape[0]
-    pieces = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        pieces.append((e.copy(), -center[i]))
-        pieces.append((-e, center[i]))
-    return PwlConvexFn(dim, (tuple(pieces),))
+    pieces = _signed_pieces(center)
+    return PwlConvexFn(len(pieces) // 2, (pieces,))
 
 
 def norm_distance(center, norm) -> PwlConvexFn:

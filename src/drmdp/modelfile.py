@@ -10,7 +10,9 @@ parses back to an equivalent model.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 import yaml
@@ -24,7 +26,7 @@ from .ambiguity import (
     build_wasserstein,
 )
 from .engine import DrMdpModel, EngineError
-from .geometry import box, simplex, singleton
+from .geometry import GeometryError, box, simplex, singleton
 
 FORMAT_VERSION = 1
 
@@ -50,21 +52,27 @@ def _check_keys(node, path, required, optional=()):
         raise ModelFileError(f"{path}: missing required keys {sorted(missing)}")
 
 
-def _vector(node, path):
+@contextmanager
+def _located(where):
+    """Raise a malformed value's error from inside the block as a
+    ModelFileError that starts with `where`, the document path."""
     try:
+        yield
+    except (AmbiguityError, GeometryError, TypeError, ValueError) as err:
+        raise ModelFileError(f"{where}: {err}") from err
+
+
+def _vector(node, path):
+    with _located(f"{path}: expected a numeric list"):
         v = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ModelFileError(f"{path}: expected a numeric list ({err})") from err
     if v.ndim != 1:
         raise ModelFileError(f"{path}: expected a flat numeric list")
     return v
 
 
 def _matrix(node, path):
-    try:
+    with _located(f"{path}: expected a numeric matrix"):
         m = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ModelFileError(f"{path}: expected a numeric matrix ({err})") from err
     if m.ndim != 2:
         raise ModelFileError(f"{path}: expected a list of equal-length rows")
     return m
@@ -94,7 +102,7 @@ def _parse_ambiguity(node, path):
          "mean_lo", "mean_hi", "center", "eps_floor"),
     )
     builder = node["builder"]
-    try:
+    with _located(path):
         if builder == "support_only":
             _check_keys(node, path, ("builder", "support"))
             return build_support_only(_parse_support(node["support"], f"{path}.support"))
@@ -133,8 +141,6 @@ def _parse_ambiguity(node, path):
                 radius,
                 node.get("norm", 1),
             )
-    except AmbiguityError as err:
-        raise ModelFileError(f"{path}: {err}") from err
     raise ModelFileError(f"{path}.builder: unknown builder {builder!r}")
 
 
@@ -145,13 +151,10 @@ def _parse_factor_map(node, path):
     r_mat = _matrix(node["r_mat"], f"{path}.r_mat")
     r_offset = _vector(node["r_offset"], f"{path}.r_offset")
     n_actions = len(r_offset)
-    if p_mat.shape[0] % max(n_actions, 1) != 0:
-        raise ModelFileError(f"{path}: p_mat rows not divisible by the action count")
-    n_next = p_mat.shape[0] // n_actions
-    try:
-        return FactorMap(n_actions, n_next, p_mat, p_offset, r_mat, r_offset)
-    except AmbiguityError as err:
-        raise ModelFileError(f"{path}: {err}") from err
+    if not n_actions or p_mat.shape[0] % n_actions != 0:
+        raise ModelFileError(f"{path}: p_mat rows not divisible by a nonzero action count")
+    with _located(path):
+        return FactorMap(n_actions, p_mat.shape[0] // n_actions, p_mat, p_offset, r_mat, r_offset)
 
 
 @dataclass(frozen=True)
@@ -194,11 +197,13 @@ class ModelDocument:
                 ambs.append(_parse_ambiguity(amb, f"{path}.ambiguity"))
         kwargs = {}
         if "stages" in doc:
-            kwargs["stages"] = tuple(tuple(s) for s in doc["stages"])
+            with _located("document.stages"):
+                kwargs["stages"] = tuple(tuple(index(n) for n in s) for s in doc["stages"])
             if "terminal_values" in doc:
                 kwargs["terminal_values"] = _vector(doc["terminal_values"], "terminal_values")
         else:
-            kwargs["discount"] = float(doc["discount"])
+            with _located("document.discount"):
+                kwargs["discount"] = float(doc["discount"])
         try:
             return DrMdpModel(
                 len(doc["states"]),

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 
 from .ambiguity import FactorMap, LiftedAmbiguitySet
-from .geometry import enumerate_vertices, feasibility_check
+from .geometry import bounding_box, enumerate_vertices, feasibility_check
 from .lp import EQ, LE, UNBOUNDED, LinearProgram, WarmHighs, get_solver
 
 
@@ -119,27 +119,6 @@ class _Cols:
         return self.slices[name]
 
 
-def _pieces_of(fn):
-    """Flatten a PwlConvexFn into (block_index, a, b) piece triples."""
-    out = []
-    for l, block in enumerate(fn.terms):
-        for a, b in block:
-            out.append((l, a, b))
-    return out
-
-
-def _group_moment_rows(amb: LiftedAmbiguitySet):
-    """Per group: the moment set split into (F_in, h_in, F_eq, h_eq) and the
-    column offsets of the μ and ν blocks inside the moment vector."""
-    out = []
-    for g in amb.groups:
-        f_in, h_in = g.moment_set.ineq_matrix()
-        f_eq, h_eq = g.moment_set.eq_matrix()
-        mu_dim = amb.factor_dim if g.mean_equality else 0
-        out.append((f_in, h_in, f_eq, h_eq, mu_dim, g.n_moments))
-    return out
-
-
 def _adversary_rows(amb: LiftedAmbiguitySet):
     """The adversary's constraints A v {≤, =} b over free variables v.
 
@@ -147,13 +126,14 @@ def _adversary_rows(amb: LiftedAmbiguitySet):
     first, then any auxiliaries), the scaled group moments ω̄_j μ_j and
     ω̄_j ν_j, the scaled conditional means "x" (row n of the N × factor_dim
     block is x_n = ω_n ξ̄_n) and one epigraph variable per max-block of
-    every moment function.  Rows: the weight polytope, the scaled moment
-    sets F(μ̂_j, ν̂_j) {≤, =} ω̄_j h, the scaled supports A x_n {≤, =} ω_n b,
-    the mean equalities Σ_{n∈j} x_n = μ̂_j, the piece epigraphs
-    a·x_n + b ω_n ≤ s and the moment aggregates Σ s ≤ ν̂_j.  No row
-    involves the policy or the action count.  The polytopes' rows go in
-    as matrix blocks; only the epigraph and aggregate rows are placed one
-    at a time.
+    every moment function, group j's in the slice ("s", j) ordered by
+    scenario, moment and block.  Rows: the weight polytope, the scaled
+    moment sets F(μ̂_j, ν̂_j) {≤, =} ω̄_j h, the scaled supports
+    A x_n {≤, =} ω_n b, the mean equalities Σ_{n∈j} x_n = μ̂_j, the piece
+    epigraphs a·x_n + b ω_n ≤ s and the moment aggregates Σ s ≤ ν̂_j.  No
+    row involves the policy or the action count.  Rows go in as matrix
+    blocks: one per polytope, one per moment function's epigraph rows and
+    one per group's aggregate rows.
 
     Returns (layout, moment_rows, A, senses, b), where moment_rows[j]
     indexes the aggregate rows of each group j with moment functions.
@@ -169,10 +149,8 @@ def _adversary_rows(amb: LiftedAmbiguitySet):
     x = cols.add("x", n * d)
     xs = [slice(x.start + i * d, x.start + (i + 1) * d) for i in range(n)]
     for j, g in enumerate(amb.groups):
-        for i in g.scenarios:
-            for m, fn in enumerate(g.g_fns[i]):
-                for l in range(len(fn.terms)):
-                    cols.add(("s", j, i, m, l), 1)
+        if g.n_moments:
+            cols.add(("s", j), sum(fn.n_blocks for i in g.scenarios for fn in g.g_fns[i]))
 
     blocks = []  # (matrix, senses, rhs) per block of rows, in row order
 
@@ -182,23 +160,19 @@ def _adversary_rows(amb: LiftedAmbiguitySet):
         blocks.append((mat, (sense,) * k, np.broadcast_to(rhs, (k,))))
         return mat
 
-    def row(vec_pairs, sense):
-        v = block(1, sense)[0]
-        for sl, coeffs in vec_pairs:
-            v[sl] += coeffs
-
     ws = amb.weight_set
     block(len(ws.b_in), LE, ws.b_in)[:, w] = ws.a_in
     block(len(ws.b_eq), EQ, ws.b_eq)[:, w] = ws.a_eq
-    for j, (f_in, h_in, f_eq, h_eq, mu_dim, n_m) in enumerate(_group_moment_rows(amb)):
+    for j, g in enumerate(amb.groups):
+        ms, mu_dim = g.moment_set, d if g.mean_equality else 0
         wsel = np.zeros(ws.dim)
-        wsel[list(amb.groups[j].scenarios)] = 1.0
-        for fmat, hvec, sense in ((f_in, h_in, LE), (f_eq, h_eq, EQ)):
+        wsel[list(g.scenarios)] = 1.0
+        for fmat, hvec, sense in ((ms.a_in, ms.b_in, LE), (ms.a_eq, ms.b_eq, EQ)):
             mat = block(len(hvec), sense)
             mat[:, w] = -np.outer(hvec, wsel)
             if mu_dim:
                 mat[:, cols[("mu", j)]] = fmat[:, :mu_dim]
-            if n_m:
+            if g.n_moments:
                 mat[:, cols[("nu", j)]] = fmat[:, mu_dim:]
     for i, dset in enumerate(amb.supports):
         for a, b, sense in ((dset.a_in, dset.b_in, LE), (dset.a_eq, dset.b_eq, EQ)):
@@ -212,21 +186,23 @@ def _adversary_rows(amb: LiftedAmbiguitySet):
             for i in g.scenarios:
                 mat[:, xs[i]] += np.eye(d)
             mat[:, cols[("mu", j)]] = -np.eye(d)
+        if not g.n_moments:
+            continue
+        eps = cols[("s", j)]
+        col, moment_of = eps.start, []  # the moment each epigraph column bounds
         for i in g.scenarios:
             for m, fn in enumerate(g.g_fns[i]):
-                for l, a, b in _pieces_of(fn):
-                    row([(xs[i], a), (slice(i, i + 1), b), (cols[("s", j, i, m, l)], -1.0)], LE)
-        if g.n_moments:
-            start = sum(len(rhs) for _, _, rhs in blocks)
-            moment_rows[j] = np.arange(start, start + g.n_moments)
-        for m in range(g.n_moments):
-            pairs = [
-                (cols[("s", j, i, m, l)], 1.0)
-                for i in g.scenarios
-                for l in range(len(g.g_fns[i][m].terms))
-            ]
-            pairs.append((cols[("nu", j)], _unit(g.n_moments, m, -1.0)))
-            row(pairs, LE)
+                mat = block(len(fn.b), LE)
+                mat[:, xs[i]] = fn.a
+                mat[:, i] = fn.b
+                mat[np.arange(len(fn.b)), col + fn.block] = -1.0
+                col += fn.n_blocks
+                moment_of += [m] * fn.n_blocks
+        start = sum(len(rhs) for _, _, rhs in blocks)
+        moment_rows[j] = np.arange(start, start + g.n_moments)
+        mat = block(g.n_moments, LE)
+        mat[moment_of, np.arange(eps.start, eps.stop)] = 1.0
+        mat[:, cols[("nu", j)]] = -np.eye(g.n_moments)
 
     mats, senses, rhs = zip(*blocks)
     return cols, moment_rows, np.vstack(mats), tuple(s for ss in senses for s in ss), np.concatenate(rhs)
@@ -470,8 +446,6 @@ def _solve(template: SRobustTemplate, obj: StageObjective, pi, solver):
 
 
 def _grid_points(dset, step):
-    from .geometry import bounding_box
-
     bb = bounding_box(dset)
     axes = [np.arange(bb[k, 0], bb[k, 1] + 1e-12, step) for k in range(dset.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -515,15 +489,15 @@ def oracle_worst_case(obj: StageObjective, amb: LiftedAmbiguitySet, pi, grid_ste
             v[sl] += coeffs
         rows.append((v, sense, rhs))
 
-    for a, b in zip(*amb.weight_set.ineq_matrix()):
+    ws = amb.weight_set
+    for a, b in zip(ws.a_in, ws.b_in):
         row([(w, a)], LE, b)
-    for a, b in zip(*amb.weight_set.eq_matrix()):
+    for a, b in zip(ws.a_eq, ws.b_eq):
         row([(w, a)], EQ, b)
     for i in range(n):
         sel = np.zeros(amb.weight_set.dim)
         sel[i] = -1.0
         row([(qs[i], np.ones(len(grids[i]))), (w, sel)], EQ, 0.0)
-    gm = _group_moment_rows(amb)
     for j, g in enumerate(amb.groups):
         mu, nu = moments[j]
         if g.mean_equality:
@@ -538,15 +512,15 @@ def oracle_worst_case(obj: StageObjective, amb: LiftedAmbiguitySet, pi, grid_ste
                 pairs.append((qs[i], np.array([fn(p) for p in grids[i]])))
             pairs.append((nu, _unit(g.n_moments, m, -1.0)))
             row(pairs, LE, 0.0)
-        f_in, h_in, f_eq, h_eq, mu_dim, n_m = gm[j]
-        wsel = np.zeros(amb.weight_set.dim)
+        ms, mu_dim = g.moment_set, d if g.mean_equality else 0
+        wsel = np.zeros(ws.dim)
         wsel[list(g.scenarios)] = 1.0
-        for fmat, hvec, sense in ((f_in, h_in, LE), (f_eq, h_eq, EQ)):
+        for fmat, hvec, sense in ((ms.a_in, ms.b_in, LE), (ms.a_eq, ms.b_eq, EQ)):
             for ridx in range(fmat.shape[0]):
                 pairs = [(w, -hvec[ridx] * wsel)]
                 if mu_dim:
                     pairs.append((mu, fmat[ridx, :mu_dim]))
-                if n_m:
+                if g.n_moments:
                     pairs.append((nu, fmat[ridx, mu_dim:]))
                 row(pairs, sense, 0.0)
 

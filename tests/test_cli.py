@@ -164,3 +164,12 @@ def test_validate_boundary_weights(runner):
     res = runner.invoke(main, ["validate", str(DATA / "boundary_weights.yaml")])
     assert res.exit_code == 2
     assert "interior" in res.output.lower()
+
+
+def test_validate_malformed_value_exit_2(runner, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text((DATA / "infinite_two_state.yaml").read_text().replace(
+        "radius: 0.2", "radius: 0.2\n    metric: 2"))
+    res = runner.invoke(main, ["validate", str(bad)])
+    assert res.exit_code == 2
+    assert "ambiguities.ball" in res.output and "Traceback" not in res.output

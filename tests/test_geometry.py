@@ -137,6 +137,80 @@ def test_pwl_convexity_midpoint_property():
         assert mid <= 0.5 * (f(x) + f(y)) + 1e-12
 
 
+# Evaluation through the arrays reorders the arithmetic of the pair-by-pair
+# reference (one matrix-vector product, a numpy sum), so values may differ
+# in the last bits; this bound was fixed before the first comparison.
+# Pieces are only copied, so the arrays match the reference bit for bit.
+PWL_TOL = 1e-12
+
+
+def _loop_value(terms, x):
+    """Reference evaluation, pair by pair: sum over blocks of max(a.x + b)."""
+    return sum(max(a @ x + b for a, b in block) for block in terms)
+
+
+def _loop_norm_terms(center, norm):
+    """Reference 1- and inf-norm pieces, built coordinate by coordinate."""
+    blocks = []
+    for i, c in enumerate(center):
+        e = np.zeros(len(center))
+        e[i] = 1.0
+        blocks.append([(e, -c), (-e, c)])
+    return blocks if norm == 1 else [[piece for block in blocks for piece in block]]
+
+
+def _assert_pieces(fn, terms):
+    """fn's arrays hold the pieces of terms in order, bit for bit."""
+    assert fn.n_blocks == len(terms)
+    rows = [a for block in terms for a, _ in block]
+    np.testing.assert_array_equal(fn.a, np.array(rows).reshape(len(rows), fn.dim))
+    np.testing.assert_array_equal(fn.b, [b for block in terms for _, b in block])
+    np.testing.assert_array_equal(fn.block, [l for l, block in enumerate(terms) for _ in block])
+
+
+def test_pwl_arrays_match_the_pair_by_pair_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        dim = int(rng.integers(1, 6))
+        center, a, b = rng.normal(size=dim), rng.normal(size=dim), float(rng.normal())
+        terms = [
+            [(rng.normal(size=dim), float(rng.normal())) for _ in range(rng.integers(1, 5))]
+            for _ in range(rng.integers(1, 5))
+        ]
+        cases = [
+            (PwlConvexFn(dim, terms), terms),
+            (affine_fn(a, b), [[(a, b)]]),
+            (one_norm_distance(center), _loop_norm_terms(center, 1)),
+            (inf_norm_distance(center), _loop_norm_terms(center, "inf")),
+        ]
+        offset = int(rng.integers(0, 3))
+        total = dim + offset + int(rng.integers(0, 3))
+        pad = (np.zeros(offset), np.zeros(total - offset - dim))
+        for fn, terms in cases:
+            _assert_pieces(fn, terms)
+            lifted = fn.lift(total, offset)
+            _assert_pieces(lifted, [[(np.r_[pad[0], a, pad[1]], b) for a, b in block]
+                                    for block in terms])
+            for x in rng.normal(size=(5, dim)):
+                ref = _loop_value(terms, x)
+                y = np.r_[rng.normal(size=offset), x, rng.normal(size=total - offset - dim)]
+                assert abs(fn(x) - ref) <= PWL_TOL * (1.0 + abs(ref))
+                assert abs(lifted(y) - ref) <= PWL_TOL * (1.0 + abs(ref))
+        for x in rng.normal(size=(5, dim)):
+            assert cases[2][0](x) == pytest.approx(np.abs(x - center).sum(), abs=PWL_TOL)
+            assert cases[3][0](x) == pytest.approx(np.abs(x - center).max(), abs=PWL_TOL)
+
+
+def test_pwl_rejects_empty_blocks_and_wrong_dimension_pieces():
+    piece = (np.ones(2), 0.0)
+    with pytest.raises(GeometryError, match="nonempty"):
+        PwlConvexFn(2, ((piece,), ()))
+    with pytest.raises(GeometryError, match="dimension"):
+        PwlConvexFn(2, ((piece, (np.ones(3), 0.0)),))
+    with pytest.raises(GeometryError, match="dimension"):
+        PwlConvexFn(2, ((piece,),))(np.ones(3))
+
+
 def test_vertices_match_support_values():
     # max over vertices equals the LP support value, random directions
     rng = np.random.default_rng(5)
@@ -248,8 +322,7 @@ def test_vertex_form_matches_lp_on_random_polytopes():
 
 def _loop_contains(s, x, tol):
     """Reference membership test, one row at a time."""
-    a_in, b_in = s.ineq_matrix()
-    a_eq, b_eq = s.eq_matrix()
+    a_in, b_in, a_eq, b_eq = s.a_in, s.b_in, s.a_eq, s.b_eq
     ok = all(a @ x <= b + tol for a, b in zip(a_in, b_in))
     return ok and all(abs(c @ x - d) <= tol for c, d in zip(a_eq, b_eq))
 
@@ -260,8 +333,7 @@ def test_contains_matches_the_row_by_row_reference():
     within_tol_outside = 0
     for _ in range(200):
         s = _random_polytope(rng)
-        a_in, b_in = s.ineq_matrix()
-        a_eq, b_eq = s.eq_matrix()
+        a_in, b_in, a_eq, b_eq = s.a_in, s.b_in, s.a_eq, s.b_eq
         for tol in (geometry.FEAS_TOL, 1e-7):
             # a point on face i, within the equality rows' hyperplane, then
             # moved off the face by offset * tol; no offset, nor twice one
@@ -288,8 +360,7 @@ def test_contains_matches_the_row_by_row_reference():
 
 def _loop_vertices(s):
     """Reference enumerator: one least-squares solve per active set."""
-    a_eq, b_eq = s.eq_matrix()
-    a_in, b_in = s.ineq_matrix()
+    a_eq, b_eq, a_in, b_in = s.a_eq, s.b_eq, s.a_in, s.b_in
     need = s.dim - (np.linalg.matrix_rank(a_eq) if a_eq.shape[0] else 0)
     found = []
     for idx in combinations(range(a_in.shape[0]), need):

@@ -1,6 +1,8 @@
+import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from drmdp.engine import backward_induction
 from drmdp.modelfile import (
@@ -80,3 +82,56 @@ def test_unknown_builder_rejected():
     text = (DATA / "finite_two_state.yaml").read_text()
     with pytest.raises(ModelFileError, match="builder"):
         parse_model_text(text.replace("builder: wasserstein", "builder: gaussian"))
+
+
+def _edited(name, edit):
+    """A bundled document's YAML text after edit(doc) changed it in place."""
+    doc = yaml.safe_load((DATA / f"{name}.yaml").read_text())
+    edit(doc)
+    return yaml.safe_dump(doc)
+
+
+def _ball(**entries):
+    return lambda doc: doc["ambiguities"]["ball"].update(entries)
+
+
+def _ball_support(**entries):
+    return lambda doc: doc["ambiguities"]["ball"]["support"].update(entries)
+
+
+def _second_state(key, value):
+    return lambda doc: doc["states"][1][key].update(value)
+
+
+MEAN_BLOCK = {"builder": "uncertain_mean", "support": {"kind": "simplex", "dim": 2},
+              "mean_lo": [0, 0], "mean_hi": [1, 1], "center": [0.5, 0.5], "radius": 0.1}
+
+# (bundled document, edit, the document path the error must name)
+MALFORMED = {
+    "empty r_offset": ("infinite_two_state", _second_state("factor_map", {"r_offset": []}),
+                       "states[1].factor_map"),
+    "text discount": ("infinite_two_state", lambda doc: doc.update(discount="high"),
+                      "document.discount"),
+    "text radius": ("infinite_two_state", _ball(radius="wide"), "ambiguities.ball"),
+    "text support dim": ("infinite_two_state", _ball_support(dim="two"), "ambiguities.ball"),
+    "text stage entry": ("finite_two_state", lambda doc: doc.update(stages=[[0], [1, "two"]]),
+                         "document.stages"),
+    "fractional stage entry": ("finite_two_state", lambda doc: doc.update(stages=[[0], [1.5, 2]]),
+                               "document.stages"),
+    "flat stages": ("finite_two_state", lambda doc: doc.update(stages=[0]), "document.stages"),
+    "scalar samples": ("infinite_two_state", _ball(samples=3), "ambiguities.ball"),
+    "metric 2": ("infinite_two_state", _ball(metric=2), "ambiguities.ball"),
+    "norm 2": ("infinite_two_state", lambda doc: doc["states"][1].update(
+        ambiguity={**MEAN_BLOCK, "norm": 2}), "states[1].ambiguity"),
+    "dim 0": ("infinite_two_state", _ball_support(dim=0), "ambiguities.ball"),
+    "box bounds of two lengths": ("infinite_two_state", _second_state(
+        "ambiguity", {"support": {"kind": "box", "lo": [0, 0], "hi": [1]}}),
+        "states[1].ambiguity"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_value_raises_model_file_error_with_its_path(case):
+    name, edit, path = MALFORMED[case]
+    with pytest.raises(ModelFileError, match=re.escape(path)):
+        parse_model_text(_edited(name, edit))

@@ -18,7 +18,15 @@ from drmdp.ambiguity import (
     build_wasserstein,
     identity_factor_map,
 )
-from drmdp.geometry import PolyhedralSet, box, enumerate_vertices, simplex, singleton
+from drmdp.geometry import (
+    PolyhedralSet,
+    box,
+    enumerate_vertices,
+    inf_norm_distance,
+    one_norm_distance,
+    simplex,
+    singleton,
+)
 import drmdp.lp
 from drmdp.lp import LinearProgram, WarmHighs, get_solver, solve_lp
 from drmdp.reformulation import (
@@ -569,11 +577,12 @@ def test_threads_sharing_one_set_get_their_own_answers():
 
 def _loop_adversary_rows(amb):
     """The adversary rows placed one at a time, each polytope row read as
-    a (row, rhs) pair: the reference for `_adversary_rows`, which places
-    the polytopes as matrix blocks.  Returns (slices, moment_rows, A,
-    senses, b)."""
+    a (row, rhs) pair and each moment-function piece as its (a, b, block)
+    entries, with one epigraph column ("s", j, i, m, l) per max-block: the
+    reference for `_adversary_rows`, which places every group of rows as a
+    matrix block.  Returns (slices, moment_rows, A, senses, b)."""
     from drmdp.lp import EQ, LE
-    from drmdp.reformulation import _Cols, _group_moment_rows, _pieces_of, _unit
+    from drmdp.reformulation import _Cols, _unit
 
     d, n = amb.factor_dim, amb.n_scenarios
     cols = _Cols()
@@ -588,7 +597,7 @@ def _loop_adversary_rows(amb):
     for j, g in enumerate(amb.groups):
         for i in g.scenarios:
             for m, fn in enumerate(g.g_fns[i]):
-                for l in range(len(fn.terms)):
+                for l in range(fn.n_blocks):
                     cols.add(("s", j, i, m, l), 1)
 
     rows = []
@@ -599,26 +608,28 @@ def _loop_adversary_rows(amb):
             v[sl] += coeffs
         rows.append((v, sense, rhs))
 
-    for a, b in zip(*amb.weight_set.ineq_matrix()):
+    ws = amb.weight_set
+    for a, b in zip(ws.a_in, ws.b_in):
         row([(w, a)], LE, b)
-    for a, b in zip(*amb.weight_set.eq_matrix()):
+    for a, b in zip(ws.a_eq, ws.b_eq):
         row([(w, a)], EQ, b)
-    for j, (f_in, h_in, f_eq, h_eq, mu_dim, n_m) in enumerate(_group_moment_rows(amb)):
-        wsel = np.zeros(amb.weight_set.dim)
-        wsel[list(amb.groups[j].scenarios)] = 1.0
-        for fmat, hvec, sense in ((f_in, h_in, LE), (f_eq, h_eq, EQ)):
+    for j, g in enumerate(amb.groups):
+        ms, mu_dim = g.moment_set, d if g.mean_equality else 0
+        wsel = np.zeros(ws.dim)
+        wsel[list(g.scenarios)] = 1.0
+        for fmat, hvec, sense in ((ms.a_in, ms.b_in, LE), (ms.a_eq, ms.b_eq, EQ)):
             for f, h in zip(fmat, hvec):
                 pairs = [(w, -h * wsel)]
                 if mu_dim:
                     pairs.append((cols[("mu", j)], f[:mu_dim]))
-                if n_m:
+                if g.n_moments:
                     pairs.append((cols[("nu", j)], f[mu_dim:]))
                 row(pairs, sense)
     for i, dset in enumerate(amb.supports):
         wi = slice(i, i + 1)
-        for a, b in zip(*dset.ineq_matrix()):
+        for a, b in zip(dset.a_in, dset.b_in):
             row([(xs[i], a), (wi, -b)], LE)
-        for a, b in zip(*dset.eq_matrix()):
+        for a, b in zip(dset.a_eq, dset.b_eq):
             row([(xs[i], a), (wi, -b)], EQ)
     moment_rows = {}
     for j, g in enumerate(amb.groups):
@@ -629,15 +640,16 @@ def _loop_adversary_rows(amb):
                 row(pairs, EQ)
         for i in g.scenarios:
             for m, fn in enumerate(g.g_fns[i]):
-                for l, a, b in _pieces_of(fn):
-                    row([(xs[i], a), (slice(i, i + 1), b), (cols[("s", j, i, m, l)], -1.0)], LE)
+                for a, b, l in zip(fn.a, fn.b, fn.block):
+                    s = cols[("s", j, i, m, int(l))]
+                    row([(xs[i], a), (slice(i, i + 1), b), (s, -1.0)], LE)
         if g.n_moments:
             moment_rows[j] = np.arange(len(rows), len(rows) + g.n_moments)
         for m in range(g.n_moments):
             pairs = [
                 (cols[("s", j, i, m, l)], 1.0)
                 for i in g.scenarios
-                for l in range(len(g.g_fns[i][m].terms))
+                for l in range(g.g_fns[i][m].n_blocks)
             ]
             pairs.append((cols[("nu", j)], _unit(g.n_moments, m, -1.0)))
             row(pairs, LE)
@@ -657,7 +669,16 @@ def _adversary_row_cases():
             yield random_simplex_ambiguity(np.random.default_rng(seed), 3, kind)
     cfg = NewsvendorConfig()
     samples = sample_training_set(cfg.true_dist, 15, np.random.default_rng(1))
-    yield build_wasserstein(samples, 0.5, simplex(cfg.n_demand), cfg.metric)
+    for metric in (1, "inf"):
+        yield build_wasserstein(samples, 0.5, simplex(cfg.n_demand), metric)
+    # two moment functions per scenario, so each aggregate row picks its own
+    fns = (one_norm_distance([0.2, 0.3, 0.5]), inf_norm_distance([0.5, 0.25, 0.25]))
+    moments = box([0.0, 0.0], [0.6, 0.4])
+    yield build_mixture(
+        [MixtureComponent(simplex(3), g_fns=fns, g_moment_set=moments),
+         MixtureComponent(simplex(3), box([0.1] * 3, [0.5] * 3), fns, moments)],
+        simplex(2),
+    )
 
 
 def test_block_adversary_rows_match_the_row_by_row_reference():
@@ -666,7 +687,23 @@ def test_block_adversary_rows_match_the_row_by_row_reference():
     for amb in _adversary_row_cases():
         slices, moment_rows, amat, senses, b = _loop_adversary_rows(amb)
         template = _template(amb)
-        assert template.layout.slices == slices
+        layout = template.layout.slices
+        shared = layout.keys() & slices.keys()
+        assert {"w", "x"} <= shared
+        for key in shared:
+            assert layout[key] == slices[key], key
+        # the layouts differ only in their epigraph keys: one ("s", j) slice
+        # per group, spanning exactly the reference's per-piece columns of j
+        assert all(key[0] == "s" and len(key) == 2 for key in layout.keys() - shared)
+        assert all(key[0] == "s" and len(key) == 5 for key in slices.keys() - shared)
+        for j in range(len(amb.groups)):
+            pieces = sorted(s.start for key, s in slices.items() if key[:2] == ("s", j))
+            assert all(slices[key].stop - slices[key].start == 1
+                       for key in slices if key[:2] == ("s", j))
+            if ("s", j) in layout:
+                assert pieces == list(range(layout[("s", j)].start, layout[("s", j)].stop))
+            else:
+                assert not pieces
         assert template.moment_rows.keys() == moment_rows.keys()
         for j, rows in moment_rows.items():
             np.testing.assert_array_equal(template.moment_rows[j], rows)
