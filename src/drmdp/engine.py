@@ -7,10 +7,15 @@ pinned, its worst case.  Finite-horizon models carry a stage partition
 one backward pass; infinite-horizon models carry a discount in (0, 1) and
 iterate the γ-contraction to a fixed point.  Robust solves and fixed-policy
 evaluation share the backup, the backward pass and the contraction loop.
+A backup keeps its LP's duals and builds its worst-case certificate only
+when asked: `backward_induction(certificates=True)` builds them all, and
+`bellman_operator` returns a mapping that builds each on lookup, so value
+iteration builds none.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +23,9 @@ import numpy as np
 from .ambiguity import FactorMap, LiftedAmbiguitySet
 from .reformulation import (
     ReformulationError,
+    _fixed_policy_backup,
     assemble_stage_objective,
     solve_srobust,
-    worst_case_expectation,
 )
 
 MAX_VALUE_ITERATIONS = 100_000
@@ -137,48 +142,64 @@ class RandomizedPolicy:
 def _stage_backup(model, s, v_next, discount, solver, stage, pi):
     """State s's backup against next-stage values: the robust backup when
     pi is None, else the worst case of the fixed action distribution pi.
-    Returns (value, action distribution, certificate)."""
+    Returns its `SRobustSolution`, whose certificate is built on first
+    access."""
     obj = assemble_stage_objective(v_next, model.factor_maps[s], discount=discount)
     amb = model.ambiguities[s]
     try:
         if pi is None:
-            sol = solve_srobust(obj, amb, solver=solver)
-            return sol.value, sol.policy, sol.certificate
-        value, cert = worst_case_expectation(obj, amb, pi, solver=solver)
-        return value, pi, cert
+            return solve_srobust(obj, amb, solver=solver)
+        return _fixed_policy_backup(obj, amb, pi, solver)
     except ReformulationError as err:
         where = f"state {s}" if stage is None else f"state {s}, stage {stage}"
         raise EngineError(f"backup failed at {where}: {err}") from err
 
 
+class _Certificates(Mapping):
+    """State → worst-case certificate, each built from its backup's duals
+    when first looked up."""
+
+    def __init__(self, solutions):
+        self._solutions = solutions
+
+    def __getitem__(self, s):
+        return self._solutions[s].certificate
+
+    def __iter__(self):
+        return iter(self._solutions)
+
+    def __len__(self):
+        return len(self._solutions)
+
+
 def _backward_pass(model, solver, dists=None):
     """One backward sweep from the terminal values; robust at every state,
     or pinned to dists[s] when dists is given.  Returns (values,
-    distributions, certificates)."""
+    distributions, solutions by state)."""
     values = np.zeros(model.n_states)
     policies = [None] * model.n_states
-    certs = {}
+    sols = {}
     for k, s in enumerate(model.stages[-1]):
         values[s] = model.terminal_values[k]
     for t in range(model.horizon - 2, -1, -1):
         v_next = values[list(model.stages[t + 1])]
         for s in model.stages[t]:
             pi = None if dists is None else dists[s]
-            values[s], policies[s], certs[s] = _stage_backup(model, s, v_next, 1.0, solver, t, pi)
-    return values, policies, certs
+            sol = sols[s] = _stage_backup(model, s, v_next, 1.0, solver, t, pi)
+            values[s], policies[s] = sol.value, sol.policy
+    return values, policies, sols
 
 
 def _sweep(model, v, solver, dists=None):
     """One discounted backup at every state; see `_backward_pass`."""
     values = np.zeros(model.n_states)
     policies = [None] * model.n_states
-    certs = {}
+    sols = {}
     for s in range(model.n_states):
         pi = None if dists is None else dists[s]
-        values[s], policies[s], certs[s] = _stage_backup(
-            model, s, v, model.discount, solver, None, pi
-        )
-    return values, policies, certs
+        sol = sols[s] = _stage_backup(model, s, v, model.discount, solver, None, pi)
+        values[s], policies[s] = sol.value, sol.policy
+    return values, policies, sols
 
 
 def _contract(model, epsilon, v0, max_iter, sweep):
@@ -209,18 +230,21 @@ def backward_induction(model: DrMdpModel, solver="highs", certificates=True):
     """
     if not model.is_finite:
         raise EngineError("backward_induction requires a finite-horizon model")
-    values, dists, certs = _backward_pass(model, solver)
-    return ValueFunction(values), RandomizedPolicy(tuple(dists)), certs if certificates else {}
+    values, dists, sols = _backward_pass(model, solver)
+    certs = {s: sol.certificate for s, sol in sols.items()} if certificates else {}
+    return ValueFunction(values), RandomizedPolicy(tuple(dists)), certs
 
 
 def bellman_operator(model: DrMdpModel, v, solver="highs"):
-    """One robust backup at every state; returns (new values, policies, certs)."""
+    """One robust backup at every state; returns (new values, policies,
+    certificates), each certificate built when first looked up."""
     if model.is_finite:
         raise EngineError("bellman_operator requires an infinite-horizon model")
     v = np.asarray(v, dtype=float)
     if v.shape != (model.n_states,) or not np.all(np.isfinite(v)):
         raise EngineError("value vector must be finite with one entry per state")
-    return _sweep(model, v, solver)
+    values, dists, sols = _sweep(model, v, solver)
+    return values, dists, _Certificates(sols)
 
 
 def value_iteration(model: DrMdpModel, epsilon: float, v0=None, solver="highs", max_iter=MAX_VALUE_ITERATIONS):

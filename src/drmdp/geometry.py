@@ -109,6 +109,8 @@ class PolyhedralSet:
 def box(lo, hi) -> PolyhedralSet:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if len(lo) != len(hi):
+        raise GeometryError(f"box bounds differ in length: lo has {len(lo)} entries, hi has {len(hi)}")
     dim = lo.shape[0]
     # x_i <= hi_i, then -x_i <= -lo_i, coordinate by coordinate
     rows = np.kron(np.eye(dim), [[1.0], [-1.0]])

@@ -2,13 +2,17 @@
 
 Robust backups, fixed-policy evaluations and the oracles take their LP
 backend from the seam `get_solver`; the default everywhere is scipy's
-HiGHS under this module's solution contract.  An LP may carry a
-scipy.sparse matrix, which HiGHS takes as is and the dense paths densify,
-and a `WarmHighs` handle: LPs that share every row and all but their
-leading columns are then solved on one persistent HiGHS model, swapping
-only the leading columns and re-running from the basis the previous solve
-left.  An LP without a handle is solved on a fresh model.  A scipy build
-without the bundled HiGHS bindings falls back to `linprog`.
+HiGHS under this module's solution contract.  A backend takes either a
+`LinearProgram` or a `LeadingColumns` request: the columns that lead an
+LP's shared ones, with the LP over its rows and shared columns alone.  An
+LP may carry a scipy.sparse matrix, which HiGHS takes as is and the dense
+paths densify, and either may carry a `WarmHighs` handle: LPs that share
+every row and all but their leading columns are then solved on one
+persistent HiGHS model, swapping only the leading columns and re-running
+from the basis the previous solve left.  A request without a handle is
+solved on a fresh model, and a backend that cannot swap columns assembles
+the whole LP.  A scipy build without the bundled HiGHS bindings falls back
+to `linprog`.
 
 The self-contained two-phase dense simplex (`solve_lp`) returns primal and
 dual solutions plus optimality certificates.  It favours robustness over
@@ -336,7 +340,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex; deterministic given identical input.
 
     An optimum whose largest residual exceeds SIMPLEX_RESIDUAL_TOL is
-    reported as "numerical_failure"."""
+    reported as "numerical_failure".  `LeadingColumns` are assembled into
+    their whole LP first."""
+    if isinstance(lp, LeadingColumns):
+        lp = lp.lp()
     sf = _to_standard_form(lp)
     m, n_sc = sf.a.shape
     n_tot = n_sc + m  # structural+slack, then artificials
@@ -452,19 +459,71 @@ def _highs_status(status, model_status) -> str:
     return NUMERICAL_FAILURE
 
 
+@dataclass(frozen=True)
+class LeadingColumns:
+    """An LP given as the columns that lead its shared ones: their costs,
+    bounds and entries in compressed-column form (`starts` holds each
+    column's first position in `index` and `value`).  `shared` is the LP
+    over the rows and the shared columns alone, its matrix CSC.  On HiGHS
+    the request is solved on `warm` by swapping only the leading columns,
+    on a fresh model when `warm` is None; any other backend solves the
+    assembled `lp()`."""
+
+    shared: LinearProgram
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    starts: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    warm: WarmHighs | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def n_rows(self) -> int:
+        return self.shared.n_rows
+
+    @property
+    def n_vars(self) -> int:
+        return self.c.shape[0] + self.shared.n_vars
+
+    def lp(self) -> LinearProgram:
+        """The whole LP, leading columns first."""
+        sh, nnz = self.shared, self.value.shape[0]
+        a = csc_matrix(
+            (
+                np.concatenate([self.value, sh.a.data]),
+                np.concatenate([self.index, sh.a.indices]),
+                np.concatenate([self.starts, sh.a.indptr + nnz]),
+            ),
+            shape=(self.n_rows, self.n_vars),
+        )
+        return LinearProgram(
+            sh.sense,
+            np.concatenate([self.c, sh.c]),
+            a,
+            sh.row_senses,
+            sh.b,
+            np.concatenate([self.lb, sh.lb]),
+            np.concatenate([self.ub, sh.ub]),
+            warm=self.warm,
+        )
+
+
 class WarmHighs:
     """One persistent HiGHS model for a family of LPs that share their
     objective sense, their rows and their last `n_shared` columns and differ
     only in the columns before those (the leading columns).
 
-    Each solve deletes the previous leading columns, adds the new ones and
-    re-runs from the basis the previous solve left; HiGHS keeps the basis
-    status of the rows and the shared columns across the swap.  A
-    warm-started run that does not end optimal is repeated once from
-    scratch before its status is reported, so a stale basis never turns a
-    solvable LP into a failure.  `WarmHighs(0)` shares no column and serves
-    a single LP on a fresh model.  The handle holds no reference to
-    whatever owns it, and a lock serialises solves on it.
+    `run` is the one solve: it deletes the previous leading columns, adds
+    the new ones and re-runs from the basis the previous solve left; HiGHS
+    keeps the basis status of the rows and the shared columns across the
+    swap.  The first run builds the model from the request's shared part.
+    `solve` splits a whole LP into such a request.  A warm-started run that
+    does not end optimal is repeated once from scratch before its status is
+    reported, so a stale basis never turns a solvable LP into a failure.
+    `WarmHighs(0)` shares no column and serves a single LP on a fresh model.
+    The handle holds no reference to whatever owns it, and a lock serialises
+    solves on it.
     """
 
     def __init__(self, n_shared: int):
@@ -474,16 +533,32 @@ class WarmHighs:
         self._n_lead = 0
 
     def solve(self, lp: LinearProgram) -> LpSolution:
-        _, model_status, highs_inf, _, _ = _HIGHS
+        """Solve a whole LP: its columns before the last `n_shared` lead."""
         n_lead = lp.n_vars - self.n_shared
+        if n_lead < 0:
+            raise LpError("LP does not share the rows and columns of its warm model")
         a = lp.a.tocsc() if issparse(lp.a) else csc_matrix(lp.a)
-        lb = np.where(np.isinf(lp.lb), -highs_inf, lp.lb)
-        ub = np.where(np.isinf(lp.ub), highs_inf, lp.ub)
+        lb = np.where(np.isinf(lp.lb), -np.inf, lp.lb)
+        ub = np.where(np.isinf(lp.ub), np.inf, lp.ub)
+        nnz = a.indptr[n_lead]
+        shared = LinearProgram(
+            lp.sense, lp.c[n_lead:], a[:, n_lead:], lp.row_senses, lp.b, lb[n_lead:], ub[n_lead:]
+        )
+        lead = LeadingColumns(
+            shared, lp.c[:n_lead], lb[:n_lead], ub[:n_lead], a.indptr[:n_lead], a.indices[:nnz], a.data[:nnz]
+        )
+        return self.run(lead)
+
+    def run(self, lead: LeadingColumns) -> LpSolution:
+        """Swap the request's leading columns in, run, and read the solution
+        with x in the request's column order (leading columns first) and y
+        as shadow prices for its sense."""
+        model_status = _HIGHS[1]
         with self._lock:
             warm_started = self._highs is not None
-            if n_lead < 0 or (warm_started and lp.n_rows != self._highs.getNumRow()):
+            if warm_started and lead.n_rows != self._highs.getNumRow():
                 raise LpError("LP does not share the rows and columns of its warm model")
-            if not self._swap_in(lp, a, n_lead, lb, ub):
+            if not self._swap_in(lead):
                 # HiGHS rejected an entry (an infinite coefficient, say):
                 # drop the half-edited model; the next LP builds a new one
                 self._highs = None
@@ -501,53 +576,48 @@ class WarmHighs:
             y = np.array(sol.row_dual, dtype=float)
         # the model holds the shared columns first, the leading ones after
         x = np.concatenate([col_value[self.n_shared :], col_value[: self.n_shared]])
-        return LpSolution(OPTIMAL, x=x, y=y, value=float(lp.c @ x), iterations=its)
+        c = np.concatenate([lead.c, lead.shared.c])
+        return LpSolution(OPTIMAL, x=x, y=y, value=float(c @ x), iterations=its)
 
-    def _swap_in(self, lp, a, n_lead, lb, ub) -> bool:
-        """Replace the model's leading columns by the LP's; on first use,
-        build the model from the LP's rows and shared columns.  Its
-        objective sense is the LP's, so the row duals are already shadow
-        prices for the stated sense.  False if HiGHS rejects an edit."""
+    def _swap_in(self, lead: LeadingColumns) -> bool:
+        """Replace the model's leading columns by the request's; on first
+        use, build the model from its rows and shared columns.  Its
+        objective sense is the request's, so the row duals are already
+        shadow prices for the stated sense.  False if HiGHS rejects an
+        edit."""
         highs_cls, _, highs_inf, obj_sense, highs_status = _HIGHS
         if self._highs is None:
+            sh = lead.shared
             self._highs = highs_cls()
             self._highs.setOptionValue("output_flag", False)
             self._highs.setOptionValue("log_to_console", False)
-            sense = obj_sense.kMaximize if lp.sense == "max" else obj_sense.kMinimize
+            sense = obj_sense.kMaximize if sh.sense == "max" else obj_sense.kMinimize
             self._highs.changeObjectiveSense(sense)
-            senses = np.array(lp.row_senses)
-            lhs = np.where(senses == LE, -highs_inf, lp.b)
-            rhs = np.where(senses == GE, highs_inf, lp.b)
+            senses = np.array(sh.row_senses)
+            lhs = np.where(senses == LE, -highs_inf, sh.b)
+            rhs = np.where(senses == GE, highs_inf, sh.b)
             # the rows go in empty; the columns bring their entries
-            no_entries = (np.zeros(lp.n_rows, np.int32), np.zeros(0, np.int32), np.zeros(0))
-            shared = a[:, n_lead:]
+            no_entries = (np.zeros(sh.n_rows, np.int32), np.zeros(0, np.int32), np.zeros(0))
             edits = [
-                self._highs.addRows(lp.n_rows, lhs, rhs, 0, *no_entries),
+                self._highs.addRows(sh.n_rows, lhs, rhs, 0, *no_entries),
                 self._highs.addCols(
                     self.n_shared,
-                    lp.c[n_lead:],
-                    lb[n_lead:],
-                    ub[n_lead:],
-                    shared.nnz,
-                    shared.indptr[:-1],
-                    shared.indices,
-                    shared.data,
+                    sh.c,
+                    sh.lb,
+                    sh.ub,
+                    sh.a.nnz,
+                    sh.a.indptr[:-1],
+                    sh.a.indices,
+                    sh.a.data,
                 ),
             ]
         else:
             old_lead = np.arange(self.n_shared, self.n_shared + self._n_lead, dtype=np.int32)
             edits = [self._highs.deleteCols(self._n_lead, old_lead)]
-        nnz = a.indptr[n_lead]
+        n_lead = lead.c.shape[0]
         edits.append(
             self._highs.addCols(
-                n_lead,
-                lp.c[:n_lead],
-                lb[:n_lead],
-                ub[:n_lead],
-                nnz,
-                a.indptr[:n_lead],
-                a.indices[:nnz],
-                a.data[:nnz],
+                n_lead, lead.c, lead.lb, lead.ub, lead.value.shape[0], lead.starts, lead.index, lead.value
             )
         )
         self._n_lead = n_lead
@@ -561,15 +631,17 @@ class WarmHighs:
         return self._highs.getModelStatus(), its
 
 
-def solve_lp_highs(lp: LinearProgram) -> LpSolution:
+def solve_lp_highs(lp) -> LpSolution:
     """HiGHS adapter conforming to the same solution contract.
 
-    An LP with a warm handle is solved on the handle's persistent model,
-    any other LP on a fresh one.  Without scipy's bundled HiGHS bindings
-    the public linprog path solves every LP.
+    A `LinearProgram` or `LeadingColumns` with a warm handle is solved on
+    the handle's persistent model, any other on a fresh one.  Without
+    scipy's bundled HiGHS bindings the public linprog path solves every LP.
     """
     if _HIGHS is None:
-        return _solve_lp_highs_public(lp)
+        return _solve_lp_highs_public(lp.lp() if isinstance(lp, LeadingColumns) else lp)
+    if isinstance(lp, LeadingColumns):
+        return (lp.warm or WarmHighs(lp.shared.n_vars)).run(lp)
     return (lp.warm or WarmHighs(0)).solve(lp)
 
 

@@ -29,6 +29,9 @@ from .engine import DrMdpModel, EngineError
 from .geometry import GeometryError, box, simplex, singleton
 
 FORMAT_VERSION = 1
+# libyaml's safe loader when PyYAML was built with it: the same documents as
+# the pure-Python one, parsed about ten times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ModelFileError(Exception):
@@ -220,7 +223,7 @@ def parse_model_text(text: str) -> ModelDocument:
     """Parse a YAML model document; raises ModelFileError with a located
     diagnostic (line/column for syntax, key path for structure)."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -13,28 +13,32 @@ assembles A and b; M prices κ on the weights and C on the scaled means.
 Every backup solves that LP's dual with π made a variable, the robust LP:
 max b'y s.t. A'y − Mπ = 0, 1'π = 1, π ≥ 0, y ≤ 0 on ≤ rows.  An
 ``SRobustTemplate`` holds A' and b, compiled once per ambiguity set and
-kept on the set, and ``instantiate`` puts a stage objective's π columns in
-front of them.  ``solve_srobust`` reads the robust randomized action from
+kept on the set.  Only the π columns and their bounds change between
+backups: the template computes −M's entries of a stage objective and
+hands them to the solver seam as the LP's leading columns, which HiGHS
+swaps into the set's one warm-started model (``SRobustTemplate.warm``);
+``instantiate`` assembles the whole LP for the dense simplex, ``--dump-lp``
+and the tests.  ``solve_srobust`` reads the robust randomized action from
 the π block; ``worst_case_expectation`` pins π to a fixed policy through
 its bounds, which makes the LP the dual of the adversary LP at that π.
-Either way the duals of the LP's rows are a worst-case adversary point, the
-certificate.  Only the π columns and their bounds change between backups,
-so on HiGHS all of a set's backups share one warm-started model
-(``SRobustTemplate.warm``).  ``oracle_worst_case`` is an independent check
-that discretizes supports into grids and solves the primal moment problem
-over point masses.
+Either way the duals of the LP's rows are a worst-case adversary point.
+A backup keeps them, and its certificate, the point masses they describe,
+is built from them only when first asked for.  ``oracle_worst_case`` is an
+independent check that discretizes supports into grids and solves the
+primal moment problem over point masses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix
 
 from .ambiguity import FactorMap, LiftedAmbiguitySet
 from .geometry import bounding_box, enumerate_vertices, feasibility_check
-from .lp import EQ, LE, UNBOUNDED, LinearProgram, WarmHighs, get_solver
+from .lp import EQ, LE, UNBOUNDED, LeadingColumns, LinearProgram, WarmHighs, get_solver
 
 
 class ReformulationError(Exception):
@@ -245,14 +249,8 @@ def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, sol
     certificate); the certificate, read from the LP's row duals, reproduces
     the value as a finite mixture of point masses at the conditional means.
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (obj.n_actions,) or not np.all(np.isfinite(pi)):
-        raise ReformulationError(f"policy must have {obj.n_actions} finite entries, one per action")
-    if abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < -1e-9):
-        raise ReformulationError("policy must lie in the probability simplex")
-    template = _template(amb)
-    _, _, sol = _solve(template, obj, pi, solver)
-    return sol.value, _point_masses(amb, template.layout, sol.y)
+    sol = _fixed_policy_backup(obj, amb, pi, solver)
+    return sol.value, sol.certificate
 
 
 def _point_masses(amb: LiftedAmbiguitySet, layout, v) -> WorstCaseCertificate:
@@ -286,17 +284,20 @@ class SRobustTemplate:
     senses once.  The robust LP is the dual of the adversary LP with the
     policy made a variable: max b'y subject to A'y − Mπ = 0 (one row per
     adversary variable), 1'π = 1, π ≥ 0 and y ≤ 0 on the adversary's ≤
-    rows.  ``instantiate`` puts the π columns −M of a stage objective in
-    front of the fixed y columns, so every action count shares one
-    template; pinning π by its bounds gives the fixed-policy LP.
+    rows.  Its y columns are the same for every backup of the set
+    (`shared`); a stage objective contributes only the π columns −M in
+    front of them, so every action count shares one template, and pinning
+    π by its bounds gives the fixed-policy LP.
 
-    The template also owns the set's persistent HiGHS model of that LP
-    (``warm``): a backup on the HiGHS backend, robust or fixed-policy,
-    swaps in its π columns and re-solves from the basis the previous backup
-    of the set left.  The model lives and dies with the set, so warm state
-    never crosses sets.  The template keeps the set's sizes, not the set,
-    and the model keeps no reference to the template, so none of them form
-    a cycle.
+    `leading_columns` computes the π columns' entries and hands them, with
+    their bounds and the row pattern precomputed per action count, to the
+    set's persistent HiGHS model (`warm`): a backup, robust or
+    fixed-policy, swaps in its π columns and re-solves from the basis the
+    previous backup of the set left, and builds no whole LP.  `instantiate`
+    assembles the whole LP for the dense simplex, `--dump-lp` and the tests.
+    The model lives and dies with the set, so warm state never crosses
+    sets.  The template keeps the set's sizes, not the set, and the model
+    keeps no reference to the template, so none of them form a cycle.
     """
 
     def __init__(self, amb: LiftedAmbiguitySet):
@@ -306,63 +307,60 @@ class SRobustTemplate:
         self.n_scenarios, self.factor_dim = amb.n_scenarios, amb.factor_dim
         self.layout, self.moment_rows, amat, self.senses, self.b = _adversary_rows(amb)
         self.at = csc_matrix(amat.T)
-        n_vars = self.at.shape[0]
-        self.y_ub = np.where(np.array(self.senses) == LE, 0.0, np.inf)
+        n_vars, n_rows = self.at.shape
+        y_ub = np.where(np.array(self.senses) == LE, 0.0, np.inf)
+        # rows A'y − Mπ = 0, then 1'π = 1, over the y columns, which have no
+        # entry in the last row
+        rhs = np.zeros(n_vars + 1)
+        rhs[n_vars] = 1.0
+        at = csc_matrix((self.at.data, self.at.indices, self.at.indptr), shape=(n_vars + 1, n_rows))
+        self.shared = LinearProgram(
+            "max", self.b, at, (EQ,) * (n_vars + 1), rhs, np.full(n_rows, -np.inf), y_ub
+        )
         # rows of the π columns: M's entries at the scenario weights and the
         # scaled means, then the 1 of 1'π = 1
         w, x = self.layout["w"], self.layout["x"]
         pi_rows = np.r_[w.start : w.start + self.n_scenarios, x.start : x.stop, n_vars]
         self._pi_rows = pi_rows.astype(self.at.indices.dtype)
-        self.warm = WarmHighs(self.at.shape[1])
+        self._patterns = {}  # action count -> (column starts, row indices)
+        self.warm = WarmHighs(n_rows)
 
-    def _cost_entries(self, obj: StageObjective) -> np.ndarray:
-        """M's entries, one row per action, at the scenario weights and
-        the scaled means: (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n puts κ_a
-        on every scenario weight and C_a on every scaled mean."""
+    def _pattern(self, na):
+        """Column starts and row indices of na π columns."""
+        pattern = self._patterns.get(na)
+        if pattern is None:
+            k = len(self._pi_rows)
+            starts = np.arange(0, na * k, k, dtype=self.at.indptr.dtype)
+            pattern = self._patterns[na] = (starts, np.tile(self._pi_rows, na))
+        return pattern
+
+    def leading_columns(self, obj: StageObjective, pi=None) -> LeadingColumns:
+        """A stage objective's π columns on the set's warm model.  Column a
+        holds −M's entries of action a, zeros included, then the 1 of
+        1'π = 1: (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n puts κ_a on every
+        scenario weight and C_a on every scaled mean.  The π columns range
+        over [0, ∞), or are pinned to [pi, pi] when a policy is given."""
         if obj.factor_dim != self.factor_dim:
             raise ReformulationError("stage objective and ambiguity set disagree on factor_dim")
-        n = self.n_scenarios
-        return np.hstack([np.repeat(obj.kappa_vec[:, None], n, 1), np.tile(obj.c_mat, (1, n))])
+        na, n = obj.n_actions, self.n_scenarios
+        value = np.empty((na, len(self._pi_rows)))
+        value[:, :n] = -obj.kappa_vec[:, None]
+        value[:, n:-1] = -np.tile(obj.c_mat, (1, n))
+        value[:, -1] = 1.0
+        starts, index = self._pattern(na)
+        if pi is None:
+            lb, ub = np.zeros(na), np.full(na, np.inf)
+        else:
+            lb = ub = pi
+        return LeadingColumns(self.shared, np.zeros(na), lb, ub, starts, index, value.ravel(), self.warm)
 
     def instantiate(self, obj: StageObjective, pi=None):
-        """Put a stage objective's π columns in front of the fixed y
-        columns; returns (lp, layout) with column blocks "pi" and "y".  The
-        π columns range over [0, ∞), or are pinned to [pi, pi] when a
-        policy is given.  The LP carries the set's warm HiGHS model."""
-        na = obj.n_actions
-        n_vars, n_rows = self.at.shape
-        at, pi_rows = self.at, self._pi_rows
-        # π column a holds −M's entries of action a, then the 1 of 1'π = 1,
-        # zeros included; A' follows unchanged
-        pi_nnz = na * len(pi_rows)
-        data = np.empty(pi_nnz + at.nnz)
-        pi_vals = data[:pi_nnz].reshape(na, len(pi_rows))
-        pi_vals[:, :-1] = -self._cost_entries(obj)
-        pi_vals[:, -1] = 1.0
-        data[pi_nnz:] = at.data
-        indices = np.empty(pi_nnz + at.nnz, dtype=at.indices.dtype)
-        indices[:pi_nnz].reshape(na, len(pi_rows))[:] = pi_rows
-        indices[pi_nnz:] = at.indices
-        indptr = np.empty(na + 1 + n_rows, dtype=at.indptr.dtype)
-        indptr[: na + 1] = np.arange(0, pi_nnz + 1, len(pi_rows))
-        indptr[na + 1 :] = at.indptr[1:] + pi_nnz
-        a = csc_matrix((data, indices, indptr), shape=(n_vars + 1, na + n_rows))
-        rhs = np.zeros(n_vars + 1)
-        rhs[n_vars] = 1.0
+        """The whole LP, π columns first; returns (lp, layout) with column
+        blocks "pi" and "y".  The LP carries the set's warm HiGHS model."""
         cols = _Cols()
-        cols.add("pi", na)
-        cols.add("y", n_rows)
-        lp = LinearProgram(
-            "max",
-            np.concatenate([np.zeros(na), self.b]),
-            a,
-            (EQ,) * (n_vars + 1),
-            rhs,
-            np.concatenate([np.zeros(na) if pi is None else pi, np.full(n_rows, -np.inf)]),
-            np.concatenate([np.full(na, np.inf) if pi is None else pi, self.y_ub]),
-            warm=self.warm,
-        )
-        return lp, cols
+        cols.add("pi", obj.n_actions)
+        cols.add("y", self.at.shape[1])
+        return self.leading_columns(obj, pi).lp(), cols
 
 
 def _template(amb: LiftedAmbiguitySet) -> SRobustTemplate:
@@ -383,13 +381,19 @@ def build_srobust_lp(obj: StageObjective, amb: LiftedAmbiguitySet):
 
 @dataclass(frozen=True)
 class SRobustSolution:
-    """Robust randomized action with its value, the moment multipliers
-    γ_j ≥ 0 and a worst-case certificate."""
+    """Robust randomized action (or the pinned policy) with its value, the
+    moment multipliers γ_j ≥ 0 and the LP's row duals, a worst-case
+    adversary point; the certificate is built from them on first access."""
 
     policy: np.ndarray
     value: float
     gamma: dict
-    certificate: WorstCaseCertificate
+    duals: np.ndarray = field(repr=False)
+    amb: LiftedAmbiguitySet = field(repr=False, compare=False)
+
+    @cached_property
+    def certificate(self) -> WorstCaseCertificate:
+        return _point_masses(self.amb, _template(self.amb).layout, self.duals)
 
     def saddle_residual(self, obj: StageObjective) -> float:
         """Saddle gap |max_a (κ_a + C_a·ξ̄*) − value|, with ξ̄* the
@@ -407,37 +411,43 @@ def solve_srobust(obj: StageObjective, amb: LiftedAmbiguitySet, solver="highs") 
     rows give x_n = ω_n ξ̄_n.  States that share an ambiguity set share its
     template.
     """
+    return _solve(obj, amb, None, solver)
+
+
+def _fixed_policy_backup(obj: StageObjective, amb: LiftedAmbiguitySet, pi, solver) -> SRobustSolution:
+    """The set's robust LP with π pinned to the policy pi: its value is the
+    worst-case expectation at pi, and its certificate a worst case."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (obj.n_actions,) or not np.all(np.isfinite(pi)):
+        raise ReformulationError(f"policy must have {obj.n_actions} finite entries, one per action")
+    if abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < -1e-9):
+        raise ReformulationError("policy must lie in the probability simplex")
+    return _solve(obj, amb, pi, solver)
+
+
+def _solve(obj: StageObjective, amb: LiftedAmbiguitySet, pi, solver) -> SRobustSolution:
+    """One backup through the solver seam, π pinned to pi unless pi is
+    None; raises on a non-optimum or on a robust policy that does not sum
+    to 1."""
     template = _template(amb)
-    lp, cols, sol = _solve(template, obj, None, solver)
-    pi = np.clip(sol.x[cols["pi"]], 0.0, None)
-    total = pi.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > 1e-6:
-        raise ReformulationError(
-            f"robust LP ({lp.n_rows} rows × {lp.n_vars} columns) returned a policy summing to {total:.6g}"
-        )
-    pi /= total
-    y = sol.x[cols["y"]]
-    return SRobustSolution(
-        policy=pi,
-        value=sol.value,
-        gamma={j: -y[r] for j, r in template.moment_rows.items()},
-        certificate=_point_masses(amb, template.layout, sol.y),
-    )
-
-
-def _solve(template: SRobustTemplate, obj: StageObjective, pi, solver):
-    """Instantiate the set's LP, π pinned to pi unless pi is None, and
-    solve it; returns (lp, layout, solution) or raises on a non-optimum."""
-    lp, cols = template.instantiate(obj, pi)
-    sol = get_solver(solver)(lp)
+    lead = template.leading_columns(obj, pi)
+    sol = get_solver(solver)(lead)
     name = "robust LP" if pi is None else "fixed-policy LP"
-    what = f"{name} ({lp.n_rows} rows × {lp.n_vars} columns)"
+    what = f"{name} ({lead.n_rows} rows × {lead.n_vars} columns)"
     if sol.status == UNBOUNDED:
         # unbounded duals: the adversary's rows admit no point
         raise ReformulationError(f"{what} is unbounded: the ambiguity set admits no distribution")
     if not sol.optimal:
         raise ReformulationError(f"{what} ended with status {sol.status}")
-    return lp, cols, sol
+    na = obj.n_actions
+    if pi is None:
+        pi = np.clip(sol.x[:na], 0.0, None)
+        total = pi.sum()
+        if not np.isfinite(total) or abs(total - 1.0) > 1e-6:
+            raise ReformulationError(f"{what} returned a policy summing to {total:.6g}")
+        pi /= total
+    y = sol.x[na:]
+    return SRobustSolution(pi, sol.value, {j: -y[r] for j, r in template.moment_rows.items()}, sol.y, amb)
 
 
 # ---------------------------------------------------------------------------

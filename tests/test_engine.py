@@ -304,7 +304,8 @@ def _check_warm_against_cold(monkeypatch):
         cold = lp.solve_lp_highs(dataclasses.replace(prog, warm=None))
         assert warm.optimal and cold.optimal
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
-        assert max(lp.residuals(prog, warm).values()) <= 1e-7
+        # a backup's LP reaches the seam as its leading columns
+        assert max(lp.residuals(prog.lp(), warm).values()) <= 1e-7
         served.setdefault(prog.warm, set()).add(prog.n_vars)
         return warm
 
@@ -343,3 +344,110 @@ def test_warm_highs_matches_cold_per_backup(monkeypatch, kind):
     # the shared sets served LPs with different action counts on one model
     assert None not in served
     assert sum(len(sizes) == 3 for sizes in served.values()) >= 2
+
+
+# ------------------------- certificates on demand ---------------------------
+
+
+def _count_point_masses(monkeypatch):
+    calls = []
+    point_masses = drmdp.reformulation._point_masses
+    monkeypatch.setattr(
+        drmdp.reformulation, "_point_masses", lambda *a: calls.append(1) or point_masses(*a)
+    )
+    return calls
+
+
+def _eager_certificates(monkeypatch):
+    """Build every robust backup's certificate as the backup returns;
+    returns the certificates in backup order."""
+    eager = []
+    backup = drmdp.engine.solve_srobust
+
+    def eager_backup(obj, amb, solver):
+        sol = backup(obj, amb, solver=solver)
+        eager.append(sol.certificate)
+        return sol
+
+    monkeypatch.setattr(drmdp.engine, "solve_srobust", eager_backup)
+    return eager
+
+
+def _same_certificate(a, b):
+    for x, y in ((a.weights, b.weights), (a.means, b.means)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_certificates_are_built_only_when_asked(monkeypatch):
+    calls = _count_point_masses(monkeypatch)
+    for kind in FAMILIES:
+        rng = np.random.default_rng(FAMILIES.index(kind))
+        staged, infinite = random_staged_model(rng, kind=kind), random_infinite_model(rng, kind=kind)
+        backward_induction(staged, solver="highs", certificates=False)
+        _, _, its = value_iteration(infinite, 1e-6, solver="highs")
+        assert its > 1
+        _, _, certs = bellman_operator(infinite, np.zeros(infinite.n_states))
+        assert not calls
+        # looked up, a certificate is built once
+        assert certs[0] is certs[0] and len(calls) == 1
+        calls.clear()
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_lazy_certificates_equal_eager_ones(monkeypatch, kind):
+    def run():
+        rng = np.random.default_rng(10 + FAMILIES.index(kind))
+        staged, infinite = random_staged_model(rng, kind=kind), random_infinite_model(rng, kind=kind)
+        _, _, staged_certs = backward_induction(staged, solver="highs")
+        vf, _, _ = value_iteration(infinite, 1e-6, solver="highs")
+        _, _, operator_certs = bellman_operator(infinite, vf.values)
+        return [staged_certs[s] for s in sorted(staged_certs)], [
+            operator_certs[s] for s in sorted(operator_certs)
+        ]
+
+    lazy_staged, lazy_operator = run()
+    eager = _eager_certificates(monkeypatch)
+    eager_staged, eager_operator = run()
+    assert len(eager) > len(lazy_staged) + len(lazy_operator)
+    for lazy, ref in zip(lazy_staged + lazy_operator, eager_staged + eager_operator):
+        _same_certificate(lazy, ref)
+
+
+def test_fixed_policy_certificate_unchanged_by_later_backups():
+    from drmdp.reformulation import StageObjective, _fixed_policy_backup, worst_case_expectation
+
+    def backups():
+        rng = np.random.default_rng(4)
+        amb = random_simplex_ambiguity(rng, 3, "wasserstein")
+        objs = [StageObjective(rng.normal(size=k), rng.normal(size=(k, 3))) for k in (2, 3, 1)]
+        return amb, objs, [rng.dirichlet(np.ones(o.n_actions)) for o in objs]
+
+    amb, objs, pis = backups()
+    lazy = [_fixed_policy_backup(o, amb, pi, "highs") for o, pi in zip(objs, pis)]
+    amb, objs, pis = backups()
+    eager = [worst_case_expectation(o, amb, pi) for o, pi in zip(objs, pis)]
+    for sol, (value, cert) in zip(lazy, eager):
+        assert sol.value == value
+        _same_certificate(sol.certificate, cert)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_backup_errors_name_the_lp_and_its_shape(monkeypatch, pinned):
+    from drmdp.reformulation import ReformulationError, StageObjective, _template, worst_case_expectation
+
+    amb = build_wasserstein([[0.2, 0.8], [0.6, 0.4]], 0.15, simplex(2))
+    obj = StageObjective([0.1, 0.2, 0.3], np.ones((3, 2)))
+    lp, _ = _template(amb).instantiate(obj)
+    name = "fixed-policy LP" if pinned else "robust LP"
+    lp_module = drmdp.lp
+    for status, tail in (
+        (lp_module.UNBOUNDED, "is unbounded: the ambiguity set admits no distribution"),
+        (lp_module.NUMERICAL_FAILURE, "ended with status numerical_failure"),
+    ):
+        monkeypatch.setitem(lp_module._SOLVERS, "highs", lambda prog: lp_module.LpSolution(status))
+        with pytest.raises(ReformulationError) as err:
+            if pinned:
+                worst_case_expectation(obj, amb, [0.2, 0.3, 0.5])
+            else:
+                solve_srobust(obj, amb)
+        assert str(err.value) == f"{name} ({lp.n_rows} rows × {lp.n_vars} columns) {tail}"

@@ -229,6 +229,13 @@ def test_dimension_validation():
         intersect(simplex(2), simplex(3))
 
 
+def test_box_rejects_bounds_of_two_lengths():
+    with pytest.raises(GeometryError, match=r"box bounds differ in length: lo has 2 entries, hi has 1$"):
+        box([0.0, 0.0], [1.0])
+    with pytest.raises(GeometryError, match=r"lo has 1 entries, hi has 3$"):
+        box(0.0, [1.0, 1.0, 1.0])
+
+
 def test_enumerate_vertices_dependent_equality_rows():
     # the free dimensions come from the rank of the equality rows, not their count
     twice = intersect(simplex(3), simplex(3))

@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -65,6 +66,63 @@ def test_syntax_error_located():
         parse_model_text("format_version: 1\nstates: [\n")
 
 
+@pytest.mark.parametrize("text", [
+    "format_version: 1\nstates: [\n",
+    "format_version: 1\nstates: [1, 2",  # libyaml marks the line after
+    "format_version: 1\nstates: {a: 1\n",
+    "format_version: 'open\n",
+    "format_version: 1\n  states: []\n",
+    "format_version: 1: 2\n",
+])
+def test_syntax_error_names_its_line_and_column(text):
+    with pytest.raises(ModelFileError, match=r"^syntax error at line \d+, column \d+: "):
+        parse_model_text(text)
+
+
+def _typed(node):
+    """A YAML document with the type of every scalar beside its value."""
+    if isinstance(node, dict):
+        return {k: _typed(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_typed(v) for v in node]
+    return type(node).__name__, repr(node)
+
+
+def _random_document(rng, depth=0):
+    scalars = (
+        lambda: float(rng.normal() * 10.0 ** rng.integers(-300, 300)),
+        lambda: float(rng.integers(-5, 5)),
+        lambda: int(rng.integers(-10**12, 10**12)),
+        lambda: bool(rng.integers(2)),
+        lambda: None,
+        lambda: str(rng.choice(["simplex", "box", "1e-3", "yes", "0.5", "~", "inf"])),
+    )
+    if depth == 3 or rng.random() < 0.3:
+        return scalars[rng.integers(len(scalars))]()
+    if rng.random() < 0.5:
+        return [_random_document(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    return {f"k{i}": _random_document(rng, depth + 1) for i in range(rng.integers(1, 4))}
+
+
+def test_libyaml_and_python_loaders_give_equal_documents():
+    import drmdp.modelfile as modelfile
+
+    if modelfile._LOADER is yaml.SafeLoader:
+        pytest.skip("PyYAML was built without libyaml")
+    texts = [path.read_text() for path in sorted(DATA.glob("*.yaml"))]
+    assert len(texts) == 4
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        doc = {"format_version": 1, "states": _random_document(rng)}
+        for flow in (False, True, None):
+            texts.append(yaml.safe_dump(doc, default_flow_style=flow, sort_keys=False))
+    for text in texts:
+        fast, slow = yaml.load(text, Loader=modelfile._LOADER), yaml.safe_load(text)
+        assert _typed(fast) == _typed(slow)
+    for path in sorted(DATA.glob("*.yaml")):
+        assert _typed(parse_model_file(path).raw) == _typed(yaml.safe_load(path.read_text()))
+
+
 def test_terminal_states_carry_no_kernel():
     text = """
 format_version: 1
@@ -126,12 +184,14 @@ MALFORMED = {
     "dim 0": ("infinite_two_state", _ball_support(dim=0), "ambiguities.ball"),
     "box bounds of two lengths": ("infinite_two_state", _second_state(
         "ambiguity", {"support": {"kind": "box", "lo": [0, 0], "hi": [1]}}),
-        "states[1].ambiguity"),
+        "states[1].ambiguity", "box bounds differ in length: lo has 2 entries, hi has 1"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_value_raises_model_file_error_with_its_path(case):
-    name, edit, path = MALFORMED[case]
-    with pytest.raises(ModelFileError, match=re.escape(path)):
+    # a case may also name the text that must follow its path
+    name, edit, path, *text = MALFORMED[case]
+    pattern = re.escape(path) + "".join(".*" + re.escape(t) for t in text)
+    with pytest.raises(ModelFileError, match=pattern):
         parse_model_text(_edited(name, edit))

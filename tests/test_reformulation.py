@@ -710,3 +710,70 @@ def test_block_adversary_rows_match_the_row_by_row_reference():
         np.testing.assert_array_equal(template.at.toarray(), amat.T)
         assert template.senses == senses
         np.testing.assert_array_equal(template.b, b)
+
+
+# ------------- the column-swap backup against the whole-LP backup ------------
+
+
+def _swap_cases():
+    from conftest import FAMILIES, random_simplex_ambiguity
+
+    from drmdp.newsvendor import NewsvendorConfig, sample_training_set
+
+    for kind in FAMILIES:
+        for seed in range(5):
+            yield random_simplex_ambiguity(np.random.default_rng(seed), 3, kind)
+    cfg = NewsvendorConfig()
+    for n in (5, 15):
+        samples = sample_training_set(cfg.true_dist, n, np.random.default_rng(n))
+        yield build_wasserstein(samples, 0.5, simplex(cfg.n_demand), cfg.metric)
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_column_swap_backup_equals_the_whole_lp_backup(monkeypatch):
+    import drmdp.reformulation as reformulation
+
+    seen = []
+    highs = drmdp.lp._SOLVERS["highs"]
+
+    def recorded(lead):
+        assert isinstance(lead, drmdp.lp.LeadingColumns)
+        seen.append(highs(lead))
+        return seen[-1]
+
+    monkeypatch.setitem(drmdp.lp._SOLVERS, "highs", recorded)
+    for amb in _swap_cases():
+        template = _template(amb)
+        second = WarmHighs(template.warm.n_shared)
+        rng = np.random.default_rng(amb.n_scenarios)
+        d = amb.factor_dim
+        # robust and pinned backups, 1 and 3 actions, interleaved on one set
+        for k, pinned in ((3, False), (1, False), (3, True), (1, True), (3, False), (1, False)):
+            obj = StageObjective(rng.normal(size=k), rng.normal(size=(k, d)))
+            pi = rng.dirichlet(np.ones(k)) if pinned else None
+            if pinned:
+                sol = reformulation._fixed_policy_backup(obj, amb, pi, "highs")
+            else:
+                sol = solve_srobust(obj, amb, solver="highs")
+            lp, layout = template.instantiate(obj, pi)
+            whole = second.solve(lp)
+            swap = seen[-1]
+            _same_bytes(swap.x, whole.x)
+            _same_bytes(swap.y, whole.y)
+            _same_bytes(swap.value, whole.value)
+            assert swap.iterations == whole.iterations
+            policy = pi if pinned else np.clip(whole.x[layout["pi"]], 0.0, None)
+            _same_bytes(sol.policy, policy / policy.sum() if not pinned else pi)
+            _same_bytes(sol.value, whole.value)
+            y = whole.x[layout["y"]]
+            assert sol.gamma.keys() == template.moment_rows.keys()
+            for j, rows in template.moment_rows.items():
+                _same_bytes(sol.gamma[j], -y[rows])
+            cert = reformulation._point_masses(amb, template.layout, whole.y)
+            _same_bytes(sol.certificate.weights, cert.weights)
+            _same_bytes(sol.certificate.means, cert.means)
+    assert len(seen) == 6 * 32
