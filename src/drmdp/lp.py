@@ -8,11 +8,13 @@ LP's shared ones, with the LP over its rows and shared columns alone.  An
 LP may carry a scipy.sparse matrix, which HiGHS takes as is and the dense
 paths densify, and either may carry a `WarmHighs` handle: LPs that share
 every row and all but their leading columns are then solved on one
-persistent HiGHS model, swapping only the leading columns and re-running
-from the basis the previous solve left.  A request without a handle is
-solved on a fresh model, and a backend that cannot swap columns assembles
-the whole LP.  A scipy build without the bundled HiGHS bindings falls back
-to `linprog`.
+persistent HiGHS model, which takes only what differs in the leading
+columns and re-runs from the basis the previous solve left.  Leading
+columns of the held pattern are edited in place, entry by entry, which
+keeps that basis valid; others are swapped in.  A request without a handle
+is solved on a fresh model, and a backend that cannot edit columns
+assembles the whole LP.  A scipy build without the bundled HiGHS bindings
+falls back to `linprog`.
 
 The self-contained two-phase dense simplex (`solve_lp`) returns primal and
 dual solutions plus optimality certificates.  It favours robustness over
@@ -447,6 +449,9 @@ try:
 except ImportError:  # pragma: no cover - depends on the scipy build
     _HIGHS = None
 
+# HiGHS's large_matrix_value: addCols rejects an entry this large or larger
+_HIGHS_MAX_ENTRY = 1e15
+
 
 def _highs_status(status, model_status) -> str:
     """The solution-contract status of a HiGHS model status."""
@@ -465,7 +470,7 @@ class LeadingColumns:
     bounds and entries in compressed-column form (`starts` holds each
     column's first position in `index` and `value`).  `shared` is the LP
     over the rows and the shared columns alone, its matrix CSC.  On HiGHS
-    the request is solved on `warm` by swapping only the leading columns,
+    the request is solved on `warm` by writing only its leading columns,
     on a fresh model when `warm` is None; any other backend solves the
     assembled `lp()`."""
 
@@ -514,23 +519,30 @@ class WarmHighs:
     objective sense, their rows and their last `n_shared` columns and differ
     only in the columns before those (the leading columns).
 
-    `run` is the one solve: it deletes the previous leading columns, adds
-    the new ones and re-runs from the basis the previous solve left; HiGHS
-    keeps the basis status of the rows and the shared columns across the
-    swap.  The first run builds the model from the request's shared part.
-    `solve` splits a whole LP into such a request.  A warm-started run that
-    does not end optimal is repeated once from scratch before its status is
-    reported, so a stale basis never turns a solvable LP into a failure.
+    `run` is the one solve.  A request whose leading columns have the
+    pattern (column starts and row indices) the model holds is written in
+    place: only the entries whose values changed go in, through
+    `changeCoeff`, and the costs and bounds only when the request brings
+    other arrays than the last one did.  The basis stays valid, so the run
+    re-starts from the previous optimum.  A request with another pattern
+    deletes the model's leading columns and adds its own; HiGHS keeps the
+    basis status of the rows and the shared columns across that swap.  The
+    first run builds the model from the request's shared part.  `solve`
+    splits a whole LP into such a request.  A run that does not end optimal
+    is repeated once from scratch with presolve off before its status is
+    reported, so neither a stale basis nor presolve's guess turns a
+    solvable LP into a failure or an unbounded one into an infeasible one.
     `WarmHighs(0)` shares no column and serves a single LP on a fresh model.
-    The handle holds no reference to whatever owns it, and a lock serialises
-    solves on it.
+    The handle keeps the arrays of the last request, never the request or
+    whatever owns it, and a lock serialises solves on it.  A request's
+    arrays are read, not copied, so they must not change after the solve.
     """
 
     def __init__(self, n_shared: int):
         self.n_shared = n_shared
         self._lock = threading.Lock()
         self._highs = None
-        self._n_lead = 0
+        self._held = None
 
     def solve(self, lp: LinearProgram) -> LpSolution:
         """Solve a whole LP: its columns before the last `n_shared` lead."""
@@ -550,23 +562,26 @@ class WarmHighs:
         return self.run(lead)
 
     def run(self, lead: LeadingColumns) -> LpSolution:
-        """Swap the request's leading columns in, run, and read the solution
-        with x in the request's column order (leading columns first) and y
-        as shadow prices for its sense."""
+        """Write the request's leading columns into the model, run, and read
+        the solution with x in the request's column order (leading columns
+        first) and y as shadow prices for its sense."""
         model_status = _HIGHS[1]
         with self._lock:
-            warm_started = self._highs is not None
-            if warm_started and lead.n_rows != self._highs.getNumRow():
+            if self._highs is not None and lead.n_rows != self._highs.getNumRow():
                 raise LpError("LP does not share the rows and columns of its warm model")
-            if not self._swap_in(lead):
+            held = self._held
+            edit = self._edit_in_place if held is not None and held.holds(lead) else self._swap_in
+            if not edit(lead):
                 # HiGHS rejected an entry (an infinite coefficient, say):
                 # drop the half-edited model; the next LP builds a new one
-                self._highs = None
+                self._highs = self._held = None
                 return LpSolution(NUMERICAL_FAILURE)
             status, its = self._run()
-            if warm_started and status != model_status.kOptimal:
+            if status != model_status.kOptimal:
                 self._highs.clearSolver()
+                self._highs.setOptionValue("presolve", "off")
                 status, cold_its = self._run()
+                self._highs.setOptionValue("presolve", "choose")
                 its += cold_its
             status = _highs_status(status, model_status)
             if status != OPTIMAL:
@@ -612,23 +627,80 @@ class WarmHighs:
                 ),
             ]
         else:
-            old_lead = np.arange(self.n_shared, self.n_shared + self._n_lead, dtype=np.int32)
-            edits = [self._highs.deleteCols(self._n_lead, old_lead)]
+            edits = [self._highs.deleteCols(self._held.n_lead, self._held.cols)]
         n_lead = lead.c.shape[0]
         edits.append(
             self._highs.addCols(
                 n_lead, lead.c, lead.lb, lead.ub, lead.value.shape[0], lead.starts, lead.index, lead.value
             )
         )
-        self._n_lead = n_lead
+        self._held = _HeldColumns(lead, np.arange(self.n_shared, self.n_shared + n_lead, dtype=np.int32))
+        return highs_status.kError not in edits
+
+    def _edit_in_place(self, lead: LeadingColumns) -> bool:
+        """Write the entries, costs and bounds in which the request differs
+        from the held leading columns, which have its pattern.  False if a
+        changed entry is not finite or is too large for addCols, which
+        changeCoeff would take and the run then fail on or misread."""
+        highs_status = _HIGHS[4]
+        held, highs = self._held, self._highs
+        changed = (lead.value != held.value).nonzero()[0]
+        value = lead.value[changed]
+        # NaN fails the comparison too
+        if not np.abs(value).max(initial=0.0) < _HIGHS_MAX_ENTRY:
+            return False
+        rows, cols = lead.index[changed].tolist(), held.entry_cols()[changed].tolist()
+        edits = list(map(highs.changeCoeff, rows, cols, value.tolist()))
+        if lead.c is not held.c:
+            edits.append(highs.changeColsCost(held.n_lead, held.cols, lead.c))
+        if lead.lb is not held.lb or lead.ub is not held.ub:
+            edits.append(highs.changeColsBounds(held.n_lead, held.cols, lead.lb, lead.ub))
+        held.take(lead)
         return highs_status.kError not in edits
 
     def _run(self):
         """One HiGHS run; returns (model status, simplex + IPM iterations)."""
-        self._highs.run()
-        info = self._highs.getInfo()
-        its = info.simplex_iteration_count + info.ipm_iteration_count
-        return self._highs.getModelStatus(), its
+        highs = self._highs
+        highs.run()
+        its = highs.getInfoValue("simplex_iteration_count")[1] + highs.getInfoValue("ipm_iteration_count")[1]
+        return highs.getModelStatus(), its
+
+
+class _HeldColumns:
+    """The leading columns a `WarmHighs` model holds, as the arrays of the
+    request that last wrote them: its pattern, its entries, and its cost
+    and bound arrays, which later requests are compared with by identity."""
+
+    __slots__ = ("starts", "index", "value", "c", "lb", "ub", "n_lead", "cols", "_entry_cols")
+
+    def __init__(self, lead: LeadingColumns, cols: np.ndarray):
+        self.starts, self.index = lead.starts, lead.index
+        self.n_lead, self.cols = cols.shape[0], cols
+        self._entry_cols = None
+        self.take(lead)
+
+    def take(self, lead: LeadingColumns):
+        self.value, self.c, self.lb, self.ub = lead.value, lead.c, lead.lb, lead.ub
+
+    def holds(self, lead: LeadingColumns) -> bool:
+        """Whether the request's leading columns have the held pattern."""
+        starts, index = lead.starts, lead.index
+        if starts is self.starts and index is self.index:
+            return True
+        return (
+            starts.shape == self.starts.shape
+            and index.shape == self.index.shape
+            and np.array_equal(starts, self.starts)
+            and np.array_equal(index, self.index)
+        )
+
+    def entry_cols(self) -> np.ndarray:
+        """The model column of each entry, worked out on the first in-place
+        edit of this pattern."""
+        if self._entry_cols is None:
+            counts = np.diff(np.append(self.starts, self.index.shape[0]))
+            self._entry_cols = np.repeat(self.cols, counts)
+        return self._entry_cols
 
 
 def solve_lp_highs(lp) -> LpSolution:
@@ -671,8 +743,7 @@ def _solve_lp_highs_public(lp: LinearProgram) -> LpSolution:
     a_eq = a[eq] if np.any(eq) else None
     b_eq = lp.b[eq] if np.any(eq) else None
     a_ub = csr_matrix(np.array(a_ub_rows)) if a_ub_rows else None
-    res = linprog(
-        c,
+    problem = dict(
         A_ub=a_ub,
         b_ub=np.array(b_ub) if b_ub else None,
         A_eq=csr_matrix(a_eq) if a_eq is not None else None,
@@ -680,6 +751,11 @@ def _solve_lp_highs_public(lp: LinearProgram) -> LpSolution:
         bounds=list(zip(lp.lb, lp.ub)),
         method="highs",
     )
+    res = linprog(c, **problem)
+    if not res.success:
+        # presolve can call a feasible, unbounded LP infeasible: ask again
+        # without it before reporting the status
+        res = linprog(c, options={"presolve": False}, **problem)
     if res.status == 2:
         return LpSolution(INFEASIBLE)
     if res.status == 3:

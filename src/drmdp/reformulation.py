@@ -13,10 +13,11 @@ assembles A and b; M prices κ on the weights and C on the scaled means.
 Every backup solves that LP's dual with π made a variable, the robust LP:
 max b'y s.t. A'y − Mπ = 0, 1'π = 1, π ≥ 0, y ≤ 0 on ≤ rows.  An
 ``SRobustTemplate`` holds A' and b, compiled once per ambiguity set and
-kept on the set.  Only the π columns and their bounds change between
+kept on the set.  Only the π columns' entries and bounds change between
 backups: the template computes −M's entries of a stage objective and
 hands them to the solver seam as the LP's leading columns, which HiGHS
-swaps into the set's one warm-started model (``SRobustTemplate.warm``);
+writes into the set's one warm-started model (``SRobustTemplate.warm``),
+in place while the action count stays, by a column swap when it changes;
 ``instantiate`` assembles the whole LP for the dense simplex, ``--dump-lp``
 and the tests.  ``solve_srobust`` reads the robust randomized action from
 the π block; ``worst_case_expectation`` pins π to a fixed policy through
@@ -85,19 +86,17 @@ class StageObjective:
 def assemble_stage_objective(v_next, fm: FactorMap, discount: float = 1.0) -> StageObjective:
     """Fold a next-stage value vector into the factor-affine stage objective.
 
-    The continuation enters through the block matrix that pairs each
-    action's transition row with v_next, so that for every (π, ξ):
+    The transition map's rows, reshaped to one block of n_next rows per
+    action, are each priced at v_next, so that for every (π, ξ):
     rewards(ξ)·π + discount · Σ_a π_a (transitions(ξ)_a · v_next)
     = κ(π) + c(π)·ξ.
     """
     v_next = np.asarray(v_next, dtype=float).reshape(-1)
-    if v_next.shape[0] != fm.n_next:
+    na, n_next = fm.n_actions, fm.n_next
+    if v_next.shape[0] != n_next:
         raise ReformulationError("value vector length differs from next-state count")
-    blocks = np.zeros((fm.n_actions, fm.n_actions * fm.n_next))
-    for a in range(fm.n_actions):
-        blocks[a, a * fm.n_next : (a + 1) * fm.n_next] = v_next
-    kappa_vec = fm.r_offset + discount * blocks @ fm.p_offset
-    c_mat = fm.r_mat + discount * blocks @ fm.p_mat
+    kappa_vec = fm.r_offset + discount * (fm.p_offset.reshape(na, n_next) @ v_next)
+    c_mat = fm.r_mat + discount * (v_next @ fm.p_mat.reshape(na, n_next, -1))
     return StageObjective(kappa_vec, c_mat)
 
 
@@ -289,11 +288,13 @@ class SRobustTemplate:
     front of them, so every action count shares one template, and pinning
     π by its bounds gives the fixed-policy LP.
 
-    `leading_columns` computes the π columns' entries and hands them, with
-    their bounds and the row pattern precomputed per action count, to the
-    set's persistent HiGHS model (`warm`): a backup, robust or
-    fixed-policy, swaps in its π columns and re-solves from the basis the
-    previous backup of the set left, and builds no whole LP.  `instantiate`
+    `leading_columns` gathers the π columns' entries from the stage
+    objective and hands them, with their pattern, costs and bounds cached
+    per action count, to the set's persistent HiGHS model (`warm`).  A
+    backup, robust or fixed-policy, re-solves from the basis the previous
+    backup of the set left and builds no whole LP: with the previous
+    backup's action count it rewrites only the entries that changed, in
+    place, and with another one it swaps its π columns in.  `instantiate`
     assembles the whole LP for the dense simplex, `--dump-lp` and the tests.
     The model lives and dies with the set, so warm state never crosses
     sets.  The template keeps the set's sizes, not the set, and the model
@@ -322,17 +323,27 @@ class SRobustTemplate:
         w, x = self.layout["w"], self.layout["x"]
         pi_rows = np.r_[w.start : w.start + self.n_scenarios, x.start : x.stop, n_vars]
         self._pi_rows = pi_rows.astype(self.at.indices.dtype)
-        self._patterns = {}  # action count -> (column starts, row indices)
+        self._columns = {}  # action count -> _PiColumns
         self.warm = WarmHighs(n_rows)
 
-    def _pattern(self, na):
-        """Column starts and row indices of na π columns."""
-        pattern = self._patterns.get(na)
-        if pattern is None:
-            k = len(self._pi_rows)
+    def _pi_columns(self, na):
+        """The cached pattern, gather index, costs and bounds of na π
+        columns."""
+        cols = self._columns.get(na)
+        if cols is None:
+            n, d, k = self.n_scenarios, self.factor_dim, len(self._pi_rows)
             starts = np.arange(0, na * k, k, dtype=self.at.indptr.dtype)
-            pattern = self._patterns[na] = (starts, np.tile(self._pi_rows, na))
-        return pattern
+            # positions in (κ, C row by row, −1): κ_a on every weight, C_a
+            # on every scaled mean, then the −1 that negates to 1'π's 1
+            a = np.arange(na)[:, None]
+            gather = np.hstack(
+                [np.repeat(a, n, axis=1), np.tile(na + d * a + np.arange(d), n), np.full((na, 1), na + na * d)]
+            )
+            cols = _PiColumns(starts, np.tile(self._pi_rows, na), gather.ravel(), np.zeros(na), np.full(na, np.inf))
+            for arr in vars(cols).values():
+                arr.flags.writeable = False
+            self._columns[na] = cols
+        return cols
 
     def leading_columns(self, obj: StageObjective, pi=None) -> LeadingColumns:
         """A stage objective's π columns on the set's warm model.  Column a
@@ -342,17 +353,11 @@ class SRobustTemplate:
         over [0, ∞), or are pinned to [pi, pi] when a policy is given."""
         if obj.factor_dim != self.factor_dim:
             raise ReformulationError("stage objective and ambiguity set disagree on factor_dim")
-        na, n = obj.n_actions, self.n_scenarios
-        value = np.empty((na, len(self._pi_rows)))
-        value[:, :n] = -obj.kappa_vec[:, None]
-        value[:, n:-1] = -np.tile(obj.c_mat, (1, n))
-        value[:, -1] = 1.0
-        starts, index = self._pattern(na)
-        if pi is None:
-            lb, ub = np.zeros(na), np.full(na, np.inf)
-        else:
-            lb = ub = pi
-        return LeadingColumns(self.shared, np.zeros(na), lb, ub, starts, index, value.ravel(), self.warm)
+        cols = self._pi_columns(obj.n_actions)
+        value = np.concatenate((obj.kappa_vec, obj.c_mat.ravel(), _MINUS_ONE))[cols.gather]
+        np.negative(value, out=value)
+        lb, ub = (cols.zeros, cols.inf) if pi is None else (pi, pi)
+        return LeadingColumns(self.shared, cols.zeros, lb, ub, cols.starts, cols.index, value, self.warm)
 
     def instantiate(self, obj: StageObjective, pi=None):
         """The whole LP, π columns first; returns (lp, layout) with column
@@ -361,6 +366,22 @@ class SRobustTemplate:
         cols.add("pi", obj.n_actions)
         cols.add("y", self.at.shape[1])
         return self.leading_columns(obj, pi).lp(), cols
+
+
+_MINUS_ONE = np.array([-1.0])
+
+
+@dataclass(frozen=True)
+class _PiColumns:
+    """What na π columns share across backups: their column starts and
+    row indices, the gather index that takes their entries from a stage
+    objective, and read-only zero costs and [0, ∞) bounds."""
+
+    starts: np.ndarray
+    index: np.ndarray
+    gather: np.ndarray
+    zeros: np.ndarray
+    inf: np.ndarray
 
 
 def _template(amb: LiftedAmbiguitySet) -> SRobustTemplate:
@@ -417,7 +438,8 @@ def solve_srobust(obj: StageObjective, amb: LiftedAmbiguitySet, solver="highs") 
 def _fixed_policy_backup(obj: StageObjective, amb: LiftedAmbiguitySet, pi, solver) -> SRobustSolution:
     """The set's robust LP with π pinned to the policy pi: its value is the
     worst-case expectation at pi, and its certificate a worst case."""
-    pi = np.asarray(pi, dtype=float)
+    # a copy: the warm model tells changed bounds from kept ones by identity
+    pi = np.array(pi, dtype=float)
     if pi.shape != (obj.n_actions,) or not np.all(np.isfinite(pi)):
         raise ReformulationError(f"policy must have {obj.n_actions} finite entries, one per action")
     if abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < -1e-9):
@@ -432,22 +454,26 @@ def _solve(obj: StageObjective, amb: LiftedAmbiguitySet, pi, solver) -> SRobustS
     template = _template(amb)
     lead = template.leading_columns(obj, pi)
     sol = get_solver(solver)(lead)
-    name = "robust LP" if pi is None else "fixed-policy LP"
-    what = f"{name} ({lead.n_rows} rows × {lead.n_vars} columns)"
     if sol.status == UNBOUNDED:
         # unbounded duals: the adversary's rows admit no point
-        raise ReformulationError(f"{what} is unbounded: the ambiguity set admits no distribution")
+        raise ReformulationError(f"{_lp_name(lead, pi)} is unbounded: the ambiguity set admits no distribution")
     if not sol.optimal:
-        raise ReformulationError(f"{what} ended with status {sol.status}")
+        raise ReformulationError(f"{_lp_name(lead, pi)} ended with status {sol.status}")
     na = obj.n_actions
     if pi is None:
-        pi = np.clip(sol.x[:na], 0.0, None)
+        pi = np.maximum(sol.x[:na], 0.0)
         total = pi.sum()
         if not np.isfinite(total) or abs(total - 1.0) > 1e-6:
-            raise ReformulationError(f"{what} returned a policy summing to {total:.6g}")
+            raise ReformulationError(f"{_lp_name(lead, None)} returned a policy summing to {total:.6g}")
         pi /= total
     y = sol.x[na:]
     return SRobustSolution(pi, sol.value, {j: -y[r] for j, r in template.moment_rows.items()}, sol.y, amb)
+
+
+def _lp_name(lead: LeadingColumns, pi) -> str:
+    """A backup LP's kind and shape, for its error messages."""
+    name = "robust LP" if pi is None else "fixed-policy LP"
+    return f"{name} ({lead.n_rows} rows × {lead.n_vars} columns)"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +30,11 @@ from drmdp.engine import (
     evaluate_policy_worst_case,
     value_iteration,
 )
-from drmdp.geometry import simplex, singleton
+from drmdp.geometry import feasibility_check, simplex, singleton
+from drmdp.modelfile import parse_model_file
 from drmdp.reformulation import assemble_stage_objective, solve_srobust
+
+DATA = Path(drmdp.engine.__file__).parent / "data"
 
 
 def _chain_model(gamma=0.5, r0=1.0, r1=2.0):
@@ -451,3 +455,43 @@ def test_backup_errors_name_the_lp_and_its_shape(monkeypatch, pinned):
             else:
                 solve_srobust(obj, amb)
         assert str(err.value) == f"{name} ({lp.n_rows} rows × {lp.n_vars} columns) {tail}"
+
+
+def test_warm_backups_keep_their_basis(monkeypatch):
+    # a count, not a clock: a set's backups re-solve from the basis the
+    # previous one left, so a converging value iteration barely pivots
+    model = parse_model_file(DATA / "infinite_two_state.yaml").build()
+    highs = drmdp.lp._SOLVERS["highs"]
+    solves = []
+
+    def counted(request):
+        solves.append(highs(request))
+        return solves[-1]
+
+    monkeypatch.setitem(drmdp.lp._SOLVERS, "highs", counted)
+    _, _, sweeps = value_iteration(model, 1e-6)
+    assert len(solves) == sweeps * model.n_states == 290
+    assert sum(sol.iterations for sol in solves) <= 10
+
+
+def test_zero_weight_scenario_sits_at_a_point_of_its_support(monkeypatch):
+    # a TV budget of 2 moves all weight onto the sample at 0.2
+    model = parse_model_file(DATA / "boundary_weights.yaml").build()
+    witnesses = []
+
+    def witness(dset):
+        found = feasibility_check(dset)
+        witnesses.append((dset, found[1]))
+        return found
+
+    monkeypatch.setattr(drmdp.reformulation, "feasibility_check", witness)
+    values, _, certs = backward_induction(model, certificates=True)
+    cert = certs[0]
+    assert cert.weights.tolist() == [1.0, 0.0]
+    support = model.ambiguities[0].supports[1]
+    assert [dset for dset, _ in witnesses] == [support]
+    assert np.array_equal(cert.means[1], witnesses[0][1])
+    assert support.contains(cert.means[1], tol=1e-9)
+    assert values[0] == pytest.approx(0.2, abs=1e-12)
+    saddle = classical_dp_finite(model, certificate_factors(certs))[0] - values[0]
+    assert abs(saddle) <= 1e-12

@@ -12,12 +12,15 @@ from drmdp.lp import (
     GE,
     INFEASIBLE,
     LE,
+    NUMERICAL_FAILURE,
     OPTIMAL,
     UNBOUNDED,
+    LeadingColumns,
     LinearProgram,
     LpError,
     LpSolution,
     WarmHighs,
+    _solve_lp_highs_public,
     dump_lp,
     get_solver,
     make_lp,
@@ -359,3 +362,147 @@ def test_warm_model_rebuilt_after_a_rejected_column():
     again = solve_lp_highs(good)
     assert again.optimal
     assert again.value == pytest.approx(solve_lp(good).value, abs=1e-9)
+
+
+def _unbounded_mixed_lp():
+    """A feasible max LP with six variables and a <= and a >= row whose
+    objective is unbounded; HiGHS's presolve calls it infeasible."""
+    rng = np.random.default_rng(0)
+    for _ in range(150):
+        lp = _mixed_lp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 6)))
+    return lp
+
+
+def test_feasible_unbounded_lp_is_reported_unbounded():
+    lp = _unbounded_mixed_lp()
+    assert lp.sense == "max" and lp.n_vars == 6 and lp.row_senses == (LE, GE)
+    assert solve_lp_highs(dataclasses.replace(lp, c=np.zeros(6))).optimal
+    for solve in (solve_lp, solve_lp_highs, _solve_lp_highs_public):
+        assert solve(lp).status == UNBOUNDED, solve.__name__
+    warm = WarmHighs(0)
+    assert solve_lp_highs(dataclasses.replace(lp, warm=warm)).status == UNBOUNDED
+    # the retry leaves presolve on for the model's next LP
+    assert warm._highs.getOptionValue("presolve")[1] == "choose"
+
+
+def test_linprog_fallback_matches_the_simplex_on_mixed_rows():
+    # rows of every sense and all bound kinds: the fallback's <=/>= rows and
+    # its dual signs, checked by the residuals of the stated sense
+    rng = np.random.default_rng(8)
+    optimal = 0
+    for _ in range(40):
+        lp = _mixed_lp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 6)))
+        ref, got = solve_lp(lp), _solve_lp_highs_public(lp)
+        assert got.status == ref.status
+        if ref.optimal:
+            optimal += 1
+            assert got.value == pytest.approx(ref.value, abs=1e-7)
+            assert max(residuals(lp, got).values()) <= 1e-7
+    assert optimal >= 20
+
+
+def _lead_family(rng, n_rows=5, n_shared=6):
+    """A shared part whose every LP is feasible and bounded: boxed columns,
+    and a pair of penalised slack columns per row."""
+    shared_a = np.hstack([rng.normal(size=(n_rows, n_shared)), np.eye(n_rows), -np.eye(n_rows)])
+    n_cols = n_shared + 2 * n_rows
+    senses = (LE, GE, EQ, LE, EQ)
+    b = rng.normal(size=n_rows)
+
+    def shared(sense):
+        penalty = -1.0 if sense == "max" else 1.0
+        c = np.concatenate([rng.normal(size=n_shared), np.full(2 * n_rows, penalty)])
+        return LinearProgram(
+            sense, c, csc_matrix(shared_a), senses, b, np.zeros(n_cols), np.full(n_cols, 100.0)
+        )
+
+    return shared
+
+
+def _pattern(rng, n_rows, counts):
+    """Column starts and row indices of columns with the given entry
+    counts."""
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int32)
+    index = np.concatenate([np.sort(rng.choice(n_rows, k, replace=False)) for k in counts]).astype(np.int32)
+    return starts, index
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_in_place_edits_match_cold_solves(sense, monkeypatch):
+    rng = np.random.default_rng(21)
+    shared = _lead_family(rng)(sense)
+    warm = WarmHighs(shared.n_vars)
+    paths = []
+    for name in ("_edit_in_place", "_swap_in"):
+        edit = getattr(WarmHighs, name)
+
+        def recorded(self, lead, edit=edit, name=name):
+            if self is warm:
+                paths.append(name)
+            return edit(self, lead)
+
+        monkeypatch.setattr(WarmHighs, name, recorded)
+    patterns = {"a": _pattern(rng, shared.n_rows, [2, 1, 3]), "b": _pattern(rng, shared.n_rows, [1, 2])}
+    # "c" has the shape of "a" but other rows
+    patterns["c"] = (patterns["a"][0], patterns["a"][1].copy())
+    patterns["c"][1][:2] = np.setdiff1d(np.arange(shared.n_rows), patterns["a"][1][:2])[:2]
+    costs = {name: rng.normal(size=len(starts)) for name, (starts, _) in patterns.items()}
+    free = {name: (np.zeros(len(starts)), np.full(len(starts), 2.0)) for name, (starts, _) in patterns.items()}
+    # (pattern, pinned, new costs, pattern arrays copied rather than shared)
+    plan = [
+        ("a", False, False, False), ("a", False, False, False), ("a", True, False, False),
+        ("a", True, True, False), ("a", False, True, True), ("b", False, False, False),
+        ("b", True, False, False), ("a", True, False, False), ("a", False, False, False),
+        ("c", False, False, False), ("c", True, True, False),
+    ]
+    for name, pinned, new_costs, copied in plan:
+        starts, index = patterns[name]
+        if copied:
+            starts, index = starts.copy(), index.copy()
+        k = len(starts)
+        if new_costs:
+            costs[name] = rng.normal(size=k)
+        lb, ub = (np.full(k, rng.uniform(0.0, 1.0)),) * 2 if pinned else free[name]
+        value = rng.normal(size=index.shape[0])
+        lead = LeadingColumns(shared, costs[name], lb, ub, starts, index, value, warm)
+        hot, cold = solve_lp_highs(lead), solve_lp_highs(dataclasses.replace(lead, warm=None))
+        assert hot.optimal and cold.optimal
+        assert hot.value == pytest.approx(cold.value, abs=1e-9)
+        assert max(residuals(lead.lp(), hot).values()) <= 1e-7
+    # a pattern the model holds is edited in place, any other swapped in;
+    # the first swap builds the model
+    swap, edit = "_swap_in", "_edit_in_place"
+    assert paths == [swap, edit, edit, edit, edit, swap, edit, swap, edit, swap, edit]
+
+
+def test_unchanged_request_re_solves_in_no_iteration():
+    rng = np.random.default_rng(4)
+    shared = _lead_family(rng)("max")
+    starts, index = _pattern(rng, shared.n_rows, [1, 3, 2])
+    lead = LeadingColumns(shared, rng.normal(size=3), np.zeros(3), np.full(3, 2.0), starts, index,
+                          rng.normal(size=index.shape[0]), WarmHighs(shared.n_vars))
+    first, again = solve_lp_highs(lead), solve_lp_highs(lead)
+    assert first.optimal and again.optimal
+    assert again.iterations == 0
+    assert again.value == first.value
+
+
+def test_infinite_entry_written_in_place_rebuilds_the_model():
+    rng = np.random.default_rng(9)
+    shared = _lead_family(rng)("min")
+    starts, index = _pattern(rng, shared.n_rows, [2, 2])
+    warm = WarmHighs(shared.n_vars)
+
+    def request(value):
+        return LeadingColumns(shared, np.ones(2), np.zeros(2), np.full(2, 2.0), starts, index, value, warm)
+
+    good = request(rng.normal(size=index.shape[0]))
+    assert solve_lp_highs(good).optimal
+    model = warm._highs
+    bad_value = good.value.copy()
+    bad_value[-1] = np.inf
+    assert solve_lp_highs(request(bad_value)).status == NUMERICAL_FAILURE
+    assert warm._highs is None
+    again = solve_lp_highs(good)
+    assert again.optimal and warm._highs is not model
+    assert again.value == pytest.approx(solve_lp_highs(dataclasses.replace(good, warm=None)).value, abs=1e-9)

@@ -78,6 +78,45 @@ def test_stage_objective_matches_direct_expansion():
             assert obj.evaluate(pi, xi) == pytest.approx(direct, abs=1e-10)
 
 
+def test_stage_objective_matches_the_block_matrix_reference():
+    # the reshaped products sum in another order than the block matrix, so
+    # agreement is to a few ulps of each entry's scale per summed term
+    rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
+    for _ in range(40):
+        na, n_next, dim = (int(k) for k in rng.integers(1, 6, size=3))
+        fm = _random_factor_map(rng, na, n_next, dim)
+        v = rng.normal(size=n_next) * 10.0 ** rng.integers(-2, 3)
+        gamma = rng.uniform(0.3, 1.0)
+        blocks = np.zeros((na, na * n_next))
+        for a in range(na):
+            blocks[a, a * n_next : (a + 1) * n_next] = v
+        kappa = fm.r_offset + gamma * blocks @ fm.p_offset
+        c_mat = fm.r_mat + gamma * blocks @ fm.p_mat
+        obj = assemble_stage_objective(v, fm, discount=gamma)
+        scale = np.abs(blocks) @ np.abs(np.column_stack([fm.p_offset, fm.p_mat]))
+        tol = 4 * n_next * eps * (1.0 + scale)
+        assert np.all(np.abs(obj.kappa_vec - kappa) <= tol[:, 0])
+        assert np.all(np.abs(obj.c_mat - c_mat) <= tol[:, 1:])
+
+
+def test_pi_column_gather_matches_the_tiled_reference():
+    for amb in _swap_cases():
+        template = _template(amb)
+        n, d = amb.n_scenarios, amb.factor_dim
+        rng = np.random.default_rng(n)
+        for na in (3, 1, 4, 3):
+            obj = StageObjective(rng.normal(size=na), rng.normal(size=(na, d)))
+            value = np.empty((na, n + n * d + 1))
+            value[:, :n] = -obj.kappa_vec[:, None]
+            value[:, n:-1] = -np.tile(obj.c_mat, (1, n))
+            value[:, -1] = 1.0
+            lead = template.leading_columns(obj)
+            _same_bytes(lead.value, value.ravel())
+            assert np.array_equal(lead.index, np.tile(lead.index[: n + n * d + 1], na))
+            assert lead.starts is template.leading_columns(obj).starts
+
+
 def test_stage_objective_superposition_in_policy():
     rng = np.random.default_rng(1)
     fm = _random_factor_map(rng, 3, 2, 2)
