@@ -15,9 +15,15 @@ evaluation, lifting and the adversary LP's epigraph blocks read those.
 Vertex enumeration also answers support queries on small polytopes.  The
 first query on a set tries to prove it a compact polytope with few active
 sets; if that succeeds, the set keeps its vertex list, and support values,
-bounding boxes and boundedness come from it without an LP.  Every other set
-answers with one LP per question, and that LP path stays the tests'
-reference.
+bounding boxes, boundedness and feasibility come from it without an LP.
+Every other query is one LP over the set's rows, asked as a max (min d.x
+is -max (-d).x) on a HiGHS model the set builds on its first LP and
+keeps: the model's rows and columns never change, each query writes only
+the column costs, and HiGHS re-solves from the basis the last query left.
+The Chebyshev radius solves its own LP on a fresh model.  Every geometry
+LP goes through this module's `solve_lp`, and none through the solver
+seam, whose HiGHS counts stay those of the backups.  On a scipy build
+without HiGHS's bindings the dense simplex answers them instead.
 """
 
 from __future__ import annotations
@@ -28,23 +34,26 @@ from math import comb
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.sparse import csc_matrix
 
-# Geometry LPs go to the dense simplex, not the library's HiGHS default:
-# they are tiny (the TV weight polytope's bounding-box LP has 6 variables
-# and 14 rows, and took 0.66 ms per solve on the simplex against 1.0 ms on a
-# fresh HiGHS model, 300 solves each, 2-vCPU x86), and feasibility_check
-# returns the simplex's Farkas certificate.
-from .lp import EQ, LE, LinearProgram, solve_lp
+from . import lp as _lp
+from .lp import EQ, LE, PRIMAL_SIMPLEX, LeadingColumns, LinearProgram, WarmHighs
 
+# HiGHS options of every geometry model: presolve costs more than it saves
+# on LPs this small, and a query that changes only the costs leaves the
+# last basis feasible, from which the primal simplex re-solves faster than
+# the dual
+_MODEL_OPTIONS = {"presolve": "off", "simplex_strategy": PRIMAL_SIMPLEX}
 VERTEX_DEDUP_TOL = 1e-7
 FEAS_TOL = 1e-9
 VERTEX_DIM_GUARD = 8
 # Largest count of active sets, C(m, need) + C(m, need - 1), that a set's
 # vertex form may visit (m inequality rows, need = dim less the rank of the
-# equality rows).  Building the form costs about 0.22 ms plus 9 us per
-# active set, and one dense-simplex LP on these sets about 0.46 ms (2-vCPU
-# x86, numpy 2.4), so a form within this count costs under two LPs: less
-# than the 1 + 2 * dim LPs of the compactness check it replaces.
+# equality rows).  Building the form costs about 0.2 ms plus 14 us per
+# active set, and the compactness check it replaces, 1 + 2 * dim LPs on a
+# new warm HiGHS model, 1.2 to 1.7 ms on 3- to 5-dimensional simplices,
+# boxes and 1-norm balls (2-vCPU x86, numpy 2.4, scipy 1.17), so a form
+# within this count costs less.
 VERTEX_FORM_MAX_ACTIVE_SETS = 64
 
 
@@ -89,6 +98,9 @@ class PolyhedralSet:
     # (k, dim) vertex array once the set is proven a small compact
     # polytope, (0, dim) once it is not; built on the first support query
     _vertex_form: object = field(default=None, init=False, repr=False)
+    # the LP max c.x over the set as a request on the set's own warm HiGHS
+    # model, built on the first LP query; each query swaps in its costs
+    _lp_model: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, ineq, eq):
         if self.dim <= 0:
@@ -168,9 +180,23 @@ def product(*sets: PolyhedralSet) -> PolyhedralSet:
 # ---------------------------------------------------------------------------
 
 
+def solve_lp(request):
+    """Solve one geometry LP: on HiGHS, on the request's warm model or a
+    fresh one; on the dense simplex when scipy lacks HiGHS's bindings, so
+    an infeasible set keeps its Farkas certificate either way."""
+    if _lp._HIGHS is None:
+        return _lp.solve_lp(request)
+    return _lp.solve_lp_highs(request)
+
+
 def feasibility_check(s: PolyhedralSet):
-    """Returns (True, witness) or (False, farkas_certificate)."""
-    sol = _extreme(s, np.zeros(s.dim), "min")
+    """Returns (True, witness) or (False, farkas_certificate): a
+    certificate y has y >= 0 on the inequality rows, a'y = 0 and b'y < 0.
+    A set with a vertex form answers with a vertex."""
+    verts = _vertex_form_of(s)
+    if verts is not None:
+        return True, verts[0].copy()
+    sol = _extreme(s, np.zeros(s.dim))
     if sol.optimal:
         return True, sol.x
     if sol.status == "infeasible":
@@ -178,17 +204,33 @@ def feasibility_check(s: PolyhedralSet):
     raise GeometryError(f"feasibility LP ended with status {sol.status}")
 
 
-def _extreme(s: PolyhedralSet, direction, sense):
-    lp = LinearProgram(
-        sense,
-        np.asarray(direction, dtype=float),
-        np.vstack([s.a_in, s.a_eq]),
-        (LE,) * len(s.b_in) + (EQ,) * len(s.b_eq),
-        np.concatenate([s.b_in, s.b_eq]),
-        np.full(s.dim, -np.inf),
-        np.full(s.dim, np.inf),
+def _max_request(c, a, senses, b, lb, ub):
+    """max c.x over the dense rows `a` as a request for a fresh warm model:
+    every column leads, its compressed-column arrays read off `a`."""
+    at = a.T
+    cols, rows = np.nonzero(at)
+    starts = np.searchsorted(cols, np.arange(a.shape[1])).astype(np.int32)
+    no_cols = np.zeros(0)
+    shared = LinearProgram("max", no_cols, csc_matrix((a.shape[0], 0)), senses, b, no_cols, no_cols)
+    return LeadingColumns(
+        shared, c, lb, ub, starts, rows.astype(np.int32), at[cols, rows], WarmHighs(0, _MODEL_OPTIONS)
     )
-    return solve_lp(lp)
+
+
+def _extreme(s: PolyhedralSet, direction):
+    """max direction.x over the set, solved on the set's warm model."""
+    model = s._lp_model
+    if model is None:
+        free = np.full(s.dim, np.inf)
+        senses = (LE,) * len(s.b_in) + (EQ,) * len(s.b_eq)
+        rows, rhs = np.vstack([s.a_in, s.a_eq]), np.concatenate([s.b_in, s.b_eq])
+        model = _max_request(np.zeros(s.dim), rows, senses, rhs, -free, free)
+        object.__setattr__(s, "_lp_model", model)
+    # the costs are copied: the model tells new ones from the held ones by identity
+    c = np.array(direction, dtype=float)
+    return solve_lp(
+        LeadingColumns(model.shared, c, model.lb, model.ub, model.starts, model.index, model.value, model.warm)
+    )
 
 
 def support_value(s: PolyhedralSet, direction):
@@ -203,7 +245,7 @@ def support_value(s: PolyhedralSet, direction):
         return (verts @ direction.T).max(axis=0)
     if direction.ndim == 2:
         return np.array([support_value(s, d) for d in direction])
-    sol = _extreme(s, direction, "max")
+    sol = _extreme(s, direction)
     if sol.status == "unbounded":
         raise NotCompactError("set not compact")
     if not sol.optimal:
@@ -218,16 +260,15 @@ def bounding_box(s: PolyhedralSet) -> np.ndarray:
     if verts is not None:
         return np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1)
     out = np.zeros((s.dim, 2))
-    for i in range(s.dim):
-        e = np.zeros(s.dim)
-        e[i] = 1.0
-        for k, sense in ((0, "min"), (1, "max")):
-            sol = _extreme(s, e, sense)
+    for i, e in enumerate(np.eye(s.dim)):
+        # lo = -max(-x_i), then hi = max x_i
+        for k, sign in ((0, -1.0), (1, 1.0)):
+            sol = _extreme(s, sign * e)
             if sol.status == "unbounded":
                 raise NotCompactError(f"set not compact: coordinate {i} unbounded")
             if not sol.optimal:
                 raise GeometryError(f"bounding-box LP status {sol.status}")
-            out[i, k] = sol.value
+            out[i, k] = sign * sol.value
     return out
 
 
@@ -338,8 +379,7 @@ def chebyshev_radius(s: PolyhedralSet) -> float:
     # each equality row as the pair a.x <= d, -a.x <= -d
     a_eq = np.stack([s.a_eq, -s.a_eq], axis=1).reshape(-1, n)
     a = np.vstack([s.a_in, a_eq])
-    lp = LinearProgram(
-        "max",
+    lp = _max_request(
         c,
         np.vstack([np.column_stack([a, np.linalg.norm(a, axis=1)]), c]),
         (LE,) * (a.shape[0] + 1),

@@ -20,8 +20,11 @@ The self-contained two-phase dense simplex (`solve_lp`) returns primal and
 dual solutions plus optimality certificates.  It favours robustness over
 speed: Dantzig pricing with a switch to Bland's rule after a stall,
 explicit Farkas certificates on infeasibility, and a hard
-"numerical_failure" status instead of silent wrong answers.  The geometry
-helpers call it directly, and the seam offers it as "simplex".
+"numerical_failure" status instead of silent wrong answers.  The seam
+offers it as "simplex"; it is criterion 8's subject and the tests'
+reference, and no path of the library calls it by default.  The HiGHS
+adapter reports an infeasible LP with the same Farkas certificate, taken
+from HiGHS's dual ray.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical_failure"
+# HiGHS only: statuses a run can still end with after its cold retry
+UNBOUNDED_OR_INFEASIBLE = "unbounded_or_infeasible"
+ITERATION_LIMIT = "iteration_limit"
+TIME_LIMIT = "time_limit"
 
 
 class LpError(Exception):
@@ -142,7 +149,10 @@ class LpSolution:
     x: np.ndarray | None = None
     y: np.ndarray | None = None
     value: float = np.nan
-    # Farkas-style dual ray for infeasible problems (per original row).
+    # Farkas-style dual ray for infeasible problems, per original row, with
+    # the signs of a shadow price for the stated sense: for a max problem
+    # y >= 0 on "<=" rows, y <= 0 on ">=" rows and y'b < 0, and, when every
+    # variable is free, a'y = 0; the signs flip for a min problem
     certificate: np.ndarray | None = None
     iterations: int = 0
 
@@ -451,6 +461,12 @@ except ImportError:  # pragma: no cover - depends on the scipy build
 
 # HiGHS's large_matrix_value: addCols rejects an entry this large or larger
 _HIGHS_MAX_ENTRY = 1e15
+# HiGHS's simplex_strategy values for its dual and its primal simplex
+DUAL_SIMPLEX, PRIMAL_SIMPLEX = 1, 4
+# a cold retry runs without presolve and on the dual simplex, whose
+# infeasible end leaves the Farkas ray; then the model's own options return
+_RETRY_OPTIONS = {"presolve": "off", "simplex_strategy": DUAL_SIMPLEX}
+_HIGHS_DEFAULTS = {"presolve": "choose", "simplex_strategy": DUAL_SIMPLEX}
 
 
 def _highs_status(status, model_status) -> str:
@@ -461,6 +477,12 @@ def _highs_status(status, model_status) -> str:
         return INFEASIBLE
     if status == model_status.kUnbounded:
         return UNBOUNDED
+    if status == model_status.kUnboundedOrInfeasible:
+        return UNBOUNDED_OR_INFEASIBLE
+    if status == model_status.kIterationLimit:
+        return ITERATION_LIMIT
+    if status == model_status.kTimeLimit:
+        return TIME_LIMIT
     return NUMERICAL_FAILURE
 
 
@@ -529,17 +551,21 @@ class WarmHighs:
     basis status of the rows and the shared columns across that swap.  The
     first run builds the model from the request's shared part.  `solve`
     splits a whole LP into such a request.  A run that does not end optimal
-    is repeated once from scratch with presolve off before its status is
-    reported, so neither a stale basis nor presolve's guess turns a
-    solvable LP into a failure or an unbounded one into an infeasible one.
+    is repeated once from scratch, with presolve off and on the dual
+    simplex, before its status is reported, so neither a stale basis nor presolve's guess turns a
+    solvable LP into a failure or an unbounded one into an infeasible one;
+    an infeasible one carries HiGHS's dual ray as its Farkas certificate.
+    `options` are HiGHS options the model runs with (the retry aside).
     `WarmHighs(0)` shares no column and serves a single LP on a fresh model.
     The handle keeps the arrays of the last request, never the request or
     whatever owns it, and a lock serialises solves on it.  A request's
     arrays are read, not copied, so they must not change after the solve.
     """
 
-    def __init__(self, n_shared: int):
+    def __init__(self, n_shared: int, options=None):
         self.n_shared = n_shared
+        # HiGHS options the model is built with, over HiGHS's defaults
+        self.options = dict(options or {})
         self._lock = threading.Lock()
         self._highs = None
         self._held = None
@@ -579,13 +605,14 @@ class WarmHighs:
             status, its = self._run()
             if status != model_status.kOptimal:
                 self._highs.clearSolver()
-                self._highs.setOptionValue("presolve", "off")
+                self._set_options(_RETRY_OPTIONS)
                 status, cold_its = self._run()
-                self._highs.setOptionValue("presolve", "choose")
+                self._set_options({**_HIGHS_DEFAULTS, **self.options})
                 its += cold_its
             status = _highs_status(status, model_status)
             if status != OPTIMAL:
-                return LpSolution(status, iterations=its)
+                cert = self._farkas(lead.shared.sense) if status == INFEASIBLE else None
+                return LpSolution(status, certificate=cert, iterations=its)
             sol = self._highs.getSolution()
             col_value = np.array(sol.col_value, dtype=float)
             y = np.array(sol.row_dual, dtype=float)
@@ -606,6 +633,7 @@ class WarmHighs:
             self._highs = highs_cls()
             self._highs.setOptionValue("output_flag", False)
             self._highs.setOptionValue("log_to_console", False)
+            self._set_options(self.options)
             sense = obj_sense.kMaximize if sh.sense == "max" else obj_sense.kMinimize
             self._highs.changeObjectiveSense(sense)
             senses = np.array(sh.row_senses)
@@ -657,6 +685,20 @@ class WarmHighs:
             edits.append(highs.changeColsBounds(held.n_lead, held.cols, lead.lb, lead.ub))
         held.take(lead)
         return highs_status.kError not in edits
+
+    def _farkas(self, sense):
+        """The dual ray of an infeasible run as a Farkas certificate.  HiGHS
+        gives it with a min problem's signs whatever the sense (y <= 0 on
+        "<=" rows, y'b > 0), so a max problem's is negated."""
+        _, exists, ray = self._highs.getDualRay()
+        if not exists:
+            return None
+        ray = np.array(ray, dtype=float)
+        return -ray if sense == "max" else ray
+
+    def _set_options(self, options):
+        for name, value in options.items():
+            self._highs.setOptionValue(name, value)
 
     def _run(self):
         """One HiGHS run; returns (model status, simplex + IPM iterations)."""

@@ -81,22 +81,31 @@ def _matrix(node, path):
     return m
 
 
-def _parse_support(node, path):
+def _parse_support(node, path, shared):
+    """The support a spec describes.  `shared` maps the (kind, values) of
+    every spec parsed before in the same build to its set, and an equal
+    spec gets that set again, so its vertex form and LP model are built
+    once."""
     _check_keys(node, path, ("kind",), ("dim", "lo", "hi", "point"))
     kind = node["kind"]
     if kind == "simplex":
         _check_keys(node, path, ("kind", "dim"))
-        return simplex(int(node["dim"]))
-    if kind == "box":
+        values, make = (int(node["dim"]),), simplex
+    elif kind == "box":
         _check_keys(node, path, ("kind", "lo", "hi"))
-        return box(_vector(node["lo"], f"{path}.lo"), _vector(node["hi"], f"{path}.hi"))
-    if kind == "singleton":
+        values, make = (_vector(node["lo"], f"{path}.lo"), _vector(node["hi"], f"{path}.hi")), box
+    elif kind == "singleton":
         _check_keys(node, path, ("kind", "point"))
-        return singleton(_vector(node["point"], f"{path}.point"))
-    raise ModelFileError(f"{path}.kind: unknown support kind {kind!r}")
+        values, make = (_vector(node["point"], f"{path}.point"),), singleton
+    else:
+        raise ModelFileError(f"{path}.kind: unknown support kind {kind!r}")
+    key = (kind, *(v.tobytes() if isinstance(v, np.ndarray) else v for v in values))
+    if key not in shared:
+        shared[key] = make(*values)
+    return shared[key]
 
 
-def _parse_ambiguity(node, path):
+def _parse_ambiguity(node, path, supports):
     _check_keys(
         node,
         path,
@@ -108,14 +117,14 @@ def _parse_ambiguity(node, path):
     with _located(path):
         if builder == "support_only":
             _check_keys(node, path, ("builder", "support"))
-            return build_support_only(_parse_support(node["support"], f"{path}.support"))
+            return build_support_only(_parse_support(node["support"], f"{path}.support", supports))
         if builder == "wasserstein":
             _check_keys(node, path, ("builder", "support", "samples", "radius"), ("metric",))
             samples = [_vector(s, f"{path}.samples[{i}]") for i, s in enumerate(node["samples"])]
             return build_wasserstein(
                 samples,
                 float(node["radius"]),
-                _parse_support(node["support"], f"{path}.support"),
+                _parse_support(node["support"], f"{path}.support", supports),
                 node.get("metric", 1),
             )
         if builder == "tv":
@@ -131,7 +140,7 @@ def _parse_ambiguity(node, path):
                 ("builder", "support", "mean_lo", "mean_hi"),
                 ("center", "radius", "norm"),
             )
-            support = _parse_support(node["support"], f"{path}.support")
+            support = _parse_support(node["support"], f"{path}.support", supports)
             center = node.get("center")
             radius = float(node.get("radius", np.inf))
             if center is None and np.isfinite(radius):
@@ -178,8 +187,9 @@ class ModelDocument:
 
     def _build(self) -> DrMdpModel:
         doc = self.raw
+        supports = {}  # (kind, values) -> the set every equal support spec gets
         named = {
-            name: _parse_ambiguity(node, f"ambiguities.{name}")
+            name: _parse_ambiguity(node, f"ambiguities.{name}", supports)
             for name, node in doc.get("ambiguities", {}).items()
         }
         fms, ambs, labels = [], [], []
@@ -197,7 +207,7 @@ class ModelDocument:
                     raise ModelFileError(f"{path}.ambiguity: no ambiguity block named {amb!r}")
                 ambs.append(named[amb])
             else:
-                ambs.append(_parse_ambiguity(amb, f"{path}.ambiguity"))
+                ambs.append(_parse_ambiguity(amb, f"{path}.ambiguity", supports))
         kwargs = {}
         if "stages" in doc:
             with _located("document.stages"):

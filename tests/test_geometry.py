@@ -253,7 +253,7 @@ def test_enumerate_vertices_dependent_equality_rows():
 
 def _lp_support(s, direction):
     """The LP path's support value: one `_extreme` LP."""
-    sol = _extreme(s, direction, "max")
+    sol = _extreme(s, direction)
     if sol.status == "unbounded":
         raise NotCompactError("set not compact")
     if not sol.optimal:
@@ -266,7 +266,7 @@ def _lp_box(s):
 
 
 def _lp_nonempty_bounded(s):
-    if not feasibility_check(s)[0]:
+    if not _extreme(s, np.zeros(s.dim)).optimal:
         return False
     try:
         _lp_box(s)
@@ -432,4 +432,6 @@ def test_vertex_form_answers_without_lps(monkeypatch):
     assert bounding_box(s) == pytest.approx(np.array([[0, 0.6], [0, 0.6], [0, 1], [0, 1]]), abs=1e-12)
     rows = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 3.0]])
     assert support_value(s, rows) == pytest.approx([1.2, 3.0], abs=1e-12)
+    ok, witness = feasibility_check(s)
+    assert ok and s.contains(witness)
     assert not calls

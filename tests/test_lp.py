@@ -11,15 +11,21 @@ from drmdp.lp import (
     EQ,
     GE,
     INFEASIBLE,
+    ITERATION_LIMIT,
     LE,
     NUMERICAL_FAILURE,
     OPTIMAL,
+    PRIMAL_SIMPLEX,
+    TIME_LIMIT,
     UNBOUNDED,
+    UNBOUNDED_OR_INFEASIBLE,
     LeadingColumns,
     LinearProgram,
     LpError,
     LpSolution,
     WarmHighs,
+    _HIGHS,
+    _highs_status,
     _solve_lp_highs_public,
     dump_lp,
     get_solver,
@@ -506,3 +512,67 @@ def test_infinite_entry_written_in_place_rebuilds_the_model():
     again = solve_lp_highs(good)
     assert again.optimal and warm._highs is not model
     assert again.value == pytest.approx(solve_lp_highs(dataclasses.replace(good, warm=None)).value, abs=1e-9)
+
+
+def _infeasible_lp(rng, sense):
+    """Free variables under rows of every sense around a point, and one
+    more row that no point of the others meets: a feasible "<=" row
+    flipped into ">=" beyond its reach over a box around the point."""
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    point = rng.normal(size=n)
+    a = rng.normal(size=(m, n))
+    senses = tuple(rng.choice([LE, GE, EQ], size=m))
+    slack = {LE: 1.0, GE: -1.0, EQ: 0.0}
+    b = a @ point + np.array([slack[s] for s in senses])
+    # a box of half-width 1 around the point, then d.x at least its max + 1
+    d = rng.normal(size=n)
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    a = np.vstack([a, box, d])
+    b = np.concatenate([b, point + 1.0, 1.0 - point, [d @ point + np.abs(d).sum() + 1.0]])
+    senses = senses + (LE,) * (2 * n) + (GE,)
+    return LinearProgram(sense, rng.normal(size=n), a, senses, b, np.full(n, -np.inf), np.full(n, np.inf))
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_highs_farkas_certificate_follows_the_simplex_convention(sense):
+    # y is a shadow price for the stated sense: for max, y >= 0 on "<=",
+    # y <= 0 on ">=" and y'b < 0; for min, the signs flip.  a'y = 0.
+    rng = np.random.default_rng(31)
+    sign = 1.0 if sense == "max" else -1.0
+    for _ in range(40):
+        lp = _infeasible_lp(rng, sense)
+        senses = np.array(lp.row_senses)
+        for solve in (solve_lp, solve_lp_highs):
+            sol = solve(lp)
+            assert sol.status == INFEASIBLE, solve.__name__
+            y = sign * sol.certificate
+            scale = np.abs(y).max()
+            assert np.all(y[senses == LE] >= -1e-9 * scale)
+            assert np.all(y[senses == GE] <= 1e-9 * scale)
+            assert np.abs(lp.a.T @ y).max() <= 1e-9 * scale
+            assert lp.b @ y < 0
+
+
+def test_highs_limits_and_undecided_runs_get_their_own_status():
+    model_status = _HIGHS[1]
+    assert _highs_status(model_status.kUnboundedOrInfeasible, model_status) == UNBOUNDED_OR_INFEASIBLE
+    assert _highs_status(model_status.kIterationLimit, model_status) == ITERATION_LIMIT
+    assert _highs_status(model_status.kTimeLimit, model_status) == TIME_LIMIT
+    assert _highs_status(model_status.kSolveError, model_status) == NUMERICAL_FAILURE
+    lp = _mixed_lp(np.random.default_rng(2), 4, 3)
+    assert solve_lp_highs(lp).iterations > 0
+    for options, status in (({"simplex_iteration_limit": 0}, ITERATION_LIMIT), ({"time_limit": 0.0}, TIME_LIMIT)):
+        sol = solve_lp_highs(dataclasses.replace(lp, warm=WarmHighs(0, options)))
+        assert sol.status == status and sol.certificate is None
+
+
+def test_model_options_survive_the_cold_retry():
+    # the retry runs the dual simplex without presolve, then the model's own
+    # options return
+    options = {"presolve": "off", "simplex_strategy": PRIMAL_SIMPLEX}
+    warm = WarmHighs(0, options)
+    lp = _unbounded_mixed_lp()
+    assert solve_lp_highs(dataclasses.replace(lp, warm=warm)).status == UNBOUNDED
+    assert solve_lp_highs(dataclasses.replace(lp, c=np.zeros(6), warm=warm)).optimal
+    for name, value in options.items():
+        assert warm._highs.getOptionValue(name)[1] == value

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import yaml
 
+import drmdp.modelfile as modelfile
+from drmdp.ambiguity import validate
 from drmdp.engine import backward_induction
 from drmdp.modelfile import (
     ModelFileError,
@@ -195,3 +197,56 @@ def test_malformed_value_raises_model_file_error_with_its_path(case):
     pattern = re.escape(path) + "".join(".*" + re.escape(t) for t in text)
     with pytest.raises(ModelFileError, match=pattern):
         parse_model_text(_edited(name, edit))
+
+
+def _shared_supports_document():
+    """States over the 2-simplex and two boxes: the support specs of
+    states 0, 1, 2 and 4 are equal, those of states 3 and 5 differ from
+    them and from each other."""
+    simplex2 = {"kind": "simplex", "dim": 2}
+    samples = [[0.3, 0.7], [0.6, 0.4]]
+    # the factor is the transition row to states 0 and 1
+    p_mat = [[1, 0], [0, 1]] + [[0, 0]] * 4
+    fm = {"p_mat": p_mat, "p_offset": [0] * 6, "r_mat": [[0.5, -0.5]], "r_offset": [0.1]}
+    blocks = [
+        "ball",
+        {"builder": "support_only", "support": dict(simplex2)},
+        {"builder": "uncertain_mean", "support": dict(simplex2), "mean_lo": [0.2, 0.2],
+         "mean_hi": [0.8, 0.8], "center": [0.5, 0.5], "radius": 0.3},
+        {"builder": "support_only", "support": {"kind": "box", "lo": [0, 0], "hi": [1, 1]}},
+        {"builder": "wasserstein", "support": dict(simplex2), "samples": samples, "radius": 0.2},
+        {"builder": "support_only", "support": {"kind": "box", "lo": [0, 0], "hi": [1, 0.9]}},
+    ]
+    return yaml.safe_dump({
+        "format_version": 1,
+        "discount": 0.9,
+        "ambiguities": {"ball": {"builder": "wasserstein", "support": dict(simplex2),
+                                 "samples": samples, "radius": 0.1}},
+        "states": [{"factor_map": fm, "ambiguity": block} for block in blocks],
+    })
+
+
+def test_equal_support_specs_share_one_set_per_document():
+    text = _shared_supports_document()
+    model = parse_model_text(text).build()
+    supports = [amb.supports[0] for amb in model.ambiguities]
+    assert all(s is supports[0] for s in (supports[1], supports[2], supports[4]))
+    assert len({id(s) for s in supports}) == 3
+    assert model.ambiguities[0].supports[1] is supports[0]
+    # a document's sets are its own
+    again = parse_model_text(text).build()
+    assert not {id(a.supports[0]) for a in again.ambiguities} & {id(s) for s in supports}
+
+
+def test_shared_supports_keep_every_validation_check():
+    doc = yaml.safe_load(_shared_supports_document())
+    shared = parse_model_text(yaml.safe_dump(doc)).build()
+    for i, (amb, fm, state) in enumerate(zip(shared.ambiguities, shared.factor_maps, doc["states"])):
+        node = doc["ambiguities"]["ball"] if state["ambiguity"] == "ball" else state["ambiguity"]
+        # the same set built on its own, sharing no support with another state
+        alone = modelfile._parse_ambiguity(node, f"states[{i}].ambiguity", {})
+        assert alone.supports[0] is not amb.supports[0]
+        got, want = validate(amb, fm), validate(alone, fm)
+        assert got.checks == want.checks
+        names = [name for name, _, _ in got.checks]
+        assert {f"support_{n}_compact" for n in range(amb.n_scenarios)} <= set(names)

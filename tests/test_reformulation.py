@@ -456,7 +456,7 @@ def test_warm_failure_reported_after_the_cold_retry(monkeypatch):
     amb, obj = next(_saddle_cases())
     solve_srobust(obj, amb, solver="highs")
     monkeypatch.setattr(WarmHighs, "_run", stalled)
-    with pytest.raises(ReformulationError, match="ended with status numerical_failure"):
+    with pytest.raises(ReformulationError, match="ended with status iteration_limit"):
         solve_srobust(obj, amb, solver="highs")
     assert len(runs) == 2
 
