@@ -148,8 +148,8 @@ def newsvendor(radii, train_sizes, reps, test_runs, seed, out_dir, keep_going, t
     record.aggregate_to_csv(out / "aggregate.csv")
     lo, hi = min(theta_grid), max(theta_grid)
     for n in sizes:
-        if hi > lo and len(record.costs(lo, n)) > 1:
-            t = paired_t_statistic(record, hi, lo, n)
+        t = paired_t_statistic(record, hi, lo, n)
+        if hi > lo and not np.isnan(t):
             trend = "mean increases" if t > 2 else "no significant increase"
             click.echo(f"N={n}: mean cost θ={hi} vs θ={lo}: t={t:.2f} ({trend})")
     if len(sizes) > 1:

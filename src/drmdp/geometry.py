@@ -21,9 +21,9 @@ is -max (-d).x) on a HiGHS model the set builds on its first LP and
 keeps: the model's rows and columns never change, each query writes only
 the column costs, and HiGHS re-solves from the basis the last query left.
 The Chebyshev radius solves its own LP on a fresh model.  Every geometry
-LP goes through this module's `solve_lp`, and none through the solver
-seam, whose HiGHS counts stay those of the backups.  On a scipy build
-without HiGHS's bindings the dense simplex answers them instead.
+LP goes through this module's `solve_lp` to HiGHS, never to the dense
+simplex, and none through the solver seam, whose HiGHS counts stay those
+of the backups.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from math import comb
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.sparse import csc_matrix
 
 from . import lp as _lp
-from .lp import EQ, LE, PRIMAL_SIMPLEX, LeadingColumns, LinearProgram, WarmHighs
+from .lp import EQ, LE, PRIMAL_SIMPLEX, LeadingColumns, WarmHighs
 
 # HiGHS options of every geometry model: presolve costs more than it saves
 # on LPs this small, and a query that changes only the costs leaves the
@@ -181,11 +180,8 @@ def product(*sets: PolyhedralSet) -> PolyhedralSet:
 
 
 def solve_lp(request):
-    """Solve one geometry LP: on HiGHS, on the request's warm model or a
-    fresh one; on the dense simplex when scipy lacks HiGHS's bindings, so
-    an infeasible set keeps its Farkas certificate either way."""
-    if _lp._HIGHS is None:
-        return _lp.solve_lp(request)
+    """Solve one geometry LP on HiGHS, on the request's warm model or a
+    fresh one."""
     return _lp.solve_lp_highs(request)
 
 
@@ -204,19 +200,6 @@ def feasibility_check(s: PolyhedralSet):
     raise GeometryError(f"feasibility LP ended with status {sol.status}")
 
 
-def _max_request(c, a, senses, b, lb, ub):
-    """max c.x over the dense rows `a` as a request for a fresh warm model:
-    every column leads, its compressed-column arrays read off `a`."""
-    at = a.T
-    cols, rows = np.nonzero(at)
-    starts = np.searchsorted(cols, np.arange(a.shape[1])).astype(np.int32)
-    no_cols = np.zeros(0)
-    shared = LinearProgram("max", no_cols, csc_matrix((a.shape[0], 0)), senses, b, no_cols, no_cols)
-    return LeadingColumns(
-        shared, c, lb, ub, starts, rows.astype(np.int32), at[cols, rows], WarmHighs(0, _MODEL_OPTIONS)
-    )
-
-
 def _extreme(s: PolyhedralSet, direction):
     """max direction.x over the set, solved on the set's warm model."""
     model = s._lp_model
@@ -224,7 +207,9 @@ def _extreme(s: PolyhedralSet, direction):
         free = np.full(s.dim, np.inf)
         senses = (LE,) * len(s.b_in) + (EQ,) * len(s.b_eq)
         rows, rhs = np.vstack([s.a_in, s.a_eq]), np.concatenate([s.b_in, s.b_eq])
-        model = _max_request(np.zeros(s.dim), rows, senses, rhs, -free, free)
+        model = LeadingColumns.from_rows(
+            "max", np.zeros(s.dim), rows, senses, rhs, -free, free, WarmHighs(0, _MODEL_OPTIONS)
+        )
         object.__setattr__(s, "_lp_model", model)
     # the costs are copied: the model tells new ones from the held ones by identity
     c = np.array(direction, dtype=float)
@@ -379,7 +364,8 @@ def chebyshev_radius(s: PolyhedralSet) -> float:
     # each equality row as the pair a.x <= d, -a.x <= -d
     a_eq = np.stack([s.a_eq, -s.a_eq], axis=1).reshape(-1, n)
     a = np.vstack([s.a_in, a_eq])
-    lp = _max_request(
+    lp = LeadingColumns.from_rows(
+        "max",
         c,
         np.vstack([np.column_stack([a, np.linalg.norm(a, axis=1)]), c]),
         (LE,) * (a.shape[0] + 1),
@@ -387,6 +373,7 @@ def chebyshev_radius(s: PolyhedralSet) -> float:
         np.concatenate([s.b_in, np.column_stack([s.b_eq, -s.b_eq]).ravel(), [1e6]]),
         np.concatenate([np.full(n, -np.inf), [0.0]]),
         np.full(n + 1, np.inf),
+        WarmHighs(0, _MODEL_OPTIONS),
     )
     sol = solve_lp(lp)
     if not sol.optimal:

@@ -5,16 +5,17 @@ backend from the seam `get_solver`; the default everywhere is scipy's
 HiGHS under this module's solution contract.  A backend takes either a
 `LinearProgram` or a `LeadingColumns` request: the columns that lead an
 LP's shared ones, with the LP over its rows and shared columns alone.  An
-LP may carry a scipy.sparse matrix, which HiGHS takes as is and the dense
-paths densify, and either may carry a `WarmHighs` handle: LPs that share
-every row and all but their leading columns are then solved on one
-persistent HiGHS model, which takes only what differs in the leading
-columns and re-runs from the basis the previous solve left.  Leading
-columns of the held pattern are edited in place, entry by entry, which
-keeps that basis valid; others are swapped in.  A request without a handle
-is solved on a fresh model, and a backend that cannot edit columns
-assembles the whole LP.  A scipy build without the bundled HiGHS bindings
-falls back to `linprog`.
+LP may carry a scipy.sparse matrix, which a whole-LP solve densifies.  A
+request may carry a `WarmHighs` handle: requests that share every row and
+all but their leading columns are then solved on one persistent HiGHS
+model, which takes only what differs in the leading columns and re-runs
+from the basis the previous solve left.  Leading columns of the held
+pattern are edited in place, entry by entry, which keeps that basis
+valid; others are swapped in.  HiGHS solves a request without a handle on
+a fresh model, and a whole `LinearProgram` as the request
+`LeadingColumns.from_rows` makes of it, every column leading; the dense
+simplex assembles the whole LP.  HiGHS is driven through scipy's private
+`_highspy` bindings, the only ones that edit a model in place.
 
 The self-contained two-phase dense simplex (`solve_lp`) returns primal and
 dual solutions plus optimality certificates.  It favours robustness over
@@ -33,9 +34,13 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, ObjSense, _Highs, kHighsInf
 from scipy.sparse import csc_matrix, issparse
 
 PIVOT_TOL = 1e-9
+# the dense simplex prices by Dantzig's rule for this many times (rows +
+# columns) iterations of a phase, then by Bland's rule, which cannot cycle
+STALL_FACTOR = 3
 # largest residual (see `residuals`) the dense simplex returns as optimal
 SIMPLEX_RESIDUAL_TOL = 1e-7
 
@@ -63,8 +68,7 @@ class LinearProgram:
 
     Rows are (coefficients, sense, rhs) with sense one of "<=", "=", ">=".
     Bounds may be -inf / +inf.  The matrix `a` is a dense array or a
-    scipy.sparse matrix.  `warm` optionally names the `WarmHighs` model the
-    HiGHS adapter solves this LP on; every other solver ignores it.
+    scipy.sparse matrix.
     """
 
     sense: str
@@ -74,7 +78,6 @@ class LinearProgram:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    warm: WarmHighs | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -365,7 +368,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     tab[:, n_tot] = sf.b
     basis = np.array([n_sc + i for i in range(m)], dtype=int)
 
-    stall_after = 3 * (m + n_tot)
+    stall_after = STALL_FACTOR * (m + n_tot)
     max_iter = 50 * (m + n_tot) + 2000
 
     # Phase 1
@@ -446,19 +449,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 
-try:
-    from scipy.optimize._highspy._core import (
-        HighsModelStatus,
-        HighsStatus,
-        ObjSense,
-        _Highs,
-        kHighsInf,
-    )
-
-    _HIGHS = (_Highs, HighsModelStatus, kHighsInf, ObjSense, HighsStatus)
-except ImportError:  # pragma: no cover - depends on the scipy build
-    _HIGHS = None
-
 # HiGHS's large_matrix_value: addCols rejects an entry this large or larger
 _HIGHS_MAX_ENTRY = 1e15
 # HiGHS's simplex_strategy values for its dual and its primal simplex
@@ -469,19 +459,19 @@ _RETRY_OPTIONS = {"presolve": "off", "simplex_strategy": DUAL_SIMPLEX}
 _HIGHS_DEFAULTS = {"presolve": "choose", "simplex_strategy": DUAL_SIMPLEX}
 
 
-def _highs_status(status, model_status) -> str:
+def _highs_status(status) -> str:
     """The solution-contract status of a HiGHS model status."""
-    if status == model_status.kOptimal:
+    if status == HighsModelStatus.kOptimal:
         return OPTIMAL
-    if status == model_status.kInfeasible:
+    if status == HighsModelStatus.kInfeasible:
         return INFEASIBLE
-    if status == model_status.kUnbounded:
+    if status == HighsModelStatus.kUnbounded:
         return UNBOUNDED
-    if status == model_status.kUnboundedOrInfeasible:
+    if status == HighsModelStatus.kUnboundedOrInfeasible:
         return UNBOUNDED_OR_INFEASIBLE
-    if status == model_status.kIterationLimit:
+    if status == HighsModelStatus.kIterationLimit:
         return ITERATION_LIMIT
-    if status == model_status.kTimeLimit:
+    if status == HighsModelStatus.kTimeLimit:
         return TIME_LIMIT
     return NUMERICAL_FAILURE
 
@@ -504,6 +494,18 @@ class LeadingColumns:
     index: np.ndarray
     value: np.ndarray
     warm: WarmHighs | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_rows(cls, sense, c, a, senses, b, lb, ub, warm=None) -> LeadingColumns:
+        """The LP over the dense rows `a` as a request whose every column
+        leads, its compressed-column arrays read off `a`; the shared part
+        holds the rows and no column."""
+        at = a.T
+        cols, rows = np.nonzero(at)
+        starts = np.searchsorted(cols, np.arange(a.shape[1])).astype(np.int32)
+        no_cols = np.zeros(0)
+        shared = LinearProgram(sense, no_cols, csc_matrix((a.shape[0], 0)), senses, b, no_cols, no_cols)
+        return cls(shared, c, lb, ub, starts, rows.astype(np.int32), at[cols, rows], warm)
 
     @property
     def n_rows(self) -> int:
@@ -532,7 +534,6 @@ class LeadingColumns:
             sh.b,
             np.concatenate([self.lb, sh.lb]),
             np.concatenate([self.ub, sh.ub]),
-            warm=self.warm,
         )
 
 
@@ -549,12 +550,12 @@ class WarmHighs:
     re-starts from the previous optimum.  A request with another pattern
     deletes the model's leading columns and adds its own; HiGHS keeps the
     basis status of the rows and the shared columns across that swap.  The
-    first run builds the model from the request's shared part.  `solve`
-    splits a whole LP into such a request.  A run that does not end optimal
-    is repeated once from scratch, with presolve off and on the dual
-    simplex, before its status is reported, so neither a stale basis nor presolve's guess turns a
-    solvable LP into a failure or an unbounded one into an infeasible one;
-    an infeasible one carries HiGHS's dual ray as its Farkas certificate.
+    first run builds the model from the request's shared part.  A run that
+    does not end optimal is repeated once from scratch, with presolve off
+    and on the dual simplex, before its status is reported, so neither a
+    stale basis nor presolve's guess turns a solvable LP into a failure or
+    an unbounded one into an infeasible one; an infeasible one carries
+    HiGHS's dual ray as its Farkas certificate.
     `options` are HiGHS options the model runs with (the retry aside).
     `WarmHighs(0)` shares no column and serves a single LP on a fresh model.
     The handle keeps the arrays of the last request, never the request or
@@ -570,28 +571,10 @@ class WarmHighs:
         self._highs = None
         self._held = None
 
-    def solve(self, lp: LinearProgram) -> LpSolution:
-        """Solve a whole LP: its columns before the last `n_shared` lead."""
-        n_lead = lp.n_vars - self.n_shared
-        if n_lead < 0:
-            raise LpError("LP does not share the rows and columns of its warm model")
-        a = lp.a.tocsc() if issparse(lp.a) else csc_matrix(lp.a)
-        lb = np.where(np.isinf(lp.lb), -np.inf, lp.lb)
-        ub = np.where(np.isinf(lp.ub), np.inf, lp.ub)
-        nnz = a.indptr[n_lead]
-        shared = LinearProgram(
-            lp.sense, lp.c[n_lead:], a[:, n_lead:], lp.row_senses, lp.b, lb[n_lead:], ub[n_lead:]
-        )
-        lead = LeadingColumns(
-            shared, lp.c[:n_lead], lb[:n_lead], ub[:n_lead], a.indptr[:n_lead], a.indices[:nnz], a.data[:nnz]
-        )
-        return self.run(lead)
-
     def run(self, lead: LeadingColumns) -> LpSolution:
         """Write the request's leading columns into the model, run, and read
         the solution with x in the request's column order (leading columns
         first) and y as shadow prices for its sense."""
-        model_status = _HIGHS[1]
         with self._lock:
             if self._highs is not None and lead.n_rows != self._highs.getNumRow():
                 raise LpError("LP does not share the rows and columns of its warm model")
@@ -603,13 +586,13 @@ class WarmHighs:
                 self._highs = self._held = None
                 return LpSolution(NUMERICAL_FAILURE)
             status, its = self._run()
-            if status != model_status.kOptimal:
+            if status != HighsModelStatus.kOptimal:
                 self._highs.clearSolver()
                 self._set_options(_RETRY_OPTIONS)
                 status, cold_its = self._run()
                 self._set_options({**_HIGHS_DEFAULTS, **self.options})
                 its += cold_its
-            status = _highs_status(status, model_status)
+            status = _highs_status(status)
             if status != OPTIMAL:
                 cert = self._farkas(lead.shared.sense) if status == INFEASIBLE else None
                 return LpSolution(status, certificate=cert, iterations=its)
@@ -627,18 +610,17 @@ class WarmHighs:
         objective sense is the request's, so the row duals are already
         shadow prices for the stated sense.  False if HiGHS rejects an
         edit."""
-        highs_cls, _, highs_inf, obj_sense, highs_status = _HIGHS
         if self._highs is None:
             sh = lead.shared
-            self._highs = highs_cls()
+            self._highs = _Highs()
             self._highs.setOptionValue("output_flag", False)
             self._highs.setOptionValue("log_to_console", False)
             self._set_options(self.options)
-            sense = obj_sense.kMaximize if sh.sense == "max" else obj_sense.kMinimize
+            sense = ObjSense.kMaximize if sh.sense == "max" else ObjSense.kMinimize
             self._highs.changeObjectiveSense(sense)
             senses = np.array(sh.row_senses)
-            lhs = np.where(senses == LE, -highs_inf, sh.b)
-            rhs = np.where(senses == GE, highs_inf, sh.b)
+            lhs = np.where(senses == LE, -kHighsInf, sh.b)
+            rhs = np.where(senses == GE, kHighsInf, sh.b)
             # the rows go in empty; the columns bring their entries
             no_entries = (np.zeros(sh.n_rows, np.int32), np.zeros(0, np.int32), np.zeros(0))
             edits = [
@@ -663,14 +645,13 @@ class WarmHighs:
             )
         )
         self._held = _HeldColumns(lead, np.arange(self.n_shared, self.n_shared + n_lead, dtype=np.int32))
-        return highs_status.kError not in edits
+        return HighsStatus.kError not in edits
 
     def _edit_in_place(self, lead: LeadingColumns) -> bool:
         """Write the entries, costs and bounds in which the request differs
         from the held leading columns, which have its pattern.  False if a
         changed entry is not finite or is too large for addCols, which
         changeCoeff would take and the run then fail on or misread."""
-        highs_status = _HIGHS[4]
         held, highs = self._held, self._highs
         changed = (lead.value != held.value).nonzero()[0]
         value = lead.value[changed]
@@ -684,7 +665,7 @@ class WarmHighs:
         if lead.lb is not held.lb or lead.ub is not held.ub:
             edits.append(highs.changeColsBounds(held.n_lead, held.cols, lead.lb, lead.ub))
         held.take(lead)
-        return highs_status.kError not in edits
+        return HighsStatus.kError not in edits
 
     def _farkas(self, sense):
         """The dual ray of an infeasible run as a Farkas certificate.  HiGHS
@@ -748,72 +729,12 @@ class _HeldColumns:
 def solve_lp_highs(lp) -> LpSolution:
     """HiGHS adapter conforming to the same solution contract.
 
-    A `LinearProgram` or `LeadingColumns` with a warm handle is solved on
-    the handle's persistent model, any other on a fresh one.  Without
-    scipy's bundled HiGHS bindings the public linprog path solves every LP.
+    A `LeadingColumns` request with a warm handle is solved on the handle's
+    persistent model, any other request or `LinearProgram` on a fresh one.
     """
-    if _HIGHS is None:
-        return _solve_lp_highs_public(lp.lp() if isinstance(lp, LeadingColumns) else lp)
-    if isinstance(lp, LeadingColumns):
-        return (lp.warm or WarmHighs(lp.shared.n_vars)).run(lp)
-    return (lp.warm or WarmHighs(0)).solve(lp)
-
-
-def _solve_lp_highs_public(lp: LinearProgram) -> LpSolution:
-    """scipy.optimize.linprog fallback with the same solution contract."""
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    c = lp.c if lp.sense == "min" else -lp.c
-    a = lp.dense_a()
-    senses = np.array(lp.row_senses)
-    le = senses == LE
-    ge = senses == GE
-    eq = senses == EQ
-    a_ub_rows = []
-    b_ub = []
-    ub_orig_idx = []
-    for i in range(lp.n_rows):
-        if le[i]:
-            a_ub_rows.append(a[i])
-            b_ub.append(lp.b[i])
-            ub_orig_idx.append((i, 1.0))
-        elif ge[i]:
-            a_ub_rows.append(-a[i])
-            b_ub.append(-lp.b[i])
-            ub_orig_idx.append((i, -1.0))
-    a_eq = a[eq] if np.any(eq) else None
-    b_eq = lp.b[eq] if np.any(eq) else None
-    a_ub = csr_matrix(np.array(a_ub_rows)) if a_ub_rows else None
-    problem = dict(
-        A_ub=a_ub,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=csr_matrix(a_eq) if a_eq is not None else None,
-        b_eq=b_eq,
-        bounds=list(zip(lp.lb, lp.ub)),
-        method="highs",
-    )
-    res = linprog(c, **problem)
-    if not res.success:
-        # presolve can call a feasible, unbounded LP infeasible: ask again
-        # without it before reporting the status
-        res = linprog(c, options={"presolve": False}, **problem)
-    if res.status == 2:
-        return LpSolution(INFEASIBLE)
-    if res.status == 3:
-        return LpSolution(UNBOUNDED)
-    if not res.success:
-        return LpSolution(NUMERICAL_FAILURE)
-    y = np.zeros(lp.n_rows)
-    if a_ub is not None:
-        for k, (i, sgn) in enumerate(ub_orig_idx):
-            y[i] = sgn * res.ineqlin.marginals[k]
-    if a_eq is not None:
-        y[np.flatnonzero(eq)] = res.eqlin.marginals
-    value = float(lp.c @ res.x)
-    if lp.sense == "max":
-        y = -y
-    return LpSolution(OPTIMAL, x=res.x.copy(), y=y, value=value, iterations=int(res.nit))
+    if isinstance(lp, LinearProgram):
+        lp = LeadingColumns.from_rows(lp.sense, lp.c, lp.dense_a(), lp.row_senses, lp.b, lp.lb, lp.ub)
+    return (lp.warm or WarmHighs(lp.shared.n_vars)).run(lp)
 
 
 _SOLVERS = {"simplex": solve_lp, "highs": solve_lp_highs}

@@ -234,10 +234,12 @@ def sorted_by_rep(rows, theta, n):
 
 
 def paired_t_statistic(record: ExperimentRecord, theta_a, theta_b, n) -> float:
-    """t statistic of mean(cost[θ_a] − cost[θ_b]) over paired repetitions."""
-    a = np.array(sorted_by_rep(record.rows, theta_a, n))
-    b = np.array(sorted_by_rep(record.rows, theta_b, n))
-    diff = a - b
+    """t statistic of mean(cost[θ_a] − cost[θ_b]) over the repetitions both
+    cells hold, paired by repetition index; NaN on fewer than two pairs."""
+    a, b = ({r[2]: r[3] for r in record.rows if r[0] == theta and r[1] == n} for theta in (theta_a, theta_b))
+    diff = np.array([a[rep] - b[rep] for rep in sorted(a.keys() & b.keys())])
+    if len(diff) < 2:
+        return float("nan")
     se = diff.std(ddof=1) / np.sqrt(len(diff))
     if se == 0.0:
         return float(np.sign(diff.mean()) * np.inf) if diff.mean() else 0.0

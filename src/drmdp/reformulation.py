@@ -361,7 +361,8 @@ class SRobustTemplate:
 
     def instantiate(self, obj: StageObjective, pi=None):
         """The whole LP, π columns first; returns (lp, layout) with column
-        blocks "pi" and "y".  The LP carries the set's warm HiGHS model."""
+        blocks "pi" and "y".  The LP carries no warm model: a backup reaches
+        the set's model only through `leading_columns`."""
         cols = _Cols()
         cols.add("pi", obj.n_actions)
         cols.add("y", self.at.shape[1])

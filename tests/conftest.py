@@ -1,6 +1,7 @@
 """Shared builders for randomized model-based tests."""
 
 import numpy as np
+from scipy.sparse import csc_matrix, issparse
 
 from drmdp.ambiguity import (
     FactorMap,
@@ -16,6 +17,21 @@ from drmdp.ambiguity import (
 )
 from drmdp.engine import DrMdpModel
 from drmdp.geometry import PolyhedralSet, box, simplex, singleton
+from drmdp.lp import LeadingColumns, LinearProgram
+
+def leading_request(lp, warm):
+    """A whole LP as a request on the warm model `warm`: its columns before
+    the last `warm.n_shared` lead, and those last ones are the shared part."""
+    n_lead = lp.n_vars - warm.n_shared
+    a = lp.a.tocsc() if issparse(lp.a) else csc_matrix(lp.a)
+    nnz = a.indptr[n_lead]
+    shared = LinearProgram(
+        lp.sense, lp.c[n_lead:], a[:, n_lead:], lp.row_senses, lp.b, lp.lb[n_lead:], lp.ub[n_lead:]
+    )
+    return LeadingColumns(
+        shared, lp.c[:n_lead], lp.lb[:n_lead], lp.ub[:n_lead], a.indptr[:n_lead], a.indices[:nnz], a.data[:nnz], warm
+    )
+
 
 # the six ambiguity families random_simplex_ambiguity builds on request
 FAMILIES = ("wasserstein", "support", "tv", "mean", "hybrid", "mixture")

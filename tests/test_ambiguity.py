@@ -190,6 +190,14 @@ def test_factor_map_negative_entry_detected():
     assert any("nonnegative" in name for name, _ in rep.failures())
 
 
+def test_factor_map_of_another_dimension_fails_its_check():
+    # a map over a 2-dimensional factor against a set over a scalar one
+    fm = FactorMap(1, 2, p_mat=[[1.0, 0.0], [0.0, 1.0]], p_offset=[0.0, 0.0], r_mat=[[0.0, 0.0]], r_offset=[0.0])
+    rep = validate(build_support_only(box([0.0], [1.0])), fm)
+    assert not rep.passed
+    assert rep.failures() == [("factor_map_dim", "factor_dim mismatch")]
+
+
 def test_identity_and_padded_factor_maps():
     fm = identity_factor_map(2, 3)
     xi = np.concatenate([[0.2, 0.3, 0.5, 0.1, 0.4, 0.5], [1.0, -1.0]])

@@ -141,6 +141,31 @@ def test_newsvendor_threads_do_not_change_results(runner, tmp_path, monkeypatch)
     ).read_text()
 
 
+@pytest.mark.parametrize("keep_going, code", [(False, 3), (True, 0)])
+def test_newsvendor_reports_a_failed_repetition(runner, tmp_path, monkeypatch, keep_going, code):
+    import drmdp.newsvendor as newsvendor
+
+    solve = newsvendor.solve_order_strategy
+    hi_calls = []
+
+    def failing(cfg, samples, theta, solver):
+        # θ=2 fails in repetition 1; reps 0 and 2 still pair with θ=0
+        if theta == 2.0:
+            hi_calls.append(theta)
+            if len(hi_calls) == 2:
+                raise RuntimeError("stalled")
+        return solve(cfg, samples, theta, solver=solver)
+
+    monkeypatch.setattr(newsvendor, "solve_order_strategy", failing)
+    args = ["newsvendor", "--radii", "0,2", "--train-sizes", "4", "--reps", "3", "--test-runs", "30",
+            "--threads", "1", "--out-dir", str(tmp_path)]
+    res = runner.invoke(main, args + (["--keep-going"] if keep_going else []))
+    assert res.exit_code == code, res.output
+    assert "failed repetition 1 (θ=2.0, N=4): stalled" in res.output
+    assert re.search(r"N=4: mean cost θ=2\.0 vs θ=0\.0: t=-?\d", res.output), res.output
+    assert len((tmp_path / "costs.csv").read_text().splitlines()) == 1 + 5
+
+
 def test_newsvendor_bad_flags_exit_2(runner, tmp_path):
     res = runner.invoke(
         main, ["newsvendor", "--radii", "0,zap", "--out-dir", str(tmp_path)]

@@ -2,9 +2,8 @@
 
 Every geometry LP is asked as a max on a HiGHS model: one warm model per
 set for its support, bounding-box and feasibility queries, a fresh one for
-each Chebyshev radius.  On a scipy build without HiGHS's bindings the same
-requests go to the dense simplex, which is the reference here: with
-`lp._HIGHS` set to None, geometry answers exactly as that build would.
+each Chebyshev radius.  The reference sends the same requests to the dense
+simplex in place of `geometry.solve_lp`.
 """
 
 import gc
@@ -53,7 +52,7 @@ def lp_path(monkeypatch):
 
 def _reference(monkeypatch):
     """From here on geometry solves on the dense simplex."""
-    monkeypatch.setattr(lp, "_HIGHS", None)
+    monkeypatch.setattr(geometry, "solve_lp", lp.solve_lp)
 
 
 def _outcome(fn, *args):

@@ -2,10 +2,16 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import leading_request
+from hypothesis import given, settings
 from scipy.sparse import csc_matrix
+from test_lp_differential import hard_lps
+
+import drmdp.lp
 
 from drmdp.lp import (
     EQ,
@@ -23,10 +29,9 @@ from drmdp.lp import (
     LinearProgram,
     LpError,
     LpSolution,
+    HighsModelStatus,
     WarmHighs,
-    _HIGHS,
     _highs_status,
-    _solve_lp_highs_public,
     dump_lp,
     get_solver,
     make_lp,
@@ -337,9 +342,8 @@ def test_warm_model_matches_cold_across_leading_columns(sense):
     for n_lead in (3, 1, 2, 0, 3):
         a = np.hstack([rng.normal(size=(n_rows, n_lead)), shared])
         c = np.concatenate([rng.normal(size=n_lead), c_shared])
-        lp = LinearProgram(sense, c, a, senses, b, np.zeros(n_lead + n_shared),
-                           np.full(n_lead + n_shared, 2.0), warm=warm)
-        hot, cold = solve_lp_highs(lp), solve_lp_highs(dataclasses.replace(lp, warm=None))
+        lp = LinearProgram(sense, c, a, senses, b, np.zeros(n_lead + n_shared), np.full(n_lead + n_shared, 2.0))
+        hot, cold = solve_lp_highs(leading_request(lp, warm)), solve_lp_highs(lp)
         assert hot.optimal and cold.optimal
         assert hot.value == pytest.approx(cold.value, abs=1e-9)
         assert hot.value == pytest.approx(solve_lp(lp).value, abs=1e-7)
@@ -350,19 +354,19 @@ def test_warm_model_matches_cold_across_leading_columns(sense):
 def test_warm_model_rejects_an_lp_with_other_rows():
     warm = WarmHighs(2)
     lp = make_lp("max", [1.0, 1.0, 1.0], [([1, 1, 1], LE, 1.0)])
-    assert solve_lp_highs(dataclasses.replace(lp, warm=warm)).optimal
+    assert solve_lp_highs(leading_request(lp, warm)).optimal
     other = make_lp("max", [1.0, 1.0], [([1, 1], LE, 1.0), ([1, 0], LE, 0.5)])
     with pytest.raises(LpError, match="warm model"):
-        solve_lp_highs(dataclasses.replace(other, warm=warm))
+        solve_lp_highs(leading_request(other, warm))
 
 
 def test_warm_model_rebuilt_after_a_rejected_column():
     warm = WarmHighs(2)
     rows = [([1.0, 1.0, 1.0], LE, 1.0), ([2.0, 0.0, 1.0], LE, 0.5)]
-    good = dataclasses.replace(make_lp("max", [3.0, 1.0, 2.0], rows), warm=warm)
+    good = leading_request(make_lp("max", [3.0, 1.0, 2.0], rows), warm)
     assert solve_lp_highs(good).optimal
     bad_rows = [([np.inf, 1.0, 1.0], LE, 1.0), rows[1]]
-    bad = dataclasses.replace(make_lp("max", [3.0, 1.0, 2.0], bad_rows), warm=warm)
+    bad = leading_request(make_lp("max", [3.0, 1.0, 2.0], bad_rows), warm)
     assert solve_lp_highs(bad).status == solve_lp_highs(dataclasses.replace(bad, warm=None)).status
     assert solve_lp_highs(bad).status == "numerical_failure"
     again = solve_lp_highs(good)
@@ -383,28 +387,12 @@ def test_feasible_unbounded_lp_is_reported_unbounded():
     lp = _unbounded_mixed_lp()
     assert lp.sense == "max" and lp.n_vars == 6 and lp.row_senses == (LE, GE)
     assert solve_lp_highs(dataclasses.replace(lp, c=np.zeros(6))).optimal
-    for solve in (solve_lp, solve_lp_highs, _solve_lp_highs_public):
+    for solve in (solve_lp, solve_lp_highs):
         assert solve(lp).status == UNBOUNDED, solve.__name__
     warm = WarmHighs(0)
-    assert solve_lp_highs(dataclasses.replace(lp, warm=warm)).status == UNBOUNDED
+    assert solve_lp_highs(leading_request(lp, warm)).status == UNBOUNDED
     # the retry leaves presolve on for the model's next LP
     assert warm._highs.getOptionValue("presolve")[1] == "choose"
-
-
-def test_linprog_fallback_matches_the_simplex_on_mixed_rows():
-    # rows of every sense and all bound kinds: the fallback's <=/>= rows and
-    # its dual signs, checked by the residuals of the stated sense
-    rng = np.random.default_rng(8)
-    optimal = 0
-    for _ in range(40):
-        lp = _mixed_lp(rng, int(rng.integers(2, 7)), int(rng.integers(1, 6)))
-        ref, got = solve_lp(lp), _solve_lp_highs_public(lp)
-        assert got.status == ref.status
-        if ref.optimal:
-            optimal += 1
-            assert got.value == pytest.approx(ref.value, abs=1e-7)
-            assert max(residuals(lp, got).values()) <= 1e-7
-    assert optimal >= 20
 
 
 def _lead_family(rng, n_rows=5, n_shared=6):
@@ -554,15 +542,14 @@ def test_highs_farkas_certificate_follows_the_simplex_convention(sense):
 
 
 def test_highs_limits_and_undecided_runs_get_their_own_status():
-    model_status = _HIGHS[1]
-    assert _highs_status(model_status.kUnboundedOrInfeasible, model_status) == UNBOUNDED_OR_INFEASIBLE
-    assert _highs_status(model_status.kIterationLimit, model_status) == ITERATION_LIMIT
-    assert _highs_status(model_status.kTimeLimit, model_status) == TIME_LIMIT
-    assert _highs_status(model_status.kSolveError, model_status) == NUMERICAL_FAILURE
+    assert _highs_status(HighsModelStatus.kUnboundedOrInfeasible) == UNBOUNDED_OR_INFEASIBLE
+    assert _highs_status(HighsModelStatus.kIterationLimit) == ITERATION_LIMIT
+    assert _highs_status(HighsModelStatus.kTimeLimit) == TIME_LIMIT
+    assert _highs_status(HighsModelStatus.kSolveError) == NUMERICAL_FAILURE
     lp = _mixed_lp(np.random.default_rng(2), 4, 3)
     assert solve_lp_highs(lp).iterations > 0
     for options, status in (({"simplex_iteration_limit": 0}, ITERATION_LIMIT), ({"time_limit": 0.0}, TIME_LIMIT)):
-        sol = solve_lp_highs(dataclasses.replace(lp, warm=WarmHighs(0, options)))
+        sol = solve_lp_highs(leading_request(lp, WarmHighs(0, options)))
         assert sol.status == status and sol.certificate is None
 
 
@@ -572,7 +559,34 @@ def test_model_options_survive_the_cold_retry():
     options = {"presolve": "off", "simplex_strategy": PRIMAL_SIMPLEX}
     warm = WarmHighs(0, options)
     lp = _unbounded_mixed_lp()
-    assert solve_lp_highs(dataclasses.replace(lp, warm=warm)).status == UNBOUNDED
-    assert solve_lp_highs(dataclasses.replace(lp, c=np.zeros(6), warm=warm)).optimal
+    assert solve_lp_highs(leading_request(lp, warm)).status == UNBOUNDED
+    assert solve_lp_highs(leading_request(dataclasses.replace(lp, c=np.zeros(6)), warm)).optimal
     for name, value in options.items():
         assert warm._highs.getOptionValue(name)[1] == value
+
+
+def test_pure_blands_rule_agrees_with_dantzig_and_highs():
+    # with no Dantzig iteration allowed, every pivot follows Bland's rule
+    outcomes = Counter()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(hard_lps())
+    def check(lp):
+        dantzig, highs = solve_lp(lp), solve_lp_highs(lp)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(drmdp.lp, "STALL_FACTOR", 0)
+            bland = solve_lp(lp)
+        outcomes[bland.status, dantzig.status] += 1
+        # on the worst-scaled LPs a dense tableau can lose its accuracy
+        # under either rule, and the residual check reports the failure
+        if NUMERICAL_FAILURE not in (bland.status, dantzig.status):
+            assert bland.status == dantzig.status
+        assert not (bland.optimal and highs.status == INFEASIBLE)
+        if bland.optimal and highs.optimal:
+            assert max(residuals(lp, bland).values()) <= 1e-7
+            assert abs(bland.value - highs.value) <= 1e-7 * max(1.0, abs(bland.value), abs(highs.value))
+
+    check()
+    assert sum(outcomes.values()) == 300
+    # such failures are rare: about 1% of these LPs under Bland's rule
+    assert sum(k for (b, d), k in outcomes.items() if b == d != NUMERICAL_FAILURE) >= 297

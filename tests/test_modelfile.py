@@ -238,6 +238,32 @@ def test_equal_support_specs_share_one_set_per_document():
     assert not {id(a.supports[0]) for a in again.ambiguities} & {id(s) for s in supports}
 
 
+def test_singleton_support_parses_builds_validates_and_solves():
+    # three decision states, each with the known transition row (0.3, 0.7)
+    # as a singleton support; action 1 earns 0.5 more than action 0
+    state = {
+        "factor_map": {"p_mat": np.tile(np.eye(2), (2, 1)).tolist(), "p_offset": [0.0] * 4,
+                       "r_mat": [[0.0, 0.0], [0.0, 0.0]], "r_offset": [0.0, 0.5]},
+        "ambiguity": {"builder": "support_only", "support": {"kind": "singleton", "point": [0.3, 0.7]}},
+    }
+    text = yaml.safe_dump({
+        "format_version": 1,
+        "stages": [[0], [1, 2], [3, 4]],
+        "terminal_values": [1.0, 2.0],
+        "states": [state] * 3 + [{"terminal": True}] * 2,
+    })
+    model = parse_model_text(text).build()
+    supports = [amb.supports[0] for amb in model.ambiguities[:3]]
+    assert all(s is supports[0] for s in supports)
+    assert supports[0].contains([0.3, 0.7]) and not supports[0].contains([0.4, 0.6])
+    for amb, fm in zip(model.ambiguities[:3], model.factor_maps[:3]):
+        assert validate(amb, fm).passed
+    vf, policy, _ = backward_induction(model)
+    # stage 1: 0.5 + 0.3 * 1 + 0.7 * 2; the root adds 0.5 to that
+    assert vf.values == pytest.approx([2.7, 2.2, 2.2, 1.0, 2.0], abs=1e-9)
+    assert policy.distributions[0] == pytest.approx([0.0, 1.0], abs=1e-9)
+
+
 def test_shared_supports_keep_every_validation_check():
     doc = yaml.safe_load(_shared_supports_document())
     shared = parse_model_text(yaml.safe_dump(doc)).build()

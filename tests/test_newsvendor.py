@@ -231,10 +231,8 @@ def test_fixed_policy_evaluation_reuses_the_template(monkeypatch):
     vf, policy, _ = backward_induction(model, solver="highs")
     assert len(assemblies) == 1
     highs_models = []
-    highs_cls, *rest = drmdp.lp._HIGHS
-    monkeypatch.setattr(
-        drmdp.lp, "_HIGHS", (lambda: highs_models.append(1) or highs_cls(), *rest)
-    )
+    highs_cls = drmdp.lp._Highs
+    monkeypatch.setattr(drmdp.lp, "_Highs", lambda: highs_models.append(1) or highs_cls())
     values = evaluate_policy_worst_case(model, policy, solver="highs")
     obj = assemble_stage_objective(vf.values[list(model.stages[1])], model.factor_maps[0])
     drmdp.reformulation.build_srobust_lp(obj, amb)
@@ -310,6 +308,53 @@ def test_paired_t_statistic_sign():
         rec.add(2.0, 5, rep, 11.0 + 0.1 * rep)
     t = paired_t_statistic(rec, 2.0, 0.0, 5)
     assert t > 10.0  # constant positive paired difference
+
+
+@pytest.mark.parametrize("missing", [{2.0: 2}, {0.0: 1, 2.0: 3}])
+def test_paired_t_statistic_pairs_repetitions_by_index(missing):
+    # failed cells leave repetitions out; the others pair by their index
+    rec = ExperimentRecord()
+    diffs = {}
+    for rep in range(5):
+        base = 10.0 + rep**2
+        diffs[rep] = 1.0 + 0.1 * rep
+        for theta, cost in ((0.0, base), (2.0, base + diffs[rep])):
+            if missing.get(theta) != rep:
+                rec.add(theta, 5, rep, cost)
+    shared = np.array([d for rep, d in diffs.items() if rep not in missing.values()])
+    want = shared.mean() / (shared.std(ddof=1) / np.sqrt(len(shared)))
+    assert paired_t_statistic(rec, 2.0, 0.0, 5) == pytest.approx(want, rel=1e-12)
+    assert paired_t_statistic(rec, 0.0, 2.0, 5) == pytest.approx(-want, rel=1e-12)
+    # with the difference +1 on every shared repetition, t is +inf
+    flat = ExperimentRecord()
+    for theta, n, rep, _ in rec.rows:
+        flat.add(theta, n, rep, 10.0 + rep**2 + (theta > 0))
+    assert paired_t_statistic(flat, 2.0, 0.0, 5) == np.inf
+
+
+def test_paired_t_statistic_needs_two_pairs():
+    rec = ExperimentRecord()
+    rec.add(0.0, 5, 0, 10.0)
+    rec.add(0.0, 5, 1, 11.0)
+    rec.add(2.0, 5, 1, 12.0)
+    assert np.isnan(paired_t_statistic(rec, 2.0, 0.0, 5))
+
+
+def test_failed_cell_is_recorded_and_the_run_goes_on(monkeypatch):
+    import drmdp.newsvendor as newsvendor
+
+    solve = newsvendor.solve_order_strategy
+
+    def failing(cfg, samples, theta, solver):
+        if theta == 0.5:
+            raise EngineError("backup failed")
+        return solve(cfg, samples, theta, solver=solver)
+
+    monkeypatch.setattr(newsvendor, "solve_order_strategy", failing)
+    cfg = NewsvendorConfig(train_sizes=(3,), theta_grid=(0.0, 0.5), repetitions=2, test_runs=20)
+    record = run_experiment(cfg)
+    assert record.failures == [(0.5, 3, rep, "backup failed") for rep in range(2)]
+    assert [row[:3] for row in record.rows] == [(0.0, 3, 0), (0.0, 3, 1)]
 
 
 def test_policy_that_does_not_sum_to_one_is_rejected(monkeypatch):

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import leading_request
 
 from drmdp.ambiguity import (
     FactorMap,
@@ -376,31 +377,6 @@ def test_saddle_point_property():
     assert randomized == 4
 
 
-def test_linprog_fallback_duals_give_the_same_certificate(monkeypatch):
-    import drmdp.lp
-
-    direct = [solve_srobust(obj, amb, solver="highs") for amb, obj in _saddle_cases()]
-    monkeypatch.setattr(drmdp.lp, "_HIGHS", None)
-    calls = []
-    fallback = drmdp.lp._solve_lp_highs_public
-    monkeypatch.setattr(
-        drmdp.lp, "_solve_lp_highs_public", lambda lp: calls.append(lp) or fallback(lp)
-    )
-    for (amb, obj), ref in zip(_saddle_cases(), direct):
-        sol = solve_srobust(obj, amb, solver="highs")
-        assert sol.value == pytest.approx(ref.value, abs=1e-9)
-        np.testing.assert_allclose(sol.policy, ref.policy, atol=1e-8)
-        # the worst case need not be unique, so scenario means may differ;
-        # the weights and the mixture mean, which prices every action, agree
-        cert, ref_cert = sol.certificate, ref.certificate
-        np.testing.assert_allclose(cert.weights, ref_cert.weights, atol=1e-8)
-        np.testing.assert_allclose(cert.mean, ref_cert.mean, atol=1e-8)
-        assert cert.expectation(obj, sol.policy) == pytest.approx(sol.value, abs=1e-8)
-        assert sol.saddle_residual(obj) <= 1e-8
-        assert sol.saddle_residual(obj) == pytest.approx(ref.saddle_residual(obj), abs=1e-9)
-    assert len(calls) == len(direct)
-
-
 def _shared_set_sequences():
     """Per _saddle_cases set, three objectives with 3, 1 and 2 actions."""
     for amb, obj in _saddle_cases():
@@ -424,7 +400,7 @@ def _same_solution(sol, ref, obj):
 
 
 def test_failed_warm_run_is_retried_cold(monkeypatch):
-    model_status = drmdp.lp._HIGHS[1]
+    model_status = drmdp.lp.HighsModelStatus
     run = WarmHighs._run
     runs = []
 
@@ -446,7 +422,7 @@ def test_failed_warm_run_is_retried_cold(monkeypatch):
 
 
 def test_warm_failure_reported_after_the_cold_retry(monkeypatch):
-    model_status = drmdp.lp._HIGHS[1]
+    model_status = drmdp.lp.HighsModelStatus
     runs = []
 
     def stalled(self):
@@ -799,7 +775,7 @@ def test_column_swap_backup_equals_the_whole_lp_backup(monkeypatch):
             else:
                 sol = solve_srobust(obj, amb, solver="highs")
             lp, layout = template.instantiate(obj, pi)
-            whole = second.solve(lp)
+            whole = second.run(leading_request(lp, second))
             swap = seen[-1]
             _same_bytes(swap.x, whole.x)
             _same_bytes(swap.y, whole.y)
