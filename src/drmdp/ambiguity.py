@@ -218,6 +218,8 @@ def build_uncertain_mean(
     norm=1,
 ) -> LiftedAmbiguitySet:
     """Support d with the mean known to lie in a box ∩ norm ball."""
+    if not radius >= 0:
+        raise AmbiguityError(f"radius must be nonnegative (inf for no ball), got {radius}")
     if not is_nonempty_bounded(d):
         raise AmbiguityError("support must be nonempty and bounded")
     mean_set = box(mean_lo, mean_hi)
@@ -239,8 +241,8 @@ def build_phi_divergence_tv(samples, theta: float, eps_floor: float = EPS_FLOOR)
     validate() then reports as an interiority failure).
     """
     samples = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
-    if theta < 0:
-        raise AmbiguityError("θ must be nonnegative")
+    if not 0 <= theta < np.inf:
+        raise AmbiguityError(f"θ must be finite and nonnegative, got {theta}")
     if not samples:
         raise AmbiguityError("at least one sample required")
     n = len(samples)
@@ -267,8 +269,8 @@ def build_wasserstein(
     one group bounding the expected distance to the matched sample by θ.
     """
     samples = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
-    if theta < 0:
-        raise AmbiguityError("θ must be nonnegative")
+    if not 0 <= theta < np.inf:
+        raise AmbiguityError(f"θ must be finite and nonnegative, got {theta}")
     if not samples:
         raise AmbiguityError("at least one sample required")
     if not is_nonempty_bounded(d):
@@ -300,6 +302,8 @@ def build_hybrid_wasserstein_mad(
     set outward; the result is a conservative (weakly lower) worst case.
     The mean-equality block ties the average center to the average of e·ξ.
     """
+    if np.isnan(mad_bound):
+        raise AmbiguityError("MAD bound must be a number (inf for none), got nan")
     base = build_wasserstein(samples, theta, d, metric)
     nb = base.factor_dim
     mean_lo = np.atleast_1d(np.asarray(mean_lo, dtype=float))
@@ -388,6 +392,10 @@ def build_mixture(components, weight_set: PolyhedralSet) -> LiftedAmbiguitySet:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple  # of (name, passed: bool, detail: str)
+
+    def __post_init__(self):
+        # a flag read off a numpy comparison is numpy.bool_; JSON takes bool only
+        object.__setattr__(self, "checks", tuple((name, bool(ok), detail) for name, ok, detail in self.checks))
 
     @property
     def passed(self) -> bool:

@@ -26,7 +26,7 @@ from .engine import (
 )
 from .lp import LpError, dump_lp
 from .modelfile import ModelFileError, parse_model_file
-from .newsvendor import NewsvendorConfig, paired_t_statistic, run_experiment
+from .newsvendor import NewsvendorConfig, NewsvendorError, paired_t_statistic, run_experiment
 from .reformulation import ReformulationError, assemble_stage_objective, build_srobust_lp
 
 EXIT_INVALID = 2
@@ -139,7 +139,7 @@ def newsvendor(radii, train_sizes, reps, test_runs, seed, out_dir, keep_going, t
             test_runs=test_runs,
             seed=seed,
         )
-    except ValueError as err:
+    except (ValueError, NewsvendorError) as err:
         _fail(EXIT_INVALID, f"bad flag value: {err}")
     record = run_experiment(cfg, workers=threads)
     out = Path(out_dir)

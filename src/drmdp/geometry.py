@@ -141,8 +141,8 @@ def norm_ball(center, radius, norm) -> PolyhedralSet:
     """Polyhedral 1-norm or inf-norm ball around `center`."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dim = center.shape[0]
-    if radius < 0:
-        raise GeometryError("radius must be nonnegative")
+    if not 0 <= radius < np.inf:
+        raise GeometryError(f"radius must be finite and nonnegative, got {radius}")
     if norm == "inf":
         return box(center - radius, center + radius)
     if norm != 1:

@@ -41,6 +41,10 @@ PIVOT_TOL = 1e-9
 # the dense simplex prices by Dantzig's rule for this many times (rows +
 # columns) iterations of a phase, then by Bland's rule, which cannot cycle
 STALL_FACTOR = 3
+# the dense simplex gives up as "numerical_failure" after this many times
+# (rows + columns) plus this many iterations over both phases
+ITER_LIMIT_FACTOR = 50
+ITER_LIMIT_BASE = 2000
 # largest residual (see `residuals`) the dense simplex returns as optimal
 SIMPLEX_RESIDUAL_TOL = 1e-7
 
@@ -219,89 +223,61 @@ def residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
 
 @dataclass
 class _StandardForm:
-    """min c'x, Ax = b >= 0, x >= 0 plus bookkeeping to map back."""
+    """min c'x, Ax = b >= 0, x >= 0.  Original variable j is shift_j plus
+    the sum of sign * x over its structural columns, those with var == j."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    # per original variable: (kind, cols, offset); kind in {shift, neg, split}
-    var_map: list[tuple]
-    n_orig_rows: int
+    var: np.ndarray  # the original variable of each structural column
+    sign: np.ndarray  # +-1 per structural column
+    shift: np.ndarray  # per original variable
     row_signs: np.ndarray  # +-1 per standard row, original rows first
 
 
 def _to_standard_form(lp: LinearProgram) -> _StandardForm:
-    n = lp.n_vars
-    cols: list[np.ndarray] = []  # column of each structural var over orig rows
-    c_std: list[float] = []
-    var_map: list[tuple] = []
-    shift = np.zeros(n)  # x = shift + sum(cols)
-    extra_rows: list[tuple[np.ndarray, str, float]] = []  # bound rows
-
+    """x_j = lb_j + t with a bound row t <= ub_j - lb_j when both bounds are
+    finite, x_j = ub_j - t when only ub_j is, x_j = t - t' when neither is.
+    Columns keep the variables' order, a free variable's two adjacent; the
+    bound rows follow the original rows in variable order, and the slacks
+    follow the rows; both simplex pricing rules read that order."""
+    lo, hi = np.isfinite(lp.lb), np.isfinite(lp.ub)
+    free, boxed = ~lo & ~hi, lo & hi
+    var = np.repeat(np.arange(lp.n_vars), 1 + free)
+    first = np.cumsum(1 + free) - (1 + free)
+    sign = np.where(lo | free, 1.0, -1.0)[var]
+    sign[first[free] + 1] = -1.0
+    shift = np.where(lo, lp.lb, np.where(hi, lp.ub, 0.0))
     c = lp.c if lp.sense == "min" else -lp.c
     a = lp.dense_a()
-    next_col = 0
-    for j in range(n):
-        lo, hi = lp.lb[j], lp.ub[j]
-        if np.isfinite(lo):
-            # x_j = lo + xhat, xhat >= 0 (optional upper bound row)
-            var_map.append(("shift", next_col, lo))
-            cols.append(a[:, j])
-            c_std.append(c[j])
-            shift[j] = lo
-            if np.isfinite(hi):
-                extra_rows.append((next_col, LE, hi - lo))
-            next_col += 1
-        elif np.isfinite(hi):
-            # x_j = hi - xhat
-            var_map.append(("neg", next_col, hi))
-            cols.append(-a[:, j])
-            c_std.append(-c[j])
-            shift[j] = hi
-            next_col += 1
-        else:
-            var_map.append(("split", next_col, 0.0))
-            cols.append(a[:, j])
-            c_std.append(c[j])
-            cols.append(-a[:, j])
-            c_std.append(-c[j])
-            next_col += 2
-
-    m0 = lp.n_rows
-    n_struct = next_col
-    a_struct = np.column_stack(cols) if cols else np.zeros((m0, 0))
-    b_adj = lp.b - a @ shift
-
-    n_bound = len(extra_rows)
-    m = m0 + n_bound
-    # slacks: one per inequality row
-    senses = list(lp.row_senses) + [s for _, s, _ in extra_rows]
-    n_slack = sum(1 for s in senses if s != EQ)
-    a_full = np.zeros((m, n_struct + n_slack))
-    b_full = np.zeros(m)
-    a_full[:m0, :n_struct] = a_struct
-    b_full[:m0] = b_adj
-    for k, (col, _, rhs) in enumerate(extra_rows):
-        a_full[m0 + k, col] = 1.0
-        b_full[m0 + k] = rhs
-    slack_i = n_struct
-    for i, s in enumerate(senses):
-        if s == LE:
-            a_full[i, slack_i] = 1.0
-            slack_i += 1
-        elif s == GE:
-            a_full[i, slack_i] = -1.0
-            slack_i += 1
-    row_signs = np.ones(m)
+    m0, n_struct, n_bound = lp.n_rows, var.size, int(boxed.sum())
+    side = np.concatenate([[_ROW_SIDE[s] for s in lp.row_senses], np.ones(n_bound)])
+    slack_rows = np.flatnonzero(side)
+    a_full = np.zeros((m0 + n_bound, n_struct + slack_rows.size))
+    a_full[:m0, :n_struct] = a[:, var] * sign
+    a_full[m0 + np.arange(n_bound), first[boxed]] = 1.0
+    a_full[slack_rows, n_struct + np.arange(slack_rows.size)] = side[slack_rows]
+    b_full = np.concatenate([lp.b - a @ shift, (lp.ub - lp.lb)[boxed]])
     neg = b_full < 0
     a_full[neg] *= -1.0
     b_full[neg] *= -1.0
-    row_signs[neg] = -1.0
-    c_full = np.concatenate([np.asarray(c_std), np.zeros(n_slack)])
-    return _StandardForm(a_full, b_full, c_full, var_map, m0, row_signs)
+    row_signs = np.where(neg, -1.0, 1.0)
+    c_full = np.concatenate([c[var] * sign, np.zeros(slack_rows.size)])
+    return _StandardForm(a_full, b_full, c_full, var, sign, shift, row_signs)
 
 
-def _simplex_phase(tab, basis, costs, allowed, start_iter, stall_after, max_iter, tol=PIVOT_TOL):
+def _pivot(tab, basis, i, j):
+    """Pivot tableau `tab` on entry (i, j): column j enters at row i."""
+    tab[i] /= tab[i, j]
+    colv = tab[:, j].copy()
+    colv[i] = 0.0
+    tab -= np.outer(colv, tab[i])
+    tab[:, j] = 0.0
+    tab[i, j] = 1.0
+    basis[i] = j
+
+
+def _simplex_phase(tab, basis, costs, allowed, start_iter, stall_after, max_iter):
     """Run simplex iterations on tableau `tab` (m x (n+1), rhs last column).
 
     Returns (status, iterations).  `allowed` is a boolean mask of columns
@@ -313,20 +289,19 @@ def _simplex_phase(tab, basis, costs, allowed, start_iter, stall_after, max_iter
     it = start_iter
     while True:
         # reduced costs r = c - c_B' tab
-        cb = costs[basis]
-        r = costs[:n] - cb @ tab[:, :n]
+        r = costs[:n] - costs[basis] @ tab[:, :n]
         r[~allowed] = np.inf
         if it < stall_after:
             j = int(np.argmin(r))
-            if r[j] >= -tol:
+            if r[j] >= -PIVOT_TOL:
                 return OPTIMAL, it
         else:
-            neg = np.flatnonzero(r < -tol)
+            neg = np.flatnonzero(r < -PIVOT_TOL)
             if neg.size == 0:
                 return OPTIMAL, it
             j = int(neg[0])
         col = tab[:, j]
-        pos = col > tol
+        pos = col > PIVOT_TOL
         if not np.any(pos):
             return UNBOUNDED, it
         ratios = np.full(m, np.inf)
@@ -335,17 +310,9 @@ def _simplex_phase(tab, basis, costs, allowed, start_iter, stall_after, max_iter
             i = int(np.argmin(ratios))
         else:
             # Bland: among minimal ratios, leave the smallest basis index
-            rmin = ratios.min()
-            cand = np.flatnonzero(ratios <= rmin + 1e-12)
-            i = int(min(cand, key=lambda k: basis[k]))
-        piv = tab[i, j]
-        tab[i] /= piv
-        colv = tab[:, j].copy()
-        colv[i] = 0.0
-        tab -= np.outer(colv, tab[i])
-        tab[:, j] = 0.0
-        tab[i, j] = 1.0
-        basis[i] = j
+            cand = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+            i = int(cand[np.argmin(basis[cand])])
+        _pivot(tab, basis, i, j)
         it += 1
         if it >= max_iter:
             return NUMERICAL_FAILURE, it
@@ -361,82 +328,49 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         lp = lp.lp()
     sf = _to_standard_form(lp)
     m, n_sc = sf.a.shape
+    m0 = lp.n_rows
     n_tot = n_sc + m  # structural+slack, then artificials
     tab = np.zeros((m, n_tot + 1))
     tab[:, :n_sc] = sf.a
     tab[:, n_sc:n_tot] = np.eye(m)
     tab[:, n_tot] = sf.b
-    basis = np.array([n_sc + i for i in range(m)], dtype=int)
-
+    basis = np.arange(n_sc, n_tot)
     stall_after = STALL_FACTOR * (m + n_tot)
-    max_iter = 50 * (m + n_tot) + 2000
+    max_iter = ITER_LIMIT_FACTOR * (m + n_tot) + ITER_LIMIT_BASE
 
     # Phase 1
     costs1 = np.concatenate([np.zeros(n_sc), np.ones(m)])
-    allowed = np.ones(n_tot, dtype=bool)
-    status, it = _simplex_phase(tab, basis, costs1, allowed, 0, stall_after, max_iter)
+    status, it = _simplex_phase(tab, basis, costs1, np.ones(n_tot, dtype=bool), 0, stall_after, max_iter)
     if status == NUMERICAL_FAILURE:
         return LpSolution(NUMERICAL_FAILURE, iterations=it)
-    phase1_val = float(costs1[basis] @ tab[:, n_tot])
-    if phase1_val > 1e-7 * (1.0 + np.abs(sf.b).max(initial=0.0)):
+    if float(costs1[basis] @ tab[:, n_tot]) > 1e-7 * (1.0 + np.abs(sf.b).max(initial=0.0)):
         # Farkas certificate from phase-1 duals: y_i = 1 - r_art_i
-        cb = costs1[basis]
-        r_art = costs1[n_sc:n_tot] - cb @ tab[:, n_sc:n_tot]
-        y_std = 1.0 - r_art
-        cert = np.zeros(lp.n_rows)
-        cert[:] = (sf.row_signs[: sf.n_orig_rows] * y_std[: sf.n_orig_rows])
-        if lp.sense == "max":
-            cert = -cert
-        return LpSolution(INFEASIBLE, certificate=cert, iterations=it)
+        y_std = 1.0 - (costs1[n_sc:n_tot] - costs1[basis] @ tab[:, n_sc:n_tot])
+        cert = sf.row_signs[:m0] * y_std[:m0]
+        return LpSolution(INFEASIBLE, certificate=-cert if lp.sense == "max" else cert, iterations=it)
 
     # Drive basic artificials out where possible; drop redundant rows by
     # leaving the artificial basic at zero but barring it from increasing.
-    for i in range(m):
-        if basis[i] >= n_sc:
-            row = tab[i, :n_sc]
-            nz = np.flatnonzero(np.abs(row) > 1e-9)
-            if nz.size:
-                j = int(nz[0])
-                piv = tab[i, j]
-                tab[i] /= piv
-                colv = tab[:, j].copy()
-                colv[i] = 0.0
-                tab -= np.outer(colv, tab[i])
-                tab[:, j] = 0.0
-                tab[i, j] = 1.0
-                basis[i] = j
+    for i in np.flatnonzero(basis >= n_sc):
+        nz = np.flatnonzero(np.abs(tab[i, :n_sc]) > 1e-9)
+        if nz.size:
+            _pivot(tab, basis, i, nz[0])
 
     # Phase 2
     costs2 = np.concatenate([sf.c, np.zeros(m)])
-    allowed = np.ones(n_tot, dtype=bool)
-    allowed[n_sc:] = False
-    status, it = _simplex_phase(tab, basis, costs2, allowed, it, stall_after + it, max_iter)
-    if status == NUMERICAL_FAILURE:
-        return LpSolution(NUMERICAL_FAILURE, iterations=it)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, iterations=it)
-
+    status, it = _simplex_phase(tab, basis, costs2, np.arange(n_tot) < n_sc, it, stall_after + it, max_iter)
+    if status != OPTIMAL:
+        return LpSolution(status, iterations=it)
     x_std = np.zeros(n_tot)
     x_std[basis] = tab[:, n_tot]
     # duals over standard rows from artificial columns: y_i = -r_art_i
-    cb = costs2[basis]
-    r_art = -cb @ tab[:, n_sc:n_tot]
-    y_std = -r_art
-
-    # Map back to original variables.
-    x = np.zeros(lp.n_vars)
-    for j, (kind, col, off) in enumerate(sf.var_map):
-        if kind == "shift":
-            x[j] = off + x_std[col]
-        elif kind == "neg":
-            x[j] = off - x_std[col]
-        else:
-            x[j] = x_std[col] - x_std[col + 1]
-    y = sf.row_signs[: sf.n_orig_rows] * y_std[: sf.n_orig_rows]
-    value = float(lp.c @ x)
-    if lp.sense == "max":
-        y = -y
-    sol = LpSolution(OPTIMAL, x=x, y=y, value=value, iterations=it)
+    y_std = -(-costs2[basis] @ tab[:, n_sc:n_tot])
+    # 0.0 + t is t bit for bit here: a structural basic variable took its
+    # row in a pivot, which leaves no -0.0 on the right-hand side
+    x = sf.shift.copy()
+    np.add.at(x, sf.var, sf.sign * x_std[: sf.var.size])
+    y = sf.row_signs[:m0] * y_std[:m0]
+    sol = LpSolution(OPTIMAL, x=x, y=-y if lp.sense == "max" else y, value=float(lp.c @ x), iterations=it)
     # pivoting error can leave a basis that is not optimal, or not even
     # feasible: such an answer is a failure, not an optimum
     if not all(r <= SIMPLEX_RESIDUAL_TOL for r in residuals(lp, sol).values()):

@@ -54,6 +54,10 @@ class NewsvendorConfig:
             raise NewsvendorError("costs must be nonnegative")
         if self.horizon < 2:
             raise NewsvendorError("need at least two periods")
+        if not all(isinstance(n, (int, np.integer)) and n > 0 for n in self.train_sizes):
+            raise NewsvendorError(f"training-set sizes must be positive ints, got {self.train_sizes}")
+        if not all(0 <= theta < np.inf for theta in self.theta_grid):
+            raise NewsvendorError(f"radii must be finite and nonnegative, got {self.theta_grid}")
         object.__setattr__(self, "true_dist", tuple(p))
 
     @property

@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -298,3 +299,14 @@ def test_vertex_form_keeps_random_reports(kind):
 
     for got, want in zip(*_reports(build)):
         _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.yaml")))
+def test_validate_flags_are_bools_on_every_fixture(name):
+    # a flag read off a vertex form's numpy values is numpy.bool_ unless cast
+    model = parse_model_file(DATA / name).build()
+    for amb, fm in zip(model.ambiguities, model.factor_maps):
+        if amb is not None:
+            checks = validate(amb, fm).checks
+            assert all(type(ok) is bool for _, ok, _ in checks), checks
+            json.dumps(checks)

@@ -173,6 +173,31 @@ def test_newsvendor_bad_flags_exit_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--train-sizes", "0"), ("--train-sizes", "5,-3"), ("--radii", "-1,0")])
+def test_newsvendor_bad_sizes_and_radii_exit_2_before_any_solve(runner, tmp_path, flag, value):
+    res = runner.invoke(main, ["newsvendor", flag, value, "--reps", "1", "--out-dir", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "bad flag value" in res.output and "Traceback" not in res.output
+    assert not (tmp_path / "costs.csv").exists()
+
+
+def test_newsvendor_reports_the_std_trend(runner, tmp_path):
+    args = ["newsvendor", "--radii", "0,1", "--train-sizes", "4,6", "--reps", "2", "--test-runs", "30",
+            "--out-dir", str(tmp_path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert re.search(r"θ=0\.0: std N=4: \d+\.\d{4}, N=6: \d+\.\d{4} \(std (shrinks with N|does not shrink)\)",
+                     res.output), res.output
+
+
+def test_validate_nan_radius_exit_2(runner, tmp_path):
+    bad = tmp_path / "nan.yaml"
+    bad.write_text((DATA / "finite_two_state.yaml").read_text().replace("radius: 0.2", "radius: .nan"))
+    res = runner.invoke(main, ["validate", str(bad)])
+    assert res.exit_code == 2
+    assert "θ must be finite and nonnegative, got nan" in res.output and "Traceback" not in res.output
+
+
 def test_validate_good_model(runner):
     res = runner.invoke(main, ["validate", str(DATA / "finite_two_state.yaml")])
     assert res.exit_code == 0, res.output
