@@ -120,10 +120,6 @@ class LiftedAmbiguitySet:
     def n_scenarios(self) -> int:
         return len(self.supports)
 
-    def groups_of(self, n: int) -> tuple:
-        """Indices of the condition groups containing scenario n."""
-        return tuple(j for j, g in enumerate(self.groups) if n in g.scenarios)
-
 
 @dataclass(frozen=True)
 class FactorMap:
@@ -220,6 +216,8 @@ def build_uncertain_mean(
     """Support d with the mean known to lie in a box ∩ norm ball."""
     if not radius >= 0:
         raise AmbiguityError(f"radius must be nonnegative (inf for no ball), got {radius}")
+    if norm not in (1, "inf"):
+        raise AmbiguityError(f"norm must be 1 or 'inf', got {norm!r}")
     if not is_nonempty_bounded(d):
         raise AmbiguityError("support must be nonempty and bounded")
     mean_set = box(mean_lo, mean_hi)
@@ -302,8 +300,8 @@ def build_hybrid_wasserstein_mad(
     set outward; the result is a conservative (weakly lower) worst case.
     The mean-equality block ties the average center to the average of e·ξ.
     """
-    if np.isnan(mad_bound):
-        raise AmbiguityError("MAD bound must be a number (inf for none), got nan")
+    if not mad_bound >= 0:
+        raise AmbiguityError(f"MAD bound must be a number >= 0 (inf for none), got {mad_bound}")
     base = build_wasserstein(samples, theta, d, metric)
     nb = base.factor_dim
     mean_lo = np.atleast_1d(np.asarray(mean_lo, dtype=float))
@@ -321,7 +319,7 @@ def build_hybrid_wasserstein_mad(
     w_group = ConditionGroup(
         wg.scenarios,
         False,
-        {i: tuple(f.lift(dim, 0) for f in fns) for i, fns in wg.g_fns.items()},
+        {i: tuple(f.lift(dim) for f in fns) for i, fns in wg.g_fns.items()},
         wg.moment_set,
     )
     if not np.isfinite(mad_bound):

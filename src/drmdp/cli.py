@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -84,7 +83,7 @@ def solve(model_path, epsilon, dump_lp_path, out):
                 v_next, model.factor_maps[root],
                 discount=1.0 if model.is_finite else model.discount,
             )
-            lp, _ = build_srobust_lp(obj, model.ambiguities[root])
+            lp = build_srobust_lp(obj, model.ambiguities[root])
             Path(dump_lp_path).write_text(dump_lp(lp))
     except _SOLVER_ERRORS as err:
         _fail(EXIT_SOLVER, str(err))
@@ -124,9 +123,8 @@ def solve(model_path, epsilon, dump_lp_path, out):
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
 @click.option("--keep-going", is_flag=True,
               help="Report repetition failures without aborting (exit 0).")
-@click.option("--threads", type=click.IntRange(min=1),
-              default=lambda: int(os.environ.get("DRMDP_THREADS", "1")),
-              help="Worker threads for parallel repetitions (default: DRMDP_THREADS or 1).")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker threads for parallel repetitions.")
 def newsvendor(radii, train_sizes, reps, test_runs, seed, out_dir, keep_going, threads):
     """Run the inventory experiment and write per-repetition and aggregate CSVs."""
     try:

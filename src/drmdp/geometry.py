@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import lp as _lp
-from .lp import EQ, LE, PRIMAL_SIMPLEX, LeadingColumns, WarmHighs
+from .lp import EQ, INFEASIBLE, LE, PRIMAL_SIMPLEX, UNBOUNDED, LeadingColumns, WarmHighs
 
 # HiGHS options of every geometry model: presolve costs more than it saves
 # on LPs this small, and a query that changes only the costs leaves the
@@ -195,7 +195,7 @@ def feasibility_check(s: PolyhedralSet):
     sol = _extreme(s, np.zeros(s.dim))
     if sol.optimal:
         return True, sol.x
-    if sol.status == "infeasible":
+    if sol.status == INFEASIBLE:
         return False, sol.certificate
     raise GeometryError(f"feasibility LP ended with status {sol.status}")
 
@@ -231,7 +231,7 @@ def support_value(s: PolyhedralSet, direction):
     if direction.ndim == 2:
         return np.array([support_value(s, d) for d in direction])
     sol = _extreme(s, direction)
-    if sol.status == "unbounded":
+    if sol.status == UNBOUNDED:
         raise NotCompactError("set not compact")
     if not sol.optimal:
         raise GeometryError(f"support LP status {sol.status}")
@@ -239,22 +239,10 @@ def support_value(s: PolyhedralSet, direction):
 
 
 def bounding_box(s: PolyhedralSet) -> np.ndarray:
-    """Per-coordinate [lo, hi] from the vertex form, else via 2*dim LP
-    solves; (dim, 2) array."""
-    verts = _vertex_form_of(s)
-    if verts is not None:
-        return np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1)
-    out = np.zeros((s.dim, 2))
-    for i, e in enumerate(np.eye(s.dim)):
-        # lo = -max(-x_i), then hi = max x_i
-        for k, sign in ((0, -1.0), (1, 1.0)):
-            sol = _extreme(s, sign * e)
-            if sol.status == "unbounded":
-                raise NotCompactError(f"set not compact: coordinate {i} unbounded")
-            if not sol.optimal:
-                raise GeometryError(f"bounding-box LP status {sol.status}")
-            out[i, k] = sign * sol.value
-    return out
+    """Per-coordinate [lo, hi] as a (dim, 2) array: the support values of
+    -e_0, +e_0, -e_1, +e_1, ..., with lo = -max(-x_i)."""
+    signs = np.array([-1.0, 1.0])
+    return signs * support_value(s, np.kron(np.eye(s.dim), signs[:, None])).reshape(s.dim, 2)
 
 
 def is_nonempty_bounded(s: PolyhedralSet) -> bool:
@@ -270,32 +258,26 @@ def is_nonempty_bounded(s: PolyhedralSet) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class VertexList:
-    dim: int
-    vertices: np.ndarray  # (k, dim)
-
-
 def _rank(a) -> int:
     return int(np.linalg.matrix_rank(a)) if a.shape[0] else 0
 
 
-def enumerate_vertices(s: PolyhedralSet, dim_guard=VERTEX_DIM_GUARD) -> VertexList:
-    """All basic feasible solutions, deduplicated.
+def enumerate_vertices(s: PolyhedralSet) -> np.ndarray:
+    """All basic feasible solutions, deduplicated, as a (k, dim) array.
 
     Brute force over active-row combinations, solved as one batch: every
     equality row plus `need` inequality rows, where `need` is dim less the
     rank of the equality rows.  Refuses above the dimension guard because
     the combinatorics explode.
     """
-    if s.dim > dim_guard:
-        raise GeometryError(f"vertex enumeration refused above dimension {dim_guard}")
+    if s.dim > VERTEX_DIM_GUARD:
+        raise GeometryError(f"vertex enumeration refused above dimension {VERTEX_DIM_GUARD}")
     a_eq, b_eq, a_in, b_in = s.a_eq, s.b_eq, s.a_in, s.b_in
     need = s.dim - _rank(a_eq)
     combos = list(combinations(range(a_in.shape[0]), need))
     k = len(combos)
     if k == 0:
-        return VertexList(s.dim, np.zeros((0, s.dim)))
+        return np.zeros((0, s.dim))
     idx = np.array(combos, dtype=int).reshape(k, need)
     amat = np.concatenate([np.broadcast_to(a_eq, (k,) + a_eq.shape), a_in[idx]], axis=1)
     bvec = np.concatenate([np.broadcast_to(b_eq, (k,) + b_eq.shape), b_in[idx]], axis=1)
@@ -312,8 +294,7 @@ def enumerate_vertices(s: PolyhedralSet, dim_guard=VERTEX_DIM_GUARD) -> VertexLi
     for v in x[ok]:
         if not any(np.max(np.abs(v - u)) <= VERTEX_DEDUP_TOL for u in unique):
             unique.append(v)
-    verts = np.array(unique) if unique else np.zeros((0, s.dim))
-    return VertexList(s.dim, verts)
+    return np.array(unique) if unique else np.zeros((0, s.dim))
 
 
 def _has_extreme_ray(a_eq, a_in, need) -> bool:
@@ -348,7 +329,7 @@ def _vertex_form_of(s: PolyhedralSet):
         m, need = a_in.shape[0], s.dim - _rank(a_eq)
         active_sets = comb(m, need) + (comb(m, need - 1) if need else 0)
         if s.dim <= VERTEX_DIM_GUARD and active_sets <= VERTEX_FORM_MAX_ACTIVE_SETS:
-            found = enumerate_vertices(s).vertices
+            found = enumerate_vertices(s)
             if found.shape[0] and not (need and _has_extreme_ray(a_eq, a_in, need)):
                 verts = found
         object.__setattr__(s, "_vertex_form", verts)
@@ -424,10 +405,10 @@ class PwlConvexFn:
         np.maximum.at(best, self.block, self.a @ x + self.b)
         return float(best.sum())
 
-    def lift(self, total_dim: int, offset: int = 0) -> "PwlConvexFn":
-        """Embed into a larger variable space at the given offset."""
+    def lift(self, total_dim: int) -> "PwlConvexFn":
+        """Embed into a larger variable space, zero columns after its own."""
         a = np.zeros((len(self.b), total_dim))
-        a[:, offset : offset + self.dim] = self.a
+        a[:, : self.dim] = self.a
         blocks = (self.block == l for l in range(self.n_blocks))
         return PwlConvexFn(total_dim, (zip(a[sel], self.b[sel]) for sel in blocks))
 

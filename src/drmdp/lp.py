@@ -129,27 +129,6 @@ class LinearProgram:
         return self.a.toarray() if issparse(self.a) else self.a
 
 
-def make_lp(sense, c, rows, bounds=None) -> LinearProgram:
-    """Convenience constructor; rows is a list of (coeffs, sense, rhs)."""
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    if rows:
-        a = np.array([np.asarray(r[0], dtype=float) for r in rows])
-        senses = tuple(r[1] for r in rows)
-        b = np.array([float(r[2]) for r in rows])
-    else:
-        a = np.zeros((0, n))
-        senses = ()
-        b = np.zeros(0)
-    if bounds is None:
-        lb = np.zeros(n)
-        ub = np.full(n, np.inf)
-    else:
-        lb = np.array([lo for lo, _ in bounds], dtype=float)
-        ub = np.array([hi for _, hi in bounds], dtype=float)
-    return LinearProgram(sense, c, a, senses, b, lb, ub)
-
-
 @dataclass(frozen=True)
 class LpSolution:
     status: str
@@ -681,11 +660,11 @@ def get_solver(name: str):
         raise LpError(f"unknown LP solver {name!r}; choose from {sorted(_SOLVERS)}")
 
 
-def dump_lp(lp: LinearProgram, names: list[str] | None = None) -> str:
-    """Fixed-format LP text (CPLEX-LP flavour) for external cross-checking."""
+def dump_lp(lp: LinearProgram) -> str:
+    """Fixed-format LP text (CPLEX-LP flavour) for external cross-checking;
+    variable j is named x{j}."""
     n = lp.n_vars
-    if names is None:
-        names = [f"x{j}" for j in range(n)]
+    names = [f"x{j}" for j in range(n)]
 
     def expr(coefs):
         parts = []

@@ -183,7 +183,7 @@ def simulate_policy(cfg: NewsvendorConfig, policy, index, runs, rng) -> float:
         actions = np.zeros(runs, dtype=int)
         for s in np.unique(states):
             sel = states == s
-            dist = policy.distributions[index[(t, int(s))]] if t > 1 else policy.distributions[index[(1, 0)]]
+            dist = policy.distributions[index[(t, int(s))]]
             actions[sel] = rng.choice(len(dist), size=int(sel.sum()), p=dist)
         total += cfg.order_cost * actions + np.maximum(
             cfg.holding_cost * states, -cfg.backorder_cost * states

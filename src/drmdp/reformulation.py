@@ -79,9 +79,6 @@ class StageObjective:
     def coeff(self, pi) -> np.ndarray:
         return self.c_mat.T @ np.asarray(pi, dtype=float)
 
-    def evaluate(self, pi, xi) -> float:
-        return self.kappa(pi) + float(self.coeff(pi) @ xi)
-
 
 def assemble_stage_objective(v_next, fm: FactorMap, discount: float = 1.0) -> StageObjective:
     """Fold a next-stage value vector into the factor-affine stage objective.
@@ -235,10 +232,6 @@ class WorstCaseCertificate:
         """Mixture mean Σ_n ω_n ξ̄_n: the factor the worst case prices at."""
         return self.weights @ self.means
 
-    def expectation(self, obj: StageObjective, pi) -> float:
-        cc = obj.coeff(pi)
-        return obj.kappa(pi) + float(self.weights @ (self.means @ cc))
-
 
 def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, solver="highs"):
     """Worst-case expected stage value at a fixed policy.
@@ -359,14 +352,11 @@ class SRobustTemplate:
         lb, ub = (cols.zeros, cols.inf) if pi is None else (pi, pi)
         return LeadingColumns(self.shared, cols.zeros, lb, ub, cols.starts, cols.index, value, self.warm)
 
-    def instantiate(self, obj: StageObjective, pi=None):
-        """The whole LP, π columns first; returns (lp, layout) with column
-        blocks "pi" and "y".  The LP carries no warm model: a backup reaches
-        the set's model only through `leading_columns`."""
-        cols = _Cols()
-        cols.add("pi", obj.n_actions)
-        cols.add("y", self.at.shape[1])
-        return self.leading_columns(obj, pi).lp(), cols
+    def instantiate(self, obj: StageObjective, pi=None) -> LinearProgram:
+        """The whole LP, the π columns first and then the y columns.  The LP
+        carries no warm model: a backup reaches the set's model only through
+        `leading_columns`."""
+        return self.leading_columns(obj, pi).lp()
 
 
 _MINUS_ONE = np.array([-1.0])
@@ -392,10 +382,10 @@ def _template(amb: LiftedAmbiguitySet) -> SRobustTemplate:
     return amb._template
 
 
-def build_srobust_lp(obj: StageObjective, amb: LiftedAmbiguitySet):
-    """One LP computing max_π (worst-case expectation); returns (lp, layout).
+def build_srobust_lp(obj: StageObjective, amb: LiftedAmbiguitySet) -> LinearProgram:
+    """One LP computing max_π (worst-case expectation).
 
-    Variable blocks: the policy π on the simplex and the multipliers y of
+    Variable blocks: the policy π on the simplex, then the multipliers y of
     the adversary rows.  Its optimal value is the robust value.
     """
     return _template(amb).instantiate(obj)
@@ -488,8 +478,7 @@ def _grid_points(dset, step):
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     keep = [p for p in pts if dset.contains(p, tol=1e-9)]
-    verts = enumerate_vertices(dset).vertices
-    out = list(verts)
+    out = list(enumerate_vertices(dset))
     for p in keep:
         if not any(np.max(np.abs(p - q)) <= 1e-9 for q in out):
             out.append(p)

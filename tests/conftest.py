@@ -19,6 +19,40 @@ from drmdp.engine import DrMdpModel
 from drmdp.geometry import PolyhedralSet, box, simplex, singleton
 from drmdp.lp import LeadingColumns, LinearProgram
 
+
+def make_lp(sense, c, rows, bounds=None) -> LinearProgram:
+    """An LP from a list of (coeffs, sense, rhs) rows; bounds default to
+    [0, inf) on every variable."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    if rows:
+        a = np.array([np.asarray(r[0], dtype=float) for r in rows])
+        senses = tuple(r[1] for r in rows)
+        b = np.array([float(r[2]) for r in rows])
+    else:
+        a = np.zeros((0, n))
+        senses = ()
+        b = np.zeros(0)
+    if bounds is None:
+        lb = np.zeros(n)
+        ub = np.full(n, np.inf)
+    else:
+        lb = np.array([lo for lo, _ in bounds], dtype=float)
+        ub = np.array([hi for _, hi in bounds], dtype=float)
+    return LinearProgram(sense, c, a, senses, b, lb, ub)
+
+
+def stage_value(obj, pi, xi) -> float:
+    """A stage objective's value κ(π) + c(π)·ξ at one factor ξ."""
+    return obj.kappa(pi) + float(obj.coeff(pi) @ xi)
+
+
+def certificate_value(cert, obj, pi) -> float:
+    """A stage objective's expectation at π under a certificate's point
+    masses: κ(π) + Σ_n ω_n c(π)·ξ̄_n."""
+    return obj.kappa(pi) + float(cert.weights @ (cert.means @ obj.coeff(pi)))
+
+
 def leading_request(lp, warm):
     """A whole LP as a request on the warm model `warm`: its columns before
     the last `warm.n_shared` lead, and those last ones are the shared part."""

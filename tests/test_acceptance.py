@@ -256,7 +256,7 @@ def _vertex_optimum(lp):
         e[j] = 1.0
         ineq.append((e.copy(), lp.ub[j]))
         ineq.append((-e, -lp.lb[j]))
-    verts = enumerate_vertices(PolyhedralSet(n, ineq, eq)).vertices
+    verts = enumerate_vertices(PolyhedralSet(n, ineq, eq))
     vals = [float(lp.c @ v) for v in verts]
     return (max(vals) if lp.sense == "max" else min(vals)) if vals else None
 

@@ -57,6 +57,23 @@ def test_uncertain_mean_builder():
     assert validate(amb).passed
 
 
+def test_validate_skips_weight_checks_on_an_unbounded_weight_set():
+    # ω >= 0 alone: the weight polytope is a ray, so sums and minima of its
+    # weights are not checked
+    amb = LiftedAmbiguitySet(1, (box([0.0], [1.0]),), (), PolyhedralSet(1, [([-1.0], 0.0)]))
+    report = validate(amb)
+    assert ("weight_set_compact", False, "") in report.checks
+    assert {name for name, _, _ in report.checks}.isdisjoint({"weight_normalization", "weight_interiority"})
+    assert not report.passed
+
+
+def test_uncertain_mean_without_a_ball_keeps_the_mean_box():
+    amb = build_uncertain_mean(box([0, 0], [1, 1]), [0.2, 0.2], [0.8, 0.8], [0.5, 0.5], np.inf, norm="inf")
+    moment_set = amb.groups[0].moment_set
+    assert moment_set.contains([0.8, 0.2]) and not moment_set.contains([0.9, 0.5])
+    assert validate(amb).passed
+
+
 def test_uncertain_mean_empty_mean_set():
     d = box([0, 0], [1, 1])
     with pytest.raises(AmbiguityError):
@@ -127,7 +144,6 @@ def test_mixture_reduces_and_validates():
     assert amb.n_scenarios == 2
     assert len(amb.groups) == 1  # support-only component contributes no group
     assert amb.groups[0].scenarios == (1,)
-    assert amb.groups_of(1) == (0,)
     assert validate(amb).passed
 
 

@@ -129,12 +129,19 @@ def test_newsvendor_deterministic_and_trends(runner, tmp_path):
     assert len(agg) == 3
 
 
-def test_newsvendor_threads_do_not_change_results(runner, tmp_path, monkeypatch):
+def test_newsvendor_single_radius_prints_no_t_statistic(runner, tmp_path):
+    res = runner.invoke(main, ["newsvendor", "--radii", "0.5", "--train-sizes", "3", "--reps", "2",
+                               "--test-runs", "20", "--seed", "1", "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "t=" not in res.output
+    assert (tmp_path / "aggregate.csv").read_text().splitlines()[1].startswith("0.5,3,")
+
+
+def test_newsvendor_threads_do_not_change_results(runner, tmp_path):
     args = ["newsvendor", "--radii", "0,0.5", "--train-sizes", "3", "--reps", "4",
             "--test-runs", "40", "--seed", "3"]
     res1 = runner.invoke(main, args + ["--out-dir", str(tmp_path / "serial"), "--threads", "1"])
-    monkeypatch.setenv("DRMDP_THREADS", "3")
-    res2 = runner.invoke(main, args + ["--out-dir", str(tmp_path / "pool")])
+    res2 = runner.invoke(main, args + ["--out-dir", str(tmp_path / "pool"), "--threads", "3"])
     assert res1.exit_code == 0 and res2.exit_code == 0
     assert (tmp_path / "serial" / "costs.csv").read_text() == (
         tmp_path / "pool" / "costs.csv"

@@ -441,7 +441,7 @@ def test_backup_errors_name_the_lp_and_its_shape(monkeypatch, pinned):
 
     amb = build_wasserstein([[0.2, 0.8], [0.6, 0.4]], 0.15, simplex(2))
     obj = StageObjective([0.1, 0.2, 0.3], np.ones((3, 2)))
-    lp, _ = _template(amb).instantiate(obj)
+    lp = _template(amb).instantiate(obj)
     name = "fixed-policy LP" if pinned else "robust LP"
     lp_module = drmdp.lp
     for status, tail in (

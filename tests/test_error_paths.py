@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_lp
 
 import drmdp.lp
 from drmdp.ambiguity import (
@@ -40,7 +41,6 @@ from drmdp.lp import (
     LinearProgram,
     LpError,
     LpSolution,
-    make_lp,
     residuals,
     solve_lp,
 )
@@ -116,6 +116,11 @@ AMBIGUITY = {
         lambda: build_uncertain_mean(simplex(2), [0, 0], [1, 1], [0.5, 0.5], NAN),
         "radius must be nonnegative",
     ),
+    # checked even without a ball, whose builder would otherwise catch it
+    "mean norm without a ball": (
+        lambda: build_uncertain_mean(simplex(2), [0, 0], [1, 1], [0, 0], INF, norm=7),
+        "norm must be 1 or 'inf', got 7",
+    ),
     "tv radius negative": (lambda: build_phi_divergence_tv([[0.0]], -0.1), "θ must be finite and nonnegative"),
     "tv radius nan": (lambda: build_phi_divergence_tv([[0.0]], NAN), "θ must be finite and nonnegative"),
     "tv radius inf": (lambda: build_phi_divergence_tv([[0.0]], INF), "θ must be finite and nonnegative"),
@@ -144,6 +149,10 @@ AMBIGUITY = {
     "hybrid MAD bound nan": (
         lambda: build_hybrid_wasserstein_mad([[0.5, 0.5]], 0.1, simplex(2), 1, [0, 0], [1, 1], NAN),
         "MAD bound must be a number",
+    ),
+    "hybrid MAD bound negative": (
+        lambda: build_hybrid_wasserstein_mad([[0.5, 0.5]], 0.1, simplex(2), 1, [0, 0], [1, 1], -1.0),
+        "MAD bound must be a number >= 0 (inf for none), got -1.0",
     ),
     "mixture no components": (lambda: build_mixture([], singleton([1.0])), "at least one component"),
     "mixture dimensions": (
@@ -229,6 +238,7 @@ GEOMETRY = {
     "ball radius negative": (lambda: norm_ball([0.0], -1.0, 1), "radius must be finite and nonnegative"),
     "ball radius nan": (lambda: norm_ball([0.0], NAN, "inf"), "radius must be finite and nonnegative"),
     "ball radius inf": (lambda: norm_ball([0.0], INF, 1), "radius must be finite and nonnegative"),
+    "ball norm": (lambda: norm_ball([0.0], 1.0, 2), "norm must be 1 or 'inf'"),
     # above the vertex-form guard, so an LP answers, and HiGHS takes no
     # infinite coefficient
     "feasibility LP failure": (
@@ -318,6 +328,17 @@ MODELFILE = {
     "radius nan": (
         lambda: parse_model_text(_document("radius: 0.2", "radius: .nan")),
         "θ must be finite and nonnegative",
+    ),
+    "uncertain-mean norm": (
+        lambda: parse_model_text(
+            _document(
+                "builder: wasserstein\n    support: {kind: simplex, dim: 2}\n    samples: [[0.3, 0.7]]\n"
+                "    radius: 0.2",
+                "builder: uncertain_mean\n    support: {kind: simplex, dim: 2}\n    mean_lo: [0, 0]\n"
+                "    mean_hi: [1, 1]\n    norm: 7",
+            )
+        ),
+        "norm must be 1 or 'inf', got 7",
     ),
     "stage partition": (
         lambda: parse_model_text(_document("stages: [[0], [1, 2]]", "stages: [[0], [1]]")),

@@ -65,16 +65,16 @@ def test_bounding_box_unbounded_raises():
 def test_vertex_enumeration_simplex_cut():
     # standard 3-simplex intersected with {x1 <= 0.5}
     s = intersect(simplex(3), PolyhedralSet(3, [([1, 0, 0], 0.5)]))
-    vl = enumerate_vertices(s)
+    verts = enumerate_vertices(s)
     expected = {(0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
-    got = {tuple(np.round(v, 9)) for v in vl.vertices}
+    got = {tuple(np.round(v, 9)) for v in verts}
     assert got == expected
 
 
 def test_vertex_enumeration_box():
-    vl = enumerate_vertices(box([0, -1], [1, 2]))
-    assert vl.vertices.shape == (4, 2)
-    for v in vl.vertices:
+    verts = enumerate_vertices(box([0, -1], [1, 2]))
+    assert verts.shape == (4, 2)
+    for v in verts:
         assert v[0] in (0.0, 1.0) and v[1] in (-1.0, 2.0)
 
 
@@ -117,8 +117,8 @@ def test_pwl_norm_distances():
 def test_pwl_affine_and_lift():
     f = affine_fn([2.0, -1.0], 0.5)
     assert f([1.0, 1.0]) == pytest.approx(1.5)
-    g = f.lift(4, offset=2)
-    assert g([9.0, 9.0, 1.0, 1.0]) == pytest.approx(1.5)
+    g = f.lift(4)
+    assert g([1.0, 1.0, 9.0, 9.0]) == pytest.approx(1.5)
 
 
 def test_pwl_convexity_midpoint_property():
@@ -183,17 +183,15 @@ def test_pwl_arrays_match_the_pair_by_pair_reference():
             (one_norm_distance(center), _loop_norm_terms(center, 1)),
             (inf_norm_distance(center), _loop_norm_terms(center, "inf")),
         ]
-        offset = int(rng.integers(0, 3))
-        total = dim + offset + int(rng.integers(0, 3))
-        pad = (np.zeros(offset), np.zeros(total - offset - dim))
+        pad = int(rng.integers(0, 3)) + int(rng.integers(0, 3))
+        total = dim + pad
         for fn, terms in cases:
             _assert_pieces(fn, terms)
-            lifted = fn.lift(total, offset)
-            _assert_pieces(lifted, [[(np.r_[pad[0], a, pad[1]], b) for a, b in block]
-                                    for block in terms])
+            lifted = fn.lift(total)
+            _assert_pieces(lifted, [[(np.r_[a, np.zeros(pad)], b) for a, b in block] for block in terms])
             for x in rng.normal(size=(5, dim)):
                 ref = _loop_value(terms, x)
-                y = np.r_[rng.normal(size=offset), x, rng.normal(size=total - offset - dim)]
+                y = np.r_[x, rng.normal(size=pad)]
                 assert abs(fn(x) - ref) <= PWL_TOL * (1.0 + abs(ref))
                 assert abs(lifted(y) - ref) <= PWL_TOL * (1.0 + abs(ref))
         for x in rng.normal(size=(5, dim)):
@@ -215,11 +213,11 @@ def test_vertices_match_support_values():
     # max over vertices equals the LP support value, random directions
     rng = np.random.default_rng(5)
     s = intersect(simplex(4), PolyhedralSet(4, [([1, 1, 0, 0], 0.6)]))
-    vl = enumerate_vertices(s)
-    assert vl.vertices.shape[0] > 0
+    verts = enumerate_vertices(s)
+    assert verts.shape[0] > 0
     for _ in range(10):
         d = rng.normal(size=4)
-        assert max(vl.vertices @ d) == pytest.approx(support_value(s, d), abs=1e-7)
+        assert max(verts @ d) == pytest.approx(support_value(s, d), abs=1e-7)
 
 
 def test_dimension_validation():
@@ -239,10 +237,10 @@ def test_box_rejects_bounds_of_two_lengths():
 def test_enumerate_vertices_dependent_equality_rows():
     # the free dimensions come from the rank of the equality rows, not their count
     twice = intersect(simplex(3), simplex(3))
-    got = {tuple(np.round(v, 9)) for v in enumerate_vertices(twice).vertices}
+    got = {tuple(np.round(v, 9)) for v in enumerate_vertices(twice)}
     assert got == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
     segment = PolyhedralSet(2, [([-1, 0], 0.0), ([0, -1], 0.0)], [([1, 1], 1.0), ([2, 2], 2.0)])
-    got = {tuple(np.round(v, 9)) for v in enumerate_vertices(segment).vertices}
+    got = {tuple(np.round(v, 9)) for v in enumerate_vertices(segment)}
     assert got == {(1.0, 0.0), (0.0, 1.0)}
 
 
@@ -387,7 +385,7 @@ def test_batched_enumeration_matches_loop():
     rng = np.random.default_rng(4)
     for _ in range(150):
         s = _random_polytope(rng)
-        got, want = enumerate_vertices(s).vertices, _loop_vertices(s)
+        got, want = enumerate_vertices(s), _loop_vertices(s)
         assert got.shape == want.shape
         assert got == pytest.approx(want, abs=1e-9)
 

@@ -137,7 +137,7 @@ def test_highs_geometry_matches_the_dense_simplex(lp_path, monkeypatch):
             assert g["box"] is w["box"] is geometry.NotCompactError
         elif kind != "empty":
             # and both against the vertex enumerator, which solves no LP
-            verts = enumerate_vertices(s).vertices
+            verts = enumerate_vertices(s)
             assert g["support"] == pytest.approx((verts @ directions.T).max(axis=0), abs=TOL)
             assert g["box"] == pytest.approx(np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1), abs=TOL)
         assert g["radius"] == pytest.approx(w["radius"], abs=TOL)

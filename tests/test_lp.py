@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import leading_request
+from conftest import leading_request, make_lp
 from hypothesis import given, settings
 from scipy.sparse import csc_matrix
 from test_lp_differential import hard_lps
@@ -34,7 +34,6 @@ from drmdp.lp import (
     _highs_status,
     dump_lp,
     get_solver,
-    make_lp,
     residuals,
     solve_lp,
     solve_lp_highs,

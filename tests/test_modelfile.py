@@ -276,3 +276,24 @@ def test_shared_supports_keep_every_validation_check():
         assert got.checks == want.checks
         names = [name for name, _, _ in got.checks]
         assert {f"support_{n}_compact" for n in range(amb.n_scenarios)} <= set(names)
+
+
+def test_staged_document_without_terminal_values_solves_as_with_zeros():
+    text = (DATA / "finite_two_state.yaml").read_text()
+    line = "terminal_values: [1.0, -1.0]\n"
+    assert line in text
+    without = parse_model_text(text.replace(line, ""))
+    zeros = parse_model_text(text.replace(line, "terminal_values: [0.0, 0.0]\n"))
+    assert _root_value(without) == _root_value(zeros) == 1.0
+
+
+def test_unparsed_document_builds_the_model_parsing_built():
+    parsed = parse_model_file(DATA / "finite_two_state.yaml")
+    fresh = modelfile.ModelDocument(parsed.raw).build()
+    assert fresh is not parsed.build()
+    (values, policy, _), (want_values, want_policy, _) = (
+        backward_induction(model) for model in (fresh, parsed.build())
+    )
+    assert values.values.tobytes() == want_values.values.tobytes()
+    for dist, want in zip(policy.distributions, want_policy.distributions):
+        assert (dist is None and want is None) or dist.tobytes() == want.tobytes()
