@@ -416,7 +416,8 @@ def validate(amb: LiftedAmbiguitySet, fm: FactorMap = None) -> ValidationReport:
 
     Small compact polytopes answer their support queries from a vertex list
     instead of LPs, and a support object shared by several scenarios is
-    checked once, though every scenario keeps its own check names.
+    checked once, though every scenario keeps its own check names.  A
+    support keeps its Slater radius, so sets that share it measure it once.
 
     A passing report is evidence, not a certificate, that strong duality
     holds for the robust counterpart.
@@ -457,7 +458,9 @@ def _support_checks(d: PolyhedralSet):
     ok = is_nonempty_bounded(d)
     checks = [("support_{n}_compact", ok, "nonempty and bounded" if ok else "empty or unbounded")]
     if ok and d.b_in.size:
-        r = _hull_radius(d)
+        if d._slater_radius is None:
+            object.__setattr__(d, "_slater_radius", _hull_radius(d))
+        r = d._slater_radius
         checks.append(("support_{n}_slater", r > 1e-9, f"inequality-system inscribed radius {r:.2e}"))
     return checks
 

@@ -33,7 +33,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import lp as _lp
 from .lp import EQ, INFEASIBLE, LE, PRIMAL_SIMPLEX, UNBOUNDED, LeadingColumns, WarmHighs
@@ -100,6 +99,8 @@ class PolyhedralSet:
     # the LP max c.x over the set as a request on the set's own warm HiGHS
     # model, built on the first LP query; each query swaps in its costs
     _lp_model: object = field(default=None, init=False, repr=False, compare=False)
+    # the Slater radius `ambiguity.validate` measures, kept from its first check
+    _slater_radius: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, ineq, eq):
         if self.dim <= 0:
@@ -165,12 +166,23 @@ def intersect(*sets: PolyhedralSet) -> PolyhedralSet:
     )
 
 
+def _block_diag(*blocks) -> np.ndarray:
+    """The matrices `blocks` along the diagonal of one zero matrix, as
+    scipy.linalg.block_diag lays them out; a block may have no rows."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def product(*sets: PolyhedralSet) -> PolyhedralSet:
     """Cartesian product, block-diagonal constraint layout."""
     return PolyhedralSet(
         sum(s.dim for s in sets),
-        zip(block_diag(*(s.a_in for s in sets)), np.concatenate([s.b_in for s in sets])),
-        zip(block_diag(*(s.a_eq for s in sets)), np.concatenate([s.b_eq for s in sets])),
+        zip(_block_diag(*(s.a_in for s in sets)), np.concatenate([s.b_in for s in sets])),
+        zip(_block_diag(*(s.a_eq for s in sets)), np.concatenate([s.b_eq for s in sets])),
     )
 
 

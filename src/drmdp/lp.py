@@ -5,17 +5,18 @@ backend from the seam `get_solver`; the default everywhere is scipy's
 HiGHS under this module's solution contract.  A backend takes either a
 `LinearProgram` or a `LeadingColumns` request: the columns that lead an
 LP's shared ones, with the LP over its rows and shared columns alone.  An
-LP may carry a scipy.sparse matrix, which a whole-LP solve densifies.  A
-request may carry a `WarmHighs` handle: requests that share every row and
-all but their leading columns are then solved on one persistent HiGHS
-model, which takes only what differs in the leading columns and re-runs
-from the basis the previous solve left.  Leading columns of the held
+LP's matrix may be dense, a `CscArrays` record or a scipy.sparse matrix;
+a whole-LP solve densifies it.  A request may carry a `WarmHighs` handle:
+requests that share every row and all but their leading columns are then
+solved on one persistent HiGHS model, which takes only what differs in the
+leading columns and re-runs from the basis the previous solve left.  Leading columns of the held
 pattern are edited in place, entry by entry, which keeps that basis
 valid; others are swapped in.  HiGHS solves a request without a handle on
 a fresh model, and a whole `LinearProgram` as the request
 `LeadingColumns.from_rows` makes of it, every column leading; the dense
 simplex assembles the whole LP.  HiGHS is driven through scipy's private
-`_highspy` bindings, the only ones that edit a model in place.
+`_highspy` bindings, the only ones that edit a model in place, loaded from
+their extension file so that no other scipy module loads with them.
 
 The self-contained two-phase dense simplex (`solve_lp`) returns primal and
 dual solutions plus optimality certificates.  It favours robustness over
@@ -30,12 +31,41 @@ from HiGHS's dual ray.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, ObjSense, _Highs, kHighsInf
-from scipy.sparse import csc_matrix, issparse
+
+
+def _highs_bindings():
+    """scipy's compiled HiGHS module, loaded from its file: importing it by
+    name would first run `scipy.optimize`'s package, which imports linprog,
+    scipy.spatial, scipy.special and more that nothing here uses.  It is
+    registered under its own name, so a later `import scipy.optimize` gets
+    this very module, and one already loaded is taken as it is."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    stem = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.exists(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's HiGHS bindings are not where drmdp looks for them: none of {paths}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _highs_bindings()
+HighsModelStatus, HighsStatus, ObjSense = _core.HighsModelStatus, _core.HighsStatus, _core.ObjSense
+_Highs, kHighsInf = _core._Highs, _core.kHighsInf
 
 PIVOT_TOL = 1e-9
 # the dense simplex prices by Dantzig's rule for this many times (rows +
@@ -67,12 +97,43 @@ class LpError(Exception):
 
 
 @dataclass(frozen=True)
+class CscArrays:
+    """A compressed-column matrix under scipy.sparse's attribute names:
+    column j holds data[indptr[j]:indptr[j + 1]] in the rows indices[...]."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, a) -> CscArrays:
+        """The nonzero entries of the dense matrix `a`, each column's in row
+        order, with int32 indices, as scipy.sparse would hold them."""
+        cols, rows = np.nonzero(a.T)
+        indptr = np.searchsorted(cols, np.arange(a.shape[1] + 1)).astype(np.int32)
+        return cls(a.T[cols, rows], rows.astype(np.int32), indptr, a.shape)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.shape[0]
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix in column-major order, entries added onto zeros
+        as scipy.sparse does."""
+        a = np.zeros(self.shape, order="F")
+        np.add.at(a, (self.indices, np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))), self.data)
+        return a
+
+
+@dataclass(frozen=True)
 class LinearProgram:
     """min/max c'x subject to tagged rows and per-variable bounds.
 
     Rows are (coefficients, sense, rhs) with sense one of "<=", "=", ">=".
-    Bounds may be -inf / +inf.  The matrix `a` is a dense array or a
-    scipy.sparse matrix.
+    Bounds may be -inf / +inf.  The matrix `a` is a dense array, a
+    `CscArrays` or a scipy.sparse matrix, which is told by its `tocsc`
+    method, so scipy.sparse need not be imported.
     """
 
     sense: str
@@ -91,7 +152,9 @@ class LinearProgram:
         if self.sense not in ("min", "max"):
             raise LpError(f"unknown objective sense {self.sense!r}")
         n = c.shape[0]
-        if issparse(self.a):
+        if isinstance(self.a, CscArrays):
+            a = self.a
+        elif hasattr(self.a, "tocsc"):
             a = self.a.astype(float, copy=False)
         else:
             a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -126,7 +189,7 @@ class LinearProgram:
 
     def dense_a(self) -> np.ndarray:
         """The constraint matrix as a dense array."""
-        return self.a.toarray() if issparse(self.a) else self.a
+        return self.a if isinstance(self.a, np.ndarray) else self.a.toarray()
 
 
 @dataclass(frozen=True)
@@ -153,8 +216,8 @@ def residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
     Dual sign convention: y holds shadow prices for the *stated* sense, i.e.
     d(value)/d(b_i) = y_i.  For a max problem y_i >= 0 on "<=" rows; for a
     min problem y_i <= 0 on "<=" rows.  Reduced costs r = c - a'y vanish for
-    variables strictly between their bounds.  Dense and sparse matrices
-    alike cost one product with a and one with a'.
+    variables strictly between their bounds.  A sparse matrix is
+    densified first.
     """
     if not sol.optimal:
         raise LpError("residuals only defined for optimal solutions")
@@ -164,7 +227,8 @@ def residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
     # ndarray.max has a third of np.max's call cost; the maxima stay apart:
     # numpy breaks 0.0/-0.0 ties by position, so merging could flip a zero's sign
     scale = 1.0 + max(np.abs(lp.b).max(initial=0.0), np.abs(x).max(initial=0.0))
-    ax = lp.a @ x
+    a = lp.dense_a()
+    ax = a @ x
     excess, shortfall = ax - lp.b, lp.b - ax
     # row violation: excess on "<=", shortfall on ">=", either way on "="
     row_excess = np.where(le, excess, np.where(ge, shortfall, np.abs(excess)))
@@ -173,7 +237,7 @@ def residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
     sign = 1.0 if lp.sense == "min" else -1.0
     # min: y <= 0 on "<=" rows and y >= 0 on ">=" rows; flipped for max
     dual = max((sign * y[le]).max(initial=0.0), (-sign * y[ge]).max(initial=0.0))
-    r = lp.c - lp.a.T @ y
+    r = lp.c - a.T @ y
     # Reduced-cost sign: for min, r_j >= 0 at a lower bound, <= 0 at an upper
     # bound; flipped for max.  Variables off both bounds need r_j == 0, and
     # fixed variables (at both bounds) may take any r_j.
@@ -413,12 +477,10 @@ class LeadingColumns:
         """The LP over the dense rows `a` as a request whose every column
         leads, its compressed-column arrays read off `a`; the shared part
         holds the rows and no column."""
-        at = a.T
-        cols, rows = np.nonzero(at)
-        starts = np.searchsorted(cols, np.arange(a.shape[1])).astype(np.int32)
-        no_cols = np.zeros(0)
-        shared = LinearProgram(sense, no_cols, csc_matrix((a.shape[0], 0)), senses, b, no_cols, no_cols)
-        return cls(shared, c, lb, ub, starts, rows.astype(np.int32), at[cols, rows], warm)
+        csc, no_cols = CscArrays.of(a), np.zeros(0)
+        empty = CscArrays(no_cols, np.zeros(0, np.int32), np.zeros(1, np.int32), (a.shape[0], 0))
+        shared = LinearProgram(sense, no_cols, empty, senses, b, no_cols, no_cols)
+        return cls(shared, c, lb, ub, csc.indptr[:-1], csc.indices, csc.data, warm)
 
     @property
     def n_rows(self) -> int:
@@ -431,13 +493,11 @@ class LeadingColumns:
     def lp(self) -> LinearProgram:
         """The whole LP, leading columns first."""
         sh, nnz = self.shared, self.value.shape[0]
-        a = csc_matrix(
-            (
-                np.concatenate([self.value, sh.a.data]),
-                np.concatenate([self.index, sh.a.indices]),
-                np.concatenate([self.starts, sh.a.indptr + nnz]),
-            ),
-            shape=(self.n_rows, self.n_vars),
+        a = CscArrays(
+            np.concatenate([self.value, sh.a.data]),
+            np.concatenate([self.index, sh.a.indices]),
+            np.concatenate([self.starts, sh.a.indptr + nnz]),
+            (self.n_rows, self.n_vars),
         )
         return LinearProgram(
             sh.sense,
@@ -566,13 +626,16 @@ class WarmHighs:
         changed entry is not finite or is too large for addCols, which
         changeCoeff would take and the run then fail on or misread."""
         held, highs = self._held, self._highs
-        changed = (lead.value != held.value).nonzero()[0]
-        value = lead.value[changed]
-        # NaN fails the comparison too
-        if not np.abs(value).max(initial=0.0) < _HIGHS_MAX_ENTRY:
-            return False
-        rows, cols = lead.index[changed].tolist(), held.entry_cols()[changed].tolist()
-        edits = list(map(highs.changeCoeff, rows, cols, value.tolist()))
+        edits = []
+        # the very array the model holds (a geometry query's) has no change
+        if lead.value is not held.value:
+            changed = (lead.value != held.value).nonzero()[0]
+            value = lead.value[changed]
+            # NaN fails the comparison too
+            if not np.abs(value).max(initial=0.0) < _HIGHS_MAX_ENTRY:
+                return False
+            rows, cols = lead.index[changed].tolist(), held.entry_cols()[changed].tolist()
+            edits = list(map(highs.changeCoeff, rows, cols, value.tolist()))
         if lead.c is not held.c:
             edits.append(highs.changeColsCost(held.n_lead, held.cols, lead.c))
         if lead.lb is not held.lb or lead.ub is not held.ub:

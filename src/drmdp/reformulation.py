@@ -35,11 +35,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from .ambiguity import FactorMap, LiftedAmbiguitySet
 from .geometry import bounding_box, enumerate_vertices, feasibility_check
-from .lp import EQ, LE, UNBOUNDED, LeadingColumns, LinearProgram, WarmHighs, get_solver
+from .lp import EQ, LE, UNBOUNDED, CscArrays, LeadingColumns, LinearProgram, WarmHighs, get_solver
 
 
 class ReformulationError(Exception):
@@ -300,14 +299,14 @@ class SRobustTemplate:
     def _build(self, amb):
         self.n_scenarios, self.factor_dim = amb.n_scenarios, amb.factor_dim
         self.layout, self.moment_rows, amat, self.senses, self.b = _adversary_rows(amb)
-        self.at = csc_matrix(amat.T)
+        self.at = CscArrays.of(amat.T)
         n_vars, n_rows = self.at.shape
         y_ub = np.where(np.array(self.senses) == LE, 0.0, np.inf)
         # rows A'y − Mπ = 0, then 1'π = 1, over the y columns, which have no
         # entry in the last row
         rhs = np.zeros(n_vars + 1)
         rhs[n_vars] = 1.0
-        at = csc_matrix((self.at.data, self.at.indices, self.at.indptr), shape=(n_vars + 1, n_rows))
+        at = CscArrays(self.at.data, self.at.indices, self.at.indptr, (n_vars + 1, n_rows))
         self.shared = LinearProgram(
             "max", self.b, at, (EQ,) * (n_vars + 1), rhs, np.full(n_rows, -np.inf), y_ub
         )

@@ -17,7 +17,7 @@ from drmdp.ambiguity import (
 )
 from drmdp.engine import DrMdpModel
 from drmdp.geometry import PolyhedralSet, box, simplex, singleton
-from drmdp.lp import LeadingColumns, LinearProgram
+from drmdp.lp import CscArrays, LeadingColumns, LinearProgram
 
 
 def make_lp(sense, c, rows, bounds=None) -> LinearProgram:
@@ -57,7 +57,10 @@ def leading_request(lp, warm):
     """A whole LP as a request on the warm model `warm`: its columns before
     the last `warm.n_shared` lead, and those last ones are the shared part."""
     n_lead = lp.n_vars - warm.n_shared
-    a = lp.a.tocsc() if issparse(lp.a) else csc_matrix(lp.a)
+    if isinstance(lp.a, CscArrays):
+        a = csc_matrix((lp.a.data, lp.a.indices, lp.a.indptr), shape=lp.a.shape)
+    else:
+        a = lp.a.tocsc() if issparse(lp.a) else csc_matrix(lp.a)
     nnz = a.indptr[n_lead]
     shared = LinearProgram(
         lp.sense, lp.c[n_lead:], a[:, n_lead:], lp.row_senses, lp.b, lp.lb[n_lead:], lp.ub[n_lead:]

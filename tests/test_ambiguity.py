@@ -174,6 +174,22 @@ def test_slater_measures_a_support_inside_its_affine_hull():
         assert ok and radius == pytest.approx(1 / np.sqrt(dim * (dim - 1)), rel=5e-3)
 
 
+def test_slater_radius_is_kept_with_the_support(monkeypatch):
+    # sets that share a support, as the states of one document do, measure
+    # its radius once; a later validation reads the kept one
+    import drmdp.ambiguity as ambiguity
+
+    calls = []
+    real = ambiguity.chebyshev_radius
+    monkeypatch.setattr(ambiguity, "chebyshev_radius", lambda s: calls.append(s) or real(s))
+    d = simplex(3)
+    sets = [build_wasserstein([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], 0.3, d), build_support_only(d)]
+    reports = [validate(amb) for amb in sets + sets]
+    assert len(calls) == 1
+    slater = {detail for rep in reports for name, _, detail in rep.checks if name.endswith("_slater")}
+    assert slater == {f"inequality-system inscribed radius {d._slater_radius:.2e}"}
+
+
 def test_factor_map_row_checks():
     # two actions over two next-states driven by a scalar factor in [0, 1]
     fm = FactorMap(

@@ -111,6 +111,18 @@ def test_solve_dump_lp(runner, tmp_path):
     assert "Subject To" in text and text.rstrip().endswith("End")
 
 
+@pytest.mark.parametrize("name", ["boundary_weights", "finite_two_state", "infinite_two_state", "invalid_rows"])
+def test_solve_dump_lp_writes_the_golden_bytes(runner, tmp_path, name):
+    # the golden files are the dumps written while the template's matrix
+    # was a scipy.sparse one
+    lp_path = tmp_path / "root.lp"
+    res = runner.invoke(
+        main, ["solve", str(DATA / f"{name}.yaml"), "--out", str(tmp_path), "--dump-lp", str(lp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert lp_path.read_bytes() == (GOLDEN / f"{name}_root.lp").read_bytes()
+
+
 def test_newsvendor_deterministic_and_trends(runner, tmp_path):
     args = [
         "newsvendor", "--radii", "0,2", "--train-sizes", "4", "--reps", "3",

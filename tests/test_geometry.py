@@ -105,6 +105,22 @@ def test_product_layout():
     assert not p.contains([0.5, 0.5, 1.2])
 
 
+def test_block_diagonal_matches_scipy_on_blocks_with_and_without_rows():
+    from scipy.linalg import block_diag
+
+    rng = np.random.default_rng(5)
+    shapes = [[(2, 3)], [(2, 2), (3, 1)], [(0, 2), (2, 3)], [(1, 2), (0, 3), (2, 1)], [(0, 2), (0, 1)]]
+    for blocks in ([rng.normal(size=shape) for shape in case] for case in shapes):
+        got, ref = geometry._block_diag(*blocks), block_diag(*blocks)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+    # simplices carry an equality row, boxes none
+    for sets in ([box([0.0], [1.0]), box([0.0, 0.0], [1.0, 2.0])], [simplex(2), box([0.0], [1.0]), simplex(3)]):
+        p = product(*sets)
+        np.testing.assert_array_equal(p.a_in, block_diag(*(s.a_in for s in sets)))
+        np.testing.assert_array_equal(p.a_eq, block_diag(*(s.a_eq for s in sets)))
+
+
 def test_pwl_norm_distances():
     f1 = one_norm_distance([1.0, -1.0])
     fi = inf_norm_distance([1.0, -1.0])

@@ -25,6 +25,7 @@ from drmdp.lp import (
     TIME_LIMIT,
     UNBOUNDED,
     UNBOUNDED_OR_INFEASIBLE,
+    CscArrays,
     LeadingColumns,
     LinearProgram,
     LpError,
@@ -304,7 +305,8 @@ def test_vectorized_residuals_match_the_loop_reference():
             )
             for point in (sol, noisy):
                 ref = _loop_residuals(lp, point)
-                for prog in (lp, dataclasses.replace(lp, a=csc_matrix(lp.a))):
+                for a in (lp.a, csc_matrix(lp.a), CscArrays.of(lp.a)):
+                    prog = dataclasses.replace(lp, a=a)
                     got = residuals(prog, point)
                     assert got.keys() == ref.keys()
                     for name, value in ref.items():
@@ -317,13 +319,52 @@ def test_sparse_matrix_solves_like_dense():
     rng = np.random.default_rng(3)
     for _ in range(10):
         lp = _mixed_lp(rng, 5, 4)
-        sparse = dataclasses.replace(lp, a=csc_matrix(lp.a))
-        for solve in (solve_lp, solve_lp_highs):
-            s1, s2 = solve(lp), solve(sparse)
-            assert s1.status == s2.status
-            if s1.optimal:
-                assert s2.value == pytest.approx(s1.value, abs=1e-9)
-        assert dump_lp(sparse) == dump_lp(lp)
+        for a in (csc_matrix(lp.a), CscArrays.of(lp.a)):
+            sparse = dataclasses.replace(lp, a=a)
+            for solve in (solve_lp, solve_lp_highs):
+                s1, s2 = solve(lp), solve(sparse)
+                assert s1.status == s2.status
+                if s1.optimal:
+                    assert s2.value == pytest.approx(s1.value, abs=1e-9)
+            np.testing.assert_array_equal(sparse.dense_a(), lp.a)
+            assert dump_lp(sparse) == dump_lp(lp)
+
+
+def test_csc_record_holds_and_densifies_what_scipy_does():
+    rng = np.random.default_rng(9)
+    for shape in ((4, 5), (6, 2), (3, 0), (0, 2)):
+        a = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+        got, ref = CscArrays.of(a), csc_matrix(a)
+        assert got.shape == ref.shape and got.nnz == ref.nnz
+        for name in ("data", "indices", "indptr"):
+            mine, scipys = getattr(got, name), getattr(ref, name)
+            assert mine.dtype == scipys.dtype and mine.tobytes() == scipys.tobytes(), name
+        dense = got.toarray()
+        np.testing.assert_array_equal(dense, ref.toarray())
+        assert dense.flags.f_contiguous == ref.toarray().flags.f_contiguous
+    # stored zeros, a -0.0 among them, densify to +0.0 as scipy's do
+    arrays = (np.array([-0.0, 1.0, 0.0, -2.0]), np.array([0, 1, 0, 1], np.int32), np.array([0, 2, 4], np.int32))
+    got, ref = CscArrays(*arrays, (2, 2)).toarray(), csc_matrix(arrays, shape=(2, 2)).toarray()
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_request_of_the_held_entries_writes_none(monkeypatch):
+    # a geometry query sends the very entry array its model holds; a backup
+    # sends a new one, whose changed entries are found and written
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(4, 3))
+    lead = LeadingColumns.from_rows("max", np.zeros(3), a, (LE,) * 4, np.ones(4), np.zeros(3), np.ones(3), WarmHighs(0))
+    gathers = []
+    real = drmdp.lp._HeldColumns.entry_cols
+    monkeypatch.setattr(drmdp.lp._HeldColumns, "entry_cols", lambda held: gathers.append(1) or real(held))
+    for c in rng.normal(size=(3, 3)):
+        assert solve_lp_highs(dataclasses.replace(lead, c=c)).optimal
+    assert gathers == []
+    value = lead.value * 2.0
+    got = solve_lp_highs(dataclasses.replace(lead, c=np.ones(3), value=value))
+    assert gathers == [1]
+    ref = solve_lp(make_lp("max", np.ones(3), [(row, LE, 1.0) for row in 2.0 * a], [(0.0, 1.0)] * 3))
+    assert got.value == pytest.approx(ref.value, abs=1e-9)
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])

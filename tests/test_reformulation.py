@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import certificate_value, leading_request, make_lp, stage_value
+from conftest import FAMILIES, certificate_value, leading_request, make_lp, random_simplex_ambiguity, stage_value
 
 from drmdp.ambiguity import (
     FactorMap,
@@ -309,7 +309,7 @@ def test_fixed_policy_consistency():
             cost[layout["w"].start : layout["w"].start + n] = obj.kappa(pi)
             cost[layout["x"]] = np.tile(obj.coeff(pi), n)
             adversary = LinearProgram(
-                "min", cost, template.at.T, template.senses, template.b, -free, free
+                "min", cost, template.at.toarray().T, template.senses, template.b, -free, free
             )
             for solver in ("simplex", "highs"):
                 v_ref = get_solver(solver)(adversary).value
@@ -725,6 +725,27 @@ def test_block_adversary_rows_match_the_row_by_row_reference():
         np.testing.assert_array_equal(template.at.toarray(), amat.T)
         assert template.senses == senses
         np.testing.assert_array_equal(template.b, b)
+
+
+def test_template_matrix_holds_the_arrays_scipy_would():
+    from scipy.sparse import csc_matrix
+
+    from drmdp.newsvendor import NewsvendorConfig, sample_training_set
+    from drmdp.reformulation import _adversary_rows, _template
+
+    rng = np.random.default_rng(11)
+    cfg = NewsvendorConfig()
+    sets = [random_simplex_ambiguity(rng, 3, kind) for kind in FAMILIES]
+    sets += [
+        build_wasserstein(sample_training_set(cfg.true_dist, n, rng), 0.5, simplex(cfg.n_demand), cfg.metric)
+        for n in cfg.train_sizes
+    ]
+    for amb in sets:
+        got, ref = _template(amb).at, csc_matrix(_adversary_rows(amb)[2].T)
+        assert got.shape == ref.shape and got.nnz == ref.nnz
+        for name in ("data", "indices", "indptr"):
+            mine, scipys = getattr(got, name), getattr(ref, name)
+            assert mine.dtype == scipys.dtype and mine.tobytes() == scipys.tobytes(), name
 
 
 # ------------- the column-swap backup against the whole-LP backup ------------
