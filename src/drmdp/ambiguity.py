@@ -149,6 +149,8 @@ class FactorMap:
         if pm.shape[1] != rm.shape[1]:
             raise AmbiguityError("transition and reward maps disagree on factor_dim")
         for name, arr in (("p_mat", pm), ("p_offset", po), ("r_mat", rm), ("r_offset", ro)):
+            if not np.all(np.isfinite(arr)):
+                raise AmbiguityError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
 
     @property

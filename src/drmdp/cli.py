@@ -23,6 +23,7 @@ from .engine import (
     classical_dp_finite,
     value_iteration,
 )
+from .geometry import GeometryError
 from .lp import LpError, dump_lp
 from .modelfile import ModelFileError, parse_model_file
 from .newsvendor import NewsvendorConfig, NewsvendorError, paired_t_statistic, run_experiment
@@ -31,7 +32,7 @@ from .reformulation import ReformulationError, assemble_stage_objective, build_s
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
 
-_SOLVER_ERRORS = (EngineError, LpError, ReformulationError)
+_SOLVER_ERRORS = (EngineError, GeometryError, LpError, ReformulationError)
 
 
 def _fail(code: int, message: str):
@@ -61,6 +62,8 @@ def main():
               help="Output directory for value/policy CSVs and the summary JSON.")
 def solve(model_path, epsilon, dump_lp_path, out):
     """Solve MODEL_PATH and write value.csv, policy.csv, summary.json."""
+    if not 0.0 < epsilon < np.inf:
+        _fail(EXIT_INVALID, f"bad flag value: --epsilon must be finite and positive, got {epsilon}")
     model = _load_model(model_path)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -87,6 +90,8 @@ def solve(model_path, epsilon, dump_lp_path, out):
             Path(dump_lp_path).write_text(dump_lp(lp))
     except _SOLVER_ERRORS as err:
         _fail(EXIT_SOLVER, str(err))
+    if not (np.all(np.isfinite(vf.values)) and np.isfinite(residual)):
+        _fail(EXIT_SOLVER, f"non-finite result: value at root {vf[root]}, {residual_name} {residual}")
     labels = model.state_labels or [f"s{s}" for s in range(model.n_states)]
     with open(out_dir / "value.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -172,7 +177,10 @@ def validate(model_path):
         amb = model.ambiguities[s]
         if amb is None:
             continue
-        report = validate_ambiguity(amb, model.factor_maps[s])
+        try:
+            report = validate_ambiguity(amb, model.factor_maps[s])
+        except _SOLVER_ERRORS as err:
+            _fail(EXIT_SOLVER, f"state {s}: {err}")
         for name, ok, detail in report.checks:
             status = "ok" if ok else "FAIL"
             click.echo(f"state {s}: {name}: {status} ({detail})")

@@ -79,6 +79,8 @@ class DrMdpModel:
             tv = np.zeros(len(stages[-1])) if tv is None else np.asarray(tv, dtype=float)
             if tv.shape != (len(stages[-1]),):
                 raise EngineError("terminal_values must cover the final stage")
+            if not np.all(np.isfinite(tv)):
+                raise EngineError("terminal_values must be finite")
             object.__setattr__(self, "terminal_values", tv)
             for t, st in enumerate(stages[:-1]):
                 for s in st:
@@ -207,8 +209,8 @@ def _contract(model, epsilon, v0, max_iter, sweep):
     returns (values, distributions, sweeps)."""
     if model.is_finite:
         raise EngineError("fixed-point iteration requires an infinite-horizon model")
-    if epsilon <= 0:
-        raise EngineError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise EngineError(f"epsilon must be positive and finite, got {epsilon}")
     gamma = model.discount
     stop = epsilon * (1.0 - gamma) / (2.0 * gamma)
     v = np.zeros(model.n_states) if v0 is None else np.asarray(v0, dtype=float).copy()

@@ -35,7 +35,7 @@ from math import comb
 import numpy as np
 
 from . import lp as _lp
-from .lp import EQ, INFEASIBLE, LE, PRIMAL_SIMPLEX, UNBOUNDED, LeadingColumns, WarmHighs
+from .lp import EQ, INFEASIBLE, LE, PRIMAL_SIMPLEX, UNBOUNDED, LeadingColumns, LinearProgram, WarmHighs
 
 # HiGHS options of every geometry model: presolve costs more than it saves
 # on LPs this small, and a query that changes only the costs leaves the
@@ -73,6 +73,8 @@ def _rows(entries, dim, what):
         rows.append(a)
         rhs.append(float(b))
     mat, vec = np.array(rows).reshape(len(rows), dim), np.array(rhs, dtype=float)
+    if np.isnan(mat).any() or np.isnan(vec).any():
+        raise GeometryError(f"{what} row holds NaN")
     mat.flags.writeable = vec.flags.writeable = False
     return mat, vec
 
@@ -219,9 +221,8 @@ def _extreme(s: PolyhedralSet, direction):
         free = np.full(s.dim, np.inf)
         senses = (LE,) * len(s.b_in) + (EQ,) * len(s.b_eq)
         rows, rhs = np.vstack([s.a_in, s.a_eq]), np.concatenate([s.b_in, s.b_eq])
-        model = LeadingColumns.from_rows(
-            "max", np.zeros(s.dim), rows, senses, rhs, -free, free, WarmHighs(0, _MODEL_OPTIONS)
-        )
+        lp = LinearProgram("max", np.zeros(s.dim), rows, senses, rhs, -free, free)
+        model = LeadingColumns.of(lp, WarmHighs(_MODEL_OPTIONS))
         object.__setattr__(s, "_lp_model", model)
     # the costs are copied: the model tells new ones from the held ones by identity
     c = np.array(direction, dtype=float)
@@ -357,7 +358,7 @@ def chebyshev_radius(s: PolyhedralSet) -> float:
     # each equality row as the pair a.x <= d, -a.x <= -d
     a_eq = np.stack([s.a_eq, -s.a_eq], axis=1).reshape(-1, n)
     a = np.vstack([s.a_in, a_eq])
-    lp = LeadingColumns.from_rows(
+    lp = LinearProgram(
         "max",
         c,
         np.vstack([np.column_stack([a, np.linalg.norm(a, axis=1)]), c]),
@@ -366,9 +367,8 @@ def chebyshev_radius(s: PolyhedralSet) -> float:
         np.concatenate([s.b_in, np.column_stack([s.b_eq, -s.b_eq]).ravel(), [1e6]]),
         np.concatenate([np.full(n, -np.inf), [0.0]]),
         np.full(n + 1, np.inf),
-        WarmHighs(0, _MODEL_OPTIONS),
     )
-    sol = solve_lp(lp)
+    sol = solve_lp(LeadingColumns.of(lp, WarmHighs(_MODEL_OPTIONS)))
     if not sol.optimal:
         return 0.0
     return float(sol.value)

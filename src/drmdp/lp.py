@@ -5,15 +5,15 @@ backend from the seam `get_solver`; the default everywhere is scipy's
 HiGHS under this module's solution contract.  A backend takes either a
 `LinearProgram` or a `LeadingColumns` request: the columns that lead an
 LP's shared ones, with the LP over its rows and shared columns alone.  An
-LP's matrix may be dense, a `CscArrays` record or a scipy.sparse matrix;
-a whole-LP solve densifies it.  A request may carry a `WarmHighs` handle:
+LP's matrix is a dense array or a `CscArrays` record; a request's shared
+matrix is a `CscArrays`.  A request may carry a `WarmHighs` handle:
 requests that share every row and all but their leading columns are then
 solved on one persistent HiGHS model, which takes only what differs in the
 leading columns and re-runs from the basis the previous solve left.  Leading columns of the held
 pattern are edited in place, entry by entry, which keeps that basis
 valid; others are swapped in.  HiGHS solves a request without a handle on
 a fresh model, and a whole `LinearProgram` as the request
-`LeadingColumns.from_rows` makes of it, every column leading; the dense
+`LeadingColumns.of` makes of it, every column leading; the dense
 simplex assembles the whole LP.  HiGHS is driven through scipy's private
 `_highspy` bindings, the only ones that edit a model in place, loaded from
 their extension file so that no other scipy module loads with them.
@@ -131,9 +131,8 @@ class LinearProgram:
     """min/max c'x subject to tagged rows and per-variable bounds.
 
     Rows are (coefficients, sense, rhs) with sense one of "<=", "=", ">=".
-    Bounds may be -inf / +inf.  The matrix `a` is a dense array, a
-    `CscArrays` or a scipy.sparse matrix, which is told by its `tocsc`
-    method, so scipy.sparse need not be imported.
+    Bounds may be -inf / +inf.  The matrix `a` is a dense array or a
+    `CscArrays`; anything else raises LpError.
     """
 
     sense: str
@@ -154,10 +153,11 @@ class LinearProgram:
         n = c.shape[0]
         if isinstance(self.a, CscArrays):
             a = self.a
-        elif hasattr(self.a, "tocsc"):
-            a = self.a.astype(float, copy=False)
         else:
-            a = np.atleast_2d(np.asarray(self.a, dtype=float))
+            try:
+                a = np.atleast_2d(np.asarray(self.a, dtype=float))
+            except (TypeError, ValueError):
+                raise LpError(f"matrix must be a dense array or a CscArrays, not {type(self.a).__name__}")
             if a.size == 0:
                 a = a.reshape(0, n)
         if a.shape[1] != n:
@@ -216,7 +216,7 @@ def residuals(lp: LinearProgram, sol: LpSolution) -> dict[str, float]:
     Dual sign convention: y holds shadow prices for the *stated* sense, i.e.
     d(value)/d(b_i) = y_i.  For a max problem y_i >= 0 on "<=" rows; for a
     min problem y_i <= 0 on "<=" rows.  Reduced costs r = c - a'y vanish for
-    variables strictly between their bounds.  A sparse matrix is
+    variables strictly between their bounds.  A `CscArrays` matrix is
     densified first.
     """
     if not sol.optimal:
@@ -458,10 +458,10 @@ class LeadingColumns:
     """An LP given as the columns that lead its shared ones: their costs,
     bounds and entries in compressed-column form (`starts` holds each
     column's first position in `index` and `value`).  `shared` is the LP
-    over the rows and the shared columns alone, its matrix CSC.  On HiGHS
-    the request is solved on `warm` by writing only its leading columns,
-    on a fresh model when `warm` is None; any other backend solves the
-    assembled `lp()`."""
+    over the rows and the shared columns alone, its matrix a `CscArrays`.
+    On HiGHS the request is solved on `warm` by writing only its leading
+    columns, on a fresh model when `warm` is None; any other backend
+    solves the assembled `lp()`."""
 
     shared: LinearProgram
     c: np.ndarray
@@ -472,15 +472,20 @@ class LeadingColumns:
     value: np.ndarray
     warm: WarmHighs | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if not isinstance(self.shared.a, CscArrays):
+            raise LpError("a request's shared matrix must be a CscArrays")
+
     @classmethod
-    def from_rows(cls, sense, c, a, senses, b, lb, ub, warm=None) -> LeadingColumns:
-        """The LP over the dense rows `a` as a request whose every column
-        leads, its compressed-column arrays read off `a`; the shared part
-        holds the rows and no column."""
-        csc, no_cols = CscArrays.of(a), np.zeros(0)
-        empty = CscArrays(no_cols, np.zeros(0, np.int32), np.zeros(1, np.int32), (a.shape[0], 0))
-        shared = LinearProgram(sense, no_cols, empty, senses, b, no_cols, no_cols)
-        return cls(shared, c, lb, ub, csc.indptr[:-1], csc.indices, csc.data, warm)
+    def of(cls, lp: LinearProgram, warm=None) -> LeadingColumns:
+        """The LP as a request whose every column leads, its
+        compressed-column arrays those of its `CscArrays` matrix or read
+        off its dense one; the shared part holds the rows and no column."""
+        a = lp.a if isinstance(lp.a, CscArrays) else CscArrays.of(lp.a)
+        no_cols = np.zeros(0)
+        empty = CscArrays(no_cols, np.zeros(0, np.int32), np.zeros(1, np.int32), (lp.n_rows, 0))
+        shared = LinearProgram(lp.sense, no_cols, empty, lp.row_senses, lp.b, no_cols, no_cols)
+        return cls(shared, lp.c, lp.lb, lp.ub, a.indptr[:-1], a.indices, a.data, warm)
 
     @property
     def n_rows(self) -> int:
@@ -512,8 +517,8 @@ class LeadingColumns:
 
 class WarmHighs:
     """One persistent HiGHS model for a family of LPs that share their
-    objective sense, their rows and their last `n_shared` columns and differ
-    only in the columns before those (the leading columns).
+    objective sense, their rows and their shared columns, the last ones,
+    and differ only in the columns before those (the leading columns).
 
     `run` is the one solve.  A request whose leading columns have the
     pattern (column starts and row indices) the model holds is written in
@@ -523,39 +528,45 @@ class WarmHighs:
     re-starts from the previous optimum.  A request with another pattern
     deletes the model's leading columns and adds its own; HiGHS keeps the
     basis status of the rows and the shared columns across that swap.  The
-    first run builds the model from the request's shared part.  A run that
+    first run builds the model from the request's shared part, whose
+    column count it keeps as `n_shared`; a request with other rows or
+    another count of shared columns raises LpError.  An entry that is NaN
+    or too large for HiGHS ends the run as "numerical_failure" before it is
+    written, and the next request builds a new model.  A run that
     does not end optimal is repeated once from scratch, with presolve off
     and on the dual simplex, before its status is reported, so neither a
     stale basis nor presolve's guess turns a solvable LP into a failure or
     an unbounded one into an infeasible one; an infeasible one carries
     HiGHS's dual ray as its Farkas certificate.
     `options` are HiGHS options the model runs with (the retry aside).
-    `WarmHighs(0)` shares no column and serves a single LP on a fresh model.
     The handle keeps the arrays of the last request, never the request or
     whatever owns it, and a lock serialises solves on it.  A request's
     arrays are read, not copied, so they must not change after the solve.
     """
 
-    def __init__(self, n_shared: int, options=None):
-        self.n_shared = n_shared
+    def __init__(self, options=None):
         # HiGHS options the model is built with, over HiGHS's defaults
         self.options = dict(options or {})
         self._lock = threading.Lock()
         self._highs = None
         self._held = None
+        # the shared column count, set by the request that builds the model
+        self.n_shared = None
 
     def run(self, lead: LeadingColumns) -> LpSolution:
         """Write the request's leading columns into the model, run, and read
         the solution with x in the request's column order (leading columns
         first) and y as shadow prices for its sense."""
         with self._lock:
-            if self._highs is not None and lead.n_rows != self._highs.getNumRow():
+            if self._highs is not None and (
+                lead.n_rows != self._highs.getNumRow() or lead.shared.n_vars != self.n_shared
+            ):
                 raise LpError("LP does not share the rows and columns of its warm model")
             held = self._held
             edit = self._edit_in_place if held is not None and held.holds(lead) else self._swap_in
             if not edit(lead):
-                # HiGHS rejected an entry (an infinite coefficient, say):
-                # drop the half-edited model; the next LP builds a new one
+                # an entry `_writable` refuses or an edit HiGHS rejects:
+                # drop the model; the next LP builds a new one
                 self._highs = self._held = None
                 return LpSolution(NUMERICAL_FAILURE)
             status, its = self._run()
@@ -573,7 +584,8 @@ class WarmHighs:
             col_value = np.array(sol.col_value, dtype=float)
             y = np.array(sol.row_dual, dtype=float)
         # the model holds the shared columns first, the leading ones after
-        x = np.concatenate([col_value[self.n_shared :], col_value[: self.n_shared]])
+        n_shared = lead.shared.n_vars
+        x = np.concatenate([col_value[n_shared:], col_value[:n_shared]])
         c = np.concatenate([lead.c, lead.shared.c])
         return LpSolution(OPTIMAL, x=x, y=y, value=float(c @ x), iterations=its)
 
@@ -581,10 +593,13 @@ class WarmHighs:
         """Replace the model's leading columns by the request's; on first
         use, build the model from its rows and shared columns.  Its
         objective sense is the request's, so the row duals are already
-        shadow prices for the stated sense.  False if HiGHS rejects an
-        edit."""
+        shadow prices for the stated sense.  False, before any write, if an
+        entry fails `_writable`, and false if HiGHS rejects an edit."""
+        if not _writable(lead.value) or (self._highs is None and not _writable(lead.shared.a.data)):
+            return False
         if self._highs is None:
             sh = lead.shared
+            self.n_shared = sh.n_vars
             self._highs = _Highs()
             self._highs.setOptionValue("output_flag", False)
             self._highs.setOptionValue("log_to_console", False)
@@ -623,16 +638,14 @@ class WarmHighs:
     def _edit_in_place(self, lead: LeadingColumns) -> bool:
         """Write the entries, costs and bounds in which the request differs
         from the held leading columns, which have its pattern.  False if a
-        changed entry is not finite or is too large for addCols, which
-        changeCoeff would take and the run then fail on or misread."""
+        changed entry fails `_writable`."""
         held, highs = self._held, self._highs
         edits = []
         # the very array the model holds (a geometry query's) has no change
         if lead.value is not held.value:
             changed = (lead.value != held.value).nonzero()[0]
             value = lead.value[changed]
-            # NaN fails the comparison too
-            if not np.abs(value).max(initial=0.0) < _HIGHS_MAX_ENTRY:
+            if not _writable(value):
                 return False
             rows, cols = lead.index[changed].tolist(), held.entry_cols()[changed].tolist()
             edits = list(map(highs.changeCoeff, rows, cols, value.tolist()))
@@ -702,15 +715,24 @@ class _HeldColumns:
         return self._entry_cols
 
 
+def _writable(value) -> bool:
+    """Whether every entry of `value` is a number below HiGHS's
+    large_matrix_value in size: changeCoeff takes a larger one, and every
+    write takes NaN, which the run then fails on or misreads."""
+    # NaN fails the comparison too
+    return np.abs(value).max(initial=0.0) < _HIGHS_MAX_ENTRY
+
+
 def solve_lp_highs(lp) -> LpSolution:
     """HiGHS adapter conforming to the same solution contract.
 
     A `LeadingColumns` request with a warm handle is solved on the handle's
-    persistent model, any other request or `LinearProgram` on a fresh one.
+    persistent model, any other request on a fresh one; a `LinearProgram`
+    is solved as the request `LeadingColumns.of` makes of it.
     """
     if isinstance(lp, LinearProgram):
-        lp = LeadingColumns.from_rows(lp.sense, lp.c, lp.dense_a(), lp.row_senses, lp.b, lp.lb, lp.ub)
-    return (lp.warm or WarmHighs(lp.shared.n_vars)).run(lp)
+        lp = LeadingColumns.of(lp)
+    return (lp.warm or WarmHighs()).run(lp)
 
 
 _SOLVERS = {"simplex": solve_lp, "highs": solve_lp_highs}

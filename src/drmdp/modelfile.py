@@ -27,6 +27,7 @@ from .ambiguity import (
 )
 from .engine import DrMdpModel, EngineError
 from .geometry import GeometryError, box, simplex, singleton
+from .lp import LpError
 
 FORMAT_VERSION = 1
 # libyaml's safe loader when PyYAML was built with it: the same documents as
@@ -61,7 +62,7 @@ def _located(where):
     ModelFileError that starts with `where`, the document path."""
     try:
         yield
-    except (AmbiguityError, GeometryError, TypeError, ValueError) as err:
+    except (AmbiguityError, GeometryError, LpError, OverflowError, TypeError, ValueError) as err:
         raise ModelFileError(f"{where}: {err}") from err
 
 
@@ -90,7 +91,8 @@ def _parse_support(node, path, shared):
     kind = node["kind"]
     if kind == "simplex":
         _check_keys(node, path, ("kind", "dim"))
-        values, make = (int(node["dim"]),), simplex
+        with _located(f"{path}.dim"):
+            values, make = (int(node["dim"]),), simplex
     elif kind == "box":
         _check_keys(node, path, ("kind", "lo", "hi"))
         values, make = (_vector(node["lo"], f"{path}.lo"), _vector(node["hi"], f"{path}.hi")), box

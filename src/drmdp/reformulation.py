@@ -316,7 +316,7 @@ class SRobustTemplate:
         pi_rows = np.r_[w.start : w.start + self.n_scenarios, x.start : x.stop, n_vars]
         self._pi_rows = pi_rows.astype(self.at.indices.dtype)
         self._columns = {}  # action count -> _PiColumns
-        self.warm = WarmHighs(n_rows)
+        self.warm = WarmHighs()
 
     def _pi_columns(self, na):
         """The cached pattern, gather index, costs and bounds of na π

@@ -1,7 +1,6 @@
 """Shared builders for randomized model-based tests."""
 
 import numpy as np
-from scipy.sparse import csc_matrix, issparse
 
 from drmdp.ambiguity import (
     FactorMap,
@@ -53,17 +52,15 @@ def certificate_value(cert, obj, pi) -> float:
     return obj.kappa(pi) + float(cert.weights @ (cert.means @ obj.coeff(pi)))
 
 
-def leading_request(lp, warm):
+def leading_request(lp, n_shared, warm):
     """A whole LP as a request on the warm model `warm`: its columns before
-    the last `warm.n_shared` lead, and those last ones are the shared part."""
-    n_lead = lp.n_vars - warm.n_shared
-    if isinstance(lp.a, CscArrays):
-        a = csc_matrix((lp.a.data, lp.a.indices, lp.a.indptr), shape=lp.a.shape)
-    else:
-        a = lp.a.tocsc() if issparse(lp.a) else csc_matrix(lp.a)
+    the last `n_shared` lead, and those last ones are the shared part."""
+    n_lead = lp.n_vars - n_shared
+    a = lp.a if isinstance(lp.a, CscArrays) else CscArrays.of(lp.a)
     nnz = a.indptr[n_lead]
+    shared_a = CscArrays(a.data[nnz:], a.indices[nnz:], a.indptr[n_lead:] - nnz, (lp.n_rows, n_shared))
     shared = LinearProgram(
-        lp.sense, lp.c[n_lead:], a[:, n_lead:], lp.row_senses, lp.b, lp.lb[n_lead:], lp.ub[n_lead:]
+        lp.sense, lp.c[n_lead:], shared_a, lp.row_senses, lp.b, lp.lb[n_lead:], lp.ub[n_lead:]
     )
     return LeadingColumns(
         shared, lp.c[:n_lead], lp.lb[:n_lead], lp.ub[:n_lead], a.indptr[:n_lead], a.indices[:nnz], a.data[:nnz], warm

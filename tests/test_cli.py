@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -242,3 +243,56 @@ def test_validate_malformed_value_exit_2(runner, tmp_path):
     res = runner.invoke(main, ["validate", str(bad)])
     assert res.exit_code == 2
     assert "ambiguities.ball" in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+def test_solve_bad_epsilon_exit_2_before_any_solve(runner, tmp_path, epsilon):
+    res = runner.invoke(
+        main, ["solve", str(DATA / "infinite_two_state.yaml"), f"--epsilon={epsilon}", "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 2, res.output
+    assert "--epsilon must be finite and positive" in res.output and "Traceback" not in res.output
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, old, new, fragment",
+    [
+        ("finite_two_state", "r_offset: [0.5, 1.0]", "r_offset: [.nan, 1.0]", "r_offset must be finite"),
+        ("finite_two_state", "terminal_values: [1.0, -1.0]", "terminal_values: [.nan, -1.0]",
+         "terminal_values must be finite"),
+        ("finite_two_state", "dim: 2}", "dim: -.inf}", "support.dim: cannot convert float infinity"),
+        ("boundary_weights", "samples: [[0.2], [0.8]]", "samples: [[null], [0.8]]", "equality row holds NaN"),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_non_finite_model_numbers_exit_2(runner, tmp_path, command, name, old, new, fragment):
+    text = (DATA / f"{name}.yaml").read_text()
+    assert old in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(old, new))
+    args = [command, str(bad)] + (["--out", str(tmp_path)] if command == "solve" else [])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert fragment in res.output and "Traceback" not in res.output
+
+
+def test_validate_solver_failure_exit_3(runner, tmp_path):
+    # a weight floor of 1e308 leaves HiGHS no finite way through the
+    # feasibility LP
+    bad = tmp_path / "floor.yaml"
+    bad.write_text((DATA / "boundary_weights.yaml").read_text().replace("eps_floor: 0.0", "eps_floor: 1.0e+308"))
+    res = runner.invoke(main, ["validate", str(bad)])
+    assert res.exit_code == 3, res.output
+    assert "state 0: feasibility LP ended with status numerical_failure" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_solve_non_finite_result_exit_3(runner, tmp_path, monkeypatch):
+    import drmdp.cli as cli
+
+    monkeypatch.setattr(cli, "classical_dp_finite", lambda model, factors: np.full(model.n_states, np.nan))
+    res = runner.invoke(main, ["solve", str(DATA / "finite_two_state.yaml"), "--out", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+    assert "non-finite result" in res.output and "saddle_residual nan" in res.output
+    assert not (tmp_path / "summary.json").exists()

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import make_lp
+from scipy.sparse import csr_matrix
 
 import drmdp.lp
 from drmdp.ambiguity import (
@@ -38,6 +39,7 @@ from drmdp.lp import (
     LE,
     NUMERICAL_FAILURE,
     OPTIMAL,
+    LeadingColumns,
     LinearProgram,
     LpError,
     LpSolution,
@@ -104,6 +106,8 @@ AMBIGUITY = {
         lambda: FactorMap(1, 2, np.zeros((2, 2)), np.zeros(2), np.zeros((1, 3)), np.zeros(1)),
         "disagree on factor_dim",
     ),
+    "map entry nan": (lambda: FactorMap(1, 1, [[1.0]], [NAN], [[0.0]], [1.0]), "p_offset must be finite"),
+    "map entry inf": (lambda: FactorMap(1, 1, [[1.0]], [0.0], [[INF]], [1.0]), "r_mat must be finite"),
     "mean support unbounded": (
         lambda: build_uncertain_mean(RAY, [0], [1], [0], INF),
         "support must be nonempty and bounded",
@@ -192,6 +196,10 @@ ENGINE = {
         lambda: DrMdpModel(2, (_FM, None), (_AMB, None), stages=((0,), (1,)), terminal_values=[1.0, 2.0]),
         "terminal_values must cover",
     ),
+    "terminal value nan": (
+        lambda: DrMdpModel(2, (_FM, None), (_AMB, None), stages=((0,), (1,)), terminal_values=[NAN]),
+        "terminal_values must be finite",
+    ),
     "missing factor map": (
         lambda: DrMdpModel(2, (None, None), (None, None), stages=((0,), (1,))),
         "state 0 needs a factor map",
@@ -209,6 +217,8 @@ ENGINE = {
         "requires an infinite-horizon model",
     ),
     "epsilon": (lambda: value_iteration(_DISCOUNTED, 0.0), "epsilon must be positive"),
+    "epsilon nan": (lambda: value_iteration(_DISCOUNTED, NAN), "epsilon must be positive and finite, got nan"),
+    "epsilon inf": (lambda: value_iteration(_DISCOUNTED, INF), "epsilon must be positive and finite, got inf"),
     "no convergence": (
         lambda: value_iteration(_DISCOUNTED, 1e-12, max_iter=1),
         "did not converge within 1 sweeps",
@@ -239,6 +249,8 @@ GEOMETRY = {
     "ball radius nan": (lambda: norm_ball([0.0], NAN, "inf"), "radius must be finite and nonnegative"),
     "ball radius inf": (lambda: norm_ball([0.0], INF, 1), "radius must be finite and nonnegative"),
     "ball norm": (lambda: norm_ball([0.0], 1.0, 2), "norm must be 1 or 'inf'"),
+    "row nan": (lambda: PolyhedralSet(1, [([NAN], 1.0)]), "inequality row holds NaN"),
+    "rhs nan": (lambda: singleton([NAN]), "equality row holds NaN"),
     # above the vertex-form guard, so an LP answers, and HiGHS takes no
     # infinite coefficient
     "feasibility LP failure": (
@@ -264,6 +276,16 @@ LP = {
     "bound count": (lambda: _lp(lb=[0.0, 0.0]), "bound vectors must match"),
     "rhs nan": (lambda: _lp(b=[NAN]), "right-hand sides must be finite"),
     "row sense": (lambda: _lp(row_senses=("<",)), "unknown row sense '<'"),
+    # scipy's CSR arrays would be read as CSC, the transposed matrix
+    "scipy.sparse matrix": (
+        lambda: _lp(a=csr_matrix([[1.0]])),
+        "matrix must be a dense array or a CscArrays, not csr_matrix",
+    ),
+    "dense shared matrix": (
+        lambda: LeadingColumns(_lp(), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, np.int32),
+                               np.zeros(0, np.int32), np.zeros(0)),
+        "a request's shared matrix must be a CscArrays",
+    ),
     "residuals of a non-optimum": (
         lambda: residuals(_lp(), LpSolution(INFEASIBLE)),
         "residuals only defined for optimal solutions",
@@ -362,6 +384,49 @@ MODELFILE = {
         "non-terminal states need factor_map and ambiguity",
     ),
     "unreadable file": (lambda: parse_model_file(DATA / "no_such_model.yaml"), "cannot read"),
+    "reward offset nan": (
+        lambda: parse_model_text(_document("r_offset: [0.5, 1.0]", "r_offset: [.nan, 1.0]")),
+        "states[0].factor_map: r_offset must be finite",
+    ),
+    "transition offset nan": (
+        lambda: parse_model_text(_document("p_offset: [0, 0, 0, 0]", "p_offset: [.nan, 0, 0, 0]")),
+        "states[0].factor_map: p_offset must be finite",
+    ),
+    "terminal value nan": (
+        lambda: parse_model_text(_document("terminal_values: [1.0, -1.0]", "terminal_values: [.nan, -1.0]")),
+        "terminal_values must be finite",
+    ),
+    "tv null sample": (
+        lambda: parse_model_text(
+            _document("samples: [[0.2], [0.8]]", "samples: [[null], [0.8]]", "boundary_weights.yaml")
+        ),
+        "states[0].ambiguity: equality row holds NaN",
+    ),
+    "mean bound nan": (
+        lambda: parse_model_text(
+            _document(
+                "builder: wasserstein\n    support: {kind: simplex, dim: 2}\n    samples: [[0.3, 0.7]]\n"
+                "    radius: 0.2",
+                "builder: uncertain_mean\n    support: {kind: simplex, dim: 2}\n    mean_lo: [.nan, 0]\n"
+                "    mean_hi: [1, 1]",
+            )
+        ),
+        "states[0].ambiguity: inequality row holds NaN",
+    ),
+    "box bound nan": (
+        lambda: parse_model_text(
+            _document("{kind: simplex, dim: 2}", "{kind: box, lo: [.nan, 0], hi: [1, 1]}")
+        ),
+        "states[0].ambiguity: inequality row holds NaN",
+    ),
+    "singleton point nan": (
+        lambda: parse_model_text(_document("{kind: simplex, dim: 2}", "{kind: singleton, point: [.nan, 0.5]}")),
+        "states[0].ambiguity: equality row holds NaN",
+    ),
+    "simplex dim inf": (
+        lambda: parse_model_text(_document("dim: 2}", "dim: -.inf}")),
+        "states[0].ambiguity.support.dim: cannot convert float infinity to integer",
+    ),
 }
 
 
@@ -403,6 +468,11 @@ REFORMULATION = {
     ),
     # the component's mean set lies outside its support: no grid
     # distribution has that mean
+    # HiGHS would take the NaN entry and report an optimum
+    "stage objective nan": (
+        lambda: solve_srobust(StageObjective([NAN], [[1.0, 0.0]]), build_support_only(simplex(2))),
+        "ended with status numerical_failure",
+    ),
     "oracle LP infeasible": (
         lambda: oracle_worst_case(
             StageObjective([0.0], [[1.0]]),

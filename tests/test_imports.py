@@ -1,7 +1,7 @@
 """What `import drmdp` loads of scipy: its compiled HiGHS module alone.
 
 The first three tests run in a fresh interpreter each, because this test
-process has already imported scipy.sparse (conftest does).
+process has already imported scipy.sparse (other test modules do).
 """
 
 import importlib.machinery

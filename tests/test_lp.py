@@ -305,7 +305,7 @@ def test_vectorized_residuals_match_the_loop_reference():
             )
             for point in (sol, noisy):
                 ref = _loop_residuals(lp, point)
-                for a in (lp.a, csc_matrix(lp.a), CscArrays.of(lp.a)):
+                for a in (lp.a, CscArrays.of(lp.a)):
                     prog = dataclasses.replace(lp, a=a)
                     got = residuals(prog, point)
                     assert got.keys() == ref.keys()
@@ -319,15 +319,14 @@ def test_sparse_matrix_solves_like_dense():
     rng = np.random.default_rng(3)
     for _ in range(10):
         lp = _mixed_lp(rng, 5, 4)
-        for a in (csc_matrix(lp.a), CscArrays.of(lp.a)):
-            sparse = dataclasses.replace(lp, a=a)
-            for solve in (solve_lp, solve_lp_highs):
-                s1, s2 = solve(lp), solve(sparse)
-                assert s1.status == s2.status
-                if s1.optimal:
-                    assert s2.value == pytest.approx(s1.value, abs=1e-9)
-            np.testing.assert_array_equal(sparse.dense_a(), lp.a)
-            assert dump_lp(sparse) == dump_lp(lp)
+        sparse = dataclasses.replace(lp, a=CscArrays.of(lp.a))
+        for solve in (solve_lp, solve_lp_highs):
+            s1, s2 = solve(lp), solve(sparse)
+            assert s1.status == s2.status
+            if s1.optimal:
+                assert s2.value == pytest.approx(s1.value, abs=1e-9)
+        np.testing.assert_array_equal(sparse.dense_a(), lp.a)
+        assert dump_lp(sparse) == dump_lp(lp)
 
 
 def test_csc_record_holds_and_densifies_what_scipy_does():
@@ -353,7 +352,8 @@ def test_request_of_the_held_entries_writes_none(monkeypatch):
     # sends a new one, whose changed entries are found and written
     rng = np.random.default_rng(12)
     a = rng.normal(size=(4, 3))
-    lead = LeadingColumns.from_rows("max", np.zeros(3), a, (LE,) * 4, np.ones(4), np.zeros(3), np.ones(3), WarmHighs(0))
+    lp = LinearProgram("max", np.zeros(3), a, (LE,) * 4, np.ones(4), np.zeros(3), np.ones(3))
+    lead = LeadingColumns.of(lp, WarmHighs())
     gathers = []
     real = drmdp.lp._HeldColumns.entry_cols
     monkeypatch.setattr(drmdp.lp._HeldColumns, "entry_cols", lambda held: gathers.append(1) or real(held))
@@ -378,12 +378,12 @@ def test_warm_model_matches_cold_across_leading_columns(sense):
     senses = (LE, GE, EQ, LE, EQ)
     b = shared @ x0 + np.array([0.5, -0.5, 0.0, 0.3, 0.0])
     c_shared = rng.normal(size=n_shared)
-    warm = WarmHighs(n_shared)
+    warm = WarmHighs()
     for n_lead in (3, 1, 2, 0, 3):
         a = np.hstack([rng.normal(size=(n_rows, n_lead)), shared])
         c = np.concatenate([rng.normal(size=n_lead), c_shared])
         lp = LinearProgram(sense, c, a, senses, b, np.zeros(n_lead + n_shared), np.full(n_lead + n_shared, 2.0))
-        hot, cold = solve_lp_highs(leading_request(lp, warm)), solve_lp_highs(lp)
+        hot, cold = solve_lp_highs(leading_request(lp, n_shared, warm)), solve_lp_highs(lp)
         assert hot.optimal and cold.optimal
         assert hot.value == pytest.approx(cold.value, abs=1e-9)
         assert hot.value == pytest.approx(solve_lp(lp).value, abs=1e-7)
@@ -391,22 +391,74 @@ def test_warm_model_matches_cold_across_leading_columns(sense):
         assert max(residuals(lp, hot).values()) <= 1e-7
 
 
+def test_first_request_sets_the_shared_count():
+    # the same LP split after one, two or three leading columns: the model
+    # serves only the split it was built with
+    lp = make_lp("max", [1.0, 2.0, 3.0], [([1, 1, 1], LE, 1.0), ([1, 2, 0], LE, 1.5)])
+    warm = WarmHighs()
+    assert warm.n_shared is None
+    first = solve_lp_highs(leading_request(lp, 2, warm))
+    assert first.optimal and warm.n_shared == 2
+    assert first.value == pytest.approx(solve_lp(lp).value, abs=1e-9)
+    for n_shared in (0, 1, 3):
+        with pytest.raises(LpError, match="warm model"):
+            solve_lp_highs(leading_request(lp, n_shared, warm))
+    assert solve_lp_highs(leading_request(lp, 2, warm)).value == first.value
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_request_of_an_lp_holds_its_compressed_columns(sparse):
+    # a dense matrix is compressed once, as CscArrays.of does; a CscArrays
+    # matrix is taken as it is, a stored zero included
+    lp = _mixed_lp(np.random.default_rng(8), 5, 4)
+    csc = CscArrays.of(lp.a)
+    if sparse:
+        indptr = np.append(csc.indptr[:-1], csc.nnz + 1).astype(np.int32)
+        csc = CscArrays(np.append(csc.data, 0.0), np.append(csc.indices, np.int32(0)), indptr, csc.shape)
+        lp = dataclasses.replace(lp, a=csc)
+    lead = LeadingColumns.of(lp)
+    for got, ref in ((lead.starts, csc.indptr[:-1]), (lead.index, csc.indices), (lead.value, csc.data)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert not sparse or (lead.index is csc.indices and lead.value is csc.data)
+    assert lead.shared.n_vars == 0 and lead.n_rows == lp.n_rows
+    assert lead.c is lp.c and lead.lb is lp.lb and lead.ub is lp.ub
+    np.testing.assert_array_equal(lead.lp().dense_a(), lp.dense_a())
+
+
+def test_nan_entry_ends_the_run_before_it_is_written():
+    # HiGHS takes a NaN entry and reports an optimum.  No NaN reaches it: a
+    # leading or a shared one on the build, or a leading one in a swap;
+    # the model is dropped and the next request builds a new one
+    lp = make_lp("max", [1.0, 1.0, 1.0], [([1, 1, 1], LE, 1.0), ([2, 0, 1], LE, 0.5)])
+    ref = solve_lp(lp).value
+    for column, built in ((0, False), (2, False), (1, True)):
+        warm = WarmHighs()
+        if built:
+            assert solve_lp_highs(leading_request(lp, 1, warm)).optimal
+        a = lp.a.copy()
+        a[1, column] = np.nan
+        bad = leading_request(dataclasses.replace(lp, a=a), 1, warm)
+        assert solve_lp_highs(bad).status == NUMERICAL_FAILURE
+        assert warm._highs is None
+        assert solve_lp_highs(leading_request(lp, 1, warm)).value == pytest.approx(ref, abs=1e-9)
+
+
 def test_warm_model_rejects_an_lp_with_other_rows():
-    warm = WarmHighs(2)
+    warm = WarmHighs()
     lp = make_lp("max", [1.0, 1.0, 1.0], [([1, 1, 1], LE, 1.0)])
-    assert solve_lp_highs(leading_request(lp, warm)).optimal
+    assert solve_lp_highs(leading_request(lp, 2, warm)).optimal
     other = make_lp("max", [1.0, 1.0], [([1, 1], LE, 1.0), ([1, 0], LE, 0.5)])
     with pytest.raises(LpError, match="warm model"):
-        solve_lp_highs(leading_request(other, warm))
+        solve_lp_highs(leading_request(other, 2, warm))
 
 
 def test_warm_model_rebuilt_after_a_rejected_column():
-    warm = WarmHighs(2)
+    warm = WarmHighs()
     rows = [([1.0, 1.0, 1.0], LE, 1.0), ([2.0, 0.0, 1.0], LE, 0.5)]
-    good = leading_request(make_lp("max", [3.0, 1.0, 2.0], rows), warm)
+    good = leading_request(make_lp("max", [3.0, 1.0, 2.0], rows), 2, warm)
     assert solve_lp_highs(good).optimal
     bad_rows = [([np.inf, 1.0, 1.0], LE, 1.0), rows[1]]
-    bad = leading_request(make_lp("max", [3.0, 1.0, 2.0], bad_rows), warm)
+    bad = leading_request(make_lp("max", [3.0, 1.0, 2.0], bad_rows), 2, warm)
     assert solve_lp_highs(bad).status == solve_lp_highs(dataclasses.replace(bad, warm=None)).status
     assert solve_lp_highs(bad).status == "numerical_failure"
     again = solve_lp_highs(good)
@@ -429,8 +481,8 @@ def test_feasible_unbounded_lp_is_reported_unbounded():
     assert solve_lp_highs(dataclasses.replace(lp, c=np.zeros(6))).optimal
     for solve in (solve_lp, solve_lp_highs):
         assert solve(lp).status == UNBOUNDED, solve.__name__
-    warm = WarmHighs(0)
-    assert solve_lp_highs(leading_request(lp, warm)).status == UNBOUNDED
+    warm = WarmHighs()
+    assert solve_lp_highs(leading_request(lp, 0, warm)).status == UNBOUNDED
     # the retry leaves presolve on for the model's next LP
     assert warm._highs.getOptionValue("presolve")[1] == "choose"
 
@@ -447,7 +499,7 @@ def _lead_family(rng, n_rows=5, n_shared=6):
         penalty = -1.0 if sense == "max" else 1.0
         c = np.concatenate([rng.normal(size=n_shared), np.full(2 * n_rows, penalty)])
         return LinearProgram(
-            sense, c, csc_matrix(shared_a), senses, b, np.zeros(n_cols), np.full(n_cols, 100.0)
+            sense, c, CscArrays.of(shared_a), senses, b, np.zeros(n_cols), np.full(n_cols, 100.0)
         )
 
     return shared
@@ -465,7 +517,7 @@ def _pattern(rng, n_rows, counts):
 def test_in_place_edits_match_cold_solves(sense, monkeypatch):
     rng = np.random.default_rng(21)
     shared = _lead_family(rng)(sense)
-    warm = WarmHighs(shared.n_vars)
+    warm = WarmHighs()
     paths = []
     for name in ("_edit_in_place", "_swap_in"):
         edit = getattr(WarmHighs, name)
@@ -514,7 +566,7 @@ def test_unchanged_request_re_solves_in_no_iteration():
     shared = _lead_family(rng)("max")
     starts, index = _pattern(rng, shared.n_rows, [1, 3, 2])
     lead = LeadingColumns(shared, rng.normal(size=3), np.zeros(3), np.full(3, 2.0), starts, index,
-                          rng.normal(size=index.shape[0]), WarmHighs(shared.n_vars))
+                          rng.normal(size=index.shape[0]), WarmHighs())
     first, again = solve_lp_highs(lead), solve_lp_highs(lead)
     assert first.optimal and again.optimal
     assert again.iterations == 0
@@ -525,7 +577,7 @@ def test_infinite_entry_written_in_place_rebuilds_the_model():
     rng = np.random.default_rng(9)
     shared = _lead_family(rng)("min")
     starts, index = _pattern(rng, shared.n_rows, [2, 2])
-    warm = WarmHighs(shared.n_vars)
+    warm = WarmHighs()
 
     def request(value):
         return LeadingColumns(shared, np.ones(2), np.zeros(2), np.full(2, 2.0), starts, index, value, warm)
@@ -589,7 +641,7 @@ def test_highs_limits_and_undecided_runs_get_their_own_status():
     lp = _mixed_lp(np.random.default_rng(2), 4, 3)
     assert solve_lp_highs(lp).iterations > 0
     for options, status in (({"simplex_iteration_limit": 0}, ITERATION_LIMIT), ({"time_limit": 0.0}, TIME_LIMIT)):
-        sol = solve_lp_highs(leading_request(lp, WarmHighs(0, options)))
+        sol = solve_lp_highs(leading_request(lp, 0, WarmHighs(options)))
         assert sol.status == status and sol.certificate is None
 
 
@@ -597,10 +649,10 @@ def test_model_options_survive_the_cold_retry():
     # the retry runs the dual simplex without presolve, then the model's own
     # options return
     options = {"presolve": "off", "simplex_strategy": PRIMAL_SIMPLEX}
-    warm = WarmHighs(0, options)
+    warm = WarmHighs(options)
     lp = _unbounded_mixed_lp()
-    assert solve_lp_highs(leading_request(lp, warm)).status == UNBOUNDED
-    assert solve_lp_highs(leading_request(dataclasses.replace(lp, c=np.zeros(6)), warm)).optimal
+    assert solve_lp_highs(leading_request(lp, 0, warm)).status == UNBOUNDED
+    assert solve_lp_highs(leading_request(dataclasses.replace(lp, c=np.zeros(6)), 0, warm)).optimal
     for name, value in options.items():
         assert warm._highs.getOptionValue(name)[1] == value
 

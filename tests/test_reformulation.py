@@ -784,7 +784,7 @@ def test_column_swap_backup_equals_the_whole_lp_backup(monkeypatch):
     monkeypatch.setitem(drmdp.lp._SOLVERS, "highs", recorded)
     for amb in _swap_cases():
         template = _template(amb)
-        second = WarmHighs(template.warm.n_shared)
+        second = WarmHighs()
         rng = np.random.default_rng(amb.n_scenarios)
         d = amb.factor_dim
         # robust and pinned backups, 1 and 3 actions, interleaved on one set
@@ -796,7 +796,7 @@ def test_column_swap_backup_equals_the_whole_lp_backup(monkeypatch):
             else:
                 sol = solve_srobust(obj, amb, solver="highs")
             lp = template.instantiate(obj, pi)
-            whole = second.run(leading_request(lp, second))
+            whole = second.run(leading_request(lp, template.shared.n_vars, second))
             swap = seen[-1]
             _same_bytes(swap.x, whole.x)
             _same_bytes(swap.y, whole.y)
