@@ -73,21 +73,19 @@ class ConditionGroup:
 class LiftedAmbiguitySet:
     """Scenario supports + condition groups + weight polytope.
 
-    `factor_dim` includes any trailing auxiliary coordinates (`aug_dim` of
-    them) introduced by builders to linearize otherwise nonlinear moment
-    functions; affine kernel maps ignore those coordinates.
+    `factor_dim` is the supports' common dimension.  It includes any
+    trailing coordinates a builder adds to linearize an otherwise nonlinear
+    moment function; affine kernel maps ignore those coordinates.
 
-    The weight polytope lives in dimension N + weight_aux_dim: the first N
-    coordinates are the scenario weights ω, the rest are auxiliary lifting
-    variables used to express non-box weight constraints with few facets.
+    The first N coordinates of the weight polytope are the scenario weights
+    ω; any further ones are lifting variables, used to express non-box
+    weight constraints with few facets.
     """
 
-    factor_dim: int
     supports: tuple
     groups: tuple
     weight_set: PolyhedralSet
-    aug_dim: int = 0
-    weight_aux_dim: int = 0
+    factor_dim: int = field(init=False)
     # the set's compiled adversary rows and warm HiGHS model (an
     # SRobustTemplate), built on first use
     _template: object = field(default=None, init=False, repr=False, compare=False)
@@ -97,14 +95,12 @@ class LiftedAmbiguitySet:
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.supports:
             raise AmbiguityError("at least one scenario support is required")
-        for d in self.supports:
-            if d.dim != self.factor_dim:
-                raise AmbiguityError("support dimension differs from factor_dim")
+        object.__setattr__(self, "factor_dim", self.supports[0].dim)
+        if any(d.dim != self.factor_dim for d in self.supports):
+            raise AmbiguityError("supports differ in dimension")
         n = len(self.supports)
-        if self.weight_set.dim != n + self.weight_aux_dim:
-            raise AmbiguityError("weight-set dimension != N + weight_aux_dim")
-        if self.factor_dim <= 0 or not 0 <= self.aug_dim < self.factor_dim:
-            raise AmbiguityError("invalid aug_dim / factor_dim")
+        if self.weight_set.dim < n:
+            raise AmbiguityError(f"weight-set dimension {self.weight_set.dim} is less than the {n} scenarios")
         for g in self.groups:
             if any(not 0 <= s < n for s in g.scenarios):
                 raise AmbiguityError("group references unknown scenario")
@@ -125,33 +121,44 @@ class LiftedAmbiguitySet:
 class FactorMap:
     """Affine maps p = p_mat ξ + p_offset and r = r_mat ξ + r_offset.
 
-    p stacks the transition rows of all actions: entry a * n_next + s' is
-    the probability of moving to next-state s' under action a.  r has one
-    expected-reward entry per action.
+    r has one expected-reward entry per action, so `n_actions` is the
+    length of r_offset.  p stacks the transition rows of all actions, so
+    p_mat has n_actions * n_next rows: entry a * n_next + s' is the
+    probability of moving to next-state s' under action a.
     """
 
-    n_actions: int
-    n_next: int
     p_mat: np.ndarray
     p_offset: np.ndarray
     r_mat: np.ndarray
     r_offset: np.ndarray
+    n_actions: int = field(init=False)
+    n_next: int = field(init=False)
 
     def __post_init__(self):
         pm = np.atleast_2d(np.asarray(self.p_mat, dtype=float))
         rm = np.atleast_2d(np.asarray(self.r_mat, dtype=float))
         po = np.asarray(self.p_offset, dtype=float).reshape(-1)
         ro = np.asarray(self.r_offset, dtype=float).reshape(-1)
-        if pm.shape[0] != self.n_actions * self.n_next or po.shape[0] != pm.shape[0]:
-            raise AmbiguityError("transition map has wrong row count")
-        if rm.shape[0] != self.n_actions or ro.shape[0] != self.n_actions:
-            raise AmbiguityError("reward map has wrong row count")
+        n_actions = ro.shape[0]
+        if n_actions == 0:
+            raise AmbiguityError("r_offset is empty: a factor map needs at least one action")
+        if pm.shape[0] == 0 or pm.shape[0] % n_actions != 0:
+            raise AmbiguityError(
+                f"transition map has wrong row count: p_mat's {pm.shape[0]} rows are not a nonzero"
+                f" multiple of the {n_actions} actions"
+            )
+        if po.shape[0] != pm.shape[0]:
+            raise AmbiguityError("transition map has wrong row count: p_offset needs one entry per p_mat row")
+        if rm.shape[0] != n_actions:
+            raise AmbiguityError("reward map has wrong row count: r_mat needs one row per action")
         if pm.shape[1] != rm.shape[1]:
             raise AmbiguityError("transition and reward maps disagree on factor_dim")
         for name, arr in (("p_mat", pm), ("p_offset", po), ("r_mat", rm), ("r_offset", ro)):
             if not np.all(np.isfinite(arr)):
                 raise AmbiguityError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n_actions", n_actions)
+        object.__setattr__(self, "n_next", pm.shape[0] // n_actions)
 
     @property
     def factor_dim(self) -> int:
@@ -172,7 +179,7 @@ def identity_factor_map(n_actions: int, n_next: int) -> FactorMap:
     p_mat[:, :np_] = np.eye(np_)
     r_mat = np.zeros((n_actions, dim))
     r_mat[:, np_:] = np.eye(n_actions)
-    return FactorMap(n_actions, n_next, p_mat, np.zeros(np_), r_mat, np.zeros(n_actions))
+    return FactorMap(p_mat, np.zeros(np_), r_mat, np.zeros(n_actions))
 
 
 def pad_factor_map(fm: FactorMap, extra_dims: int) -> FactorMap:
@@ -181,14 +188,7 @@ def pad_factor_map(fm: FactorMap, extra_dims: int) -> FactorMap:
         return fm
     pz = np.zeros((fm.p_mat.shape[0], extra_dims))
     rz = np.zeros((fm.r_mat.shape[0], extra_dims))
-    return FactorMap(
-        fm.n_actions,
-        fm.n_next,
-        np.hstack([fm.p_mat, pz]),
-        fm.p_offset,
-        np.hstack([fm.r_mat, rz]),
-        fm.r_offset,
-    )
+    return FactorMap(np.hstack([fm.p_mat, pz]), fm.p_offset, np.hstack([fm.r_mat, rz]), fm.r_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def build_support_only(d: PolyhedralSet) -> LiftedAmbiguitySet:
     """All distributions supported on d: one scenario, no moment information."""
     if not is_nonempty_bounded(d):
         raise AmbiguityError("support must be nonempty and bounded")
-    return LiftedAmbiguitySet(d.dim, (d,), (), _uniform_weight_set(1))
+    return LiftedAmbiguitySet((d,), (), _uniform_weight_set(1))
 
 
 def build_uncertain_mean(
@@ -229,7 +229,7 @@ def build_uncertain_mean(
     if not ok:
         raise AmbiguityError("mean set is empty")
     group = ConditionGroup((0,), True, {0: ()}, mean_set)
-    return LiftedAmbiguitySet(d.dim, (d,), (group,), _uniform_weight_set(1))
+    return LiftedAmbiguitySet((d,), (group,), _uniform_weight_set(1))
 
 
 def build_phi_divergence_tv(samples, theta: float, eps_floor: float = EPS_FLOOR) -> LiftedAmbiguitySet:
@@ -254,7 +254,7 @@ def build_phi_divergence_tv(samples, theta: float, eps_floor: float = EPS_FLOOR)
     budget = np.repeat([0.0, 1.0], n)
     w = PolyhedralSet(2 * n, [*zip(rows, rhs), (budget, theta)], [(1.0 - budget, 1.0)])
     supports = tuple(singleton(s) for s in samples)
-    return LiftedAmbiguitySet(samples[0].shape[0], supports, (), w, weight_aux_dim=n)
+    return LiftedAmbiguitySet(supports, (), w)
 
 
 def build_wasserstein(
@@ -282,7 +282,7 @@ def build_wasserstein(
     g_fns = {i: (norm_distance(samples[i], metric),) for i in range(n)}
     moment = box([0.0], [theta])
     group = ConditionGroup(tuple(range(n)), False, g_fns, moment)
-    return LiftedAmbiguitySet(d.dim, (d,) * n, (group,), _uniform_weight_set(n))
+    return LiftedAmbiguitySet((d,) * n, (group,), _uniform_weight_set(n))
 
 
 def build_hybrid_wasserstein_mad(
@@ -342,9 +342,7 @@ def build_hybrid_wasserstein_mad(
         PolyhedralSet(dim + 1, eq=[(tie, 0.0)]),
     )
     mad_group = ConditionGroup(tuple(range(n)), True, {i: (dev,) for i in range(n)}, moment)
-    return LiftedAmbiguitySet(
-        dim, supports, (w_group, mad_group), base.weight_set, aug_dim=1
-    )
+    return LiftedAmbiguitySet(supports, (w_group, mad_group), base.weight_set)
 
 
 @dataclass(frozen=True)
@@ -379,9 +377,7 @@ def build_mixture(components, weight_set: PolyhedralSet) -> LiftedAmbiguitySet:
             parts.append(comp.g_moment_set)
         moment = parts[0] if len(parts) == 1 else product(*parts)
         groups.append(ConditionGroup((n,), has_mean, {n: tuple(comp.g_fns)}, moment))
-    return LiftedAmbiguitySet(
-        dim, tuple(c.support for c in components), tuple(groups), weight_set
-    )
+    return LiftedAmbiguitySet(tuple(c.support for c in components), tuple(groups), weight_set)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ iteration builds none.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,31 +39,33 @@ class EngineError(Exception):
 class DrMdpModel:
     """States with per-state kernels and ambiguity sets.
 
-    Exactly one of `stages` (finite horizon: tuple of tuples of state
-    indices; the first stage has a single state) and `discount` (infinite
-    horizon) must be set.  A state's factor map emits transition rows over
-    the *next stage's* states, in the order they appear in that stage (or
-    over all states, in index order, for infinite horizon).  Terminal-stage
-    states need no factor map; their values come from `terminal_values`
-    (zero by default).  Each ambiguity set keeps its own compiled LP
-    template and warm HiGHS model, so states that share a set share both,
-    and both die with the set.
+    `n_states` is the number of factor maps, and `ambiguities` holds one
+    entry per state as well.  Exactly one of `stages` (finite horizon:
+    tuple of tuples of state indices; the first stage has a single state)
+    and `discount` (infinite horizon) must be set.  A state's factor map
+    emits transition rows over the *next stage's* states, in the order they
+    appear in that stage (or over all states, in index order, for infinite
+    horizon).  Terminal-stage states need no factor map; their values come
+    from `terminal_values` (zero by default).  Each ambiguity set keeps its
+    own compiled LP template and warm HiGHS model, so states that share a
+    set share both, and both die with the set.
     """
 
-    n_states: int
     factor_maps: tuple  # per state; None allowed for terminal-stage states
     ambiguities: tuple  # per state; None allowed for terminal-stage states
     stages: tuple = None
     discount: float = None
     terminal_values: np.ndarray = None
     state_labels: tuple = None
+    n_states: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factor_maps", tuple(self.factor_maps))
         object.__setattr__(self, "ambiguities", tuple(self.ambiguities))
+        object.__setattr__(self, "n_states", len(self.factor_maps))
         if (self.stages is None) == (self.discount is None):
             raise EngineError("exactly one of stages (finite) or discount (infinite) required")
-        if len(self.factor_maps) != self.n_states or len(self.ambiguities) != self.n_states:
+        if len(self.ambiguities) != self.n_states:
             raise EngineError("factor_maps and ambiguities must have one entry per state")
         if self.state_labels is not None and len(self.state_labels) != self.n_states:
             raise EngineError("state_labels must have one entry per state")
@@ -141,20 +143,25 @@ class RandomizedPolicy:
         object.__setattr__(self, "distributions", tuple(dists))
 
 
-def _stage_backup(model, s, v_next, discount, solver, stage, pi):
-    """State s's backup against next-stage values: the robust backup when
-    pi is None, else the worst case of the fixed action distribution pi.
-    Returns its `SRobustSolution`, whose certificate is built on first
-    access."""
-    obj = assemble_stage_objective(v_next, model.factor_maps[s], discount=discount)
-    amb = model.ambiguities[s]
-    try:
-        if pi is None:
-            return solve_srobust(obj, amb, solver=solver)
-        return _fixed_policy_backup(obj, amb, pi, solver)
-    except ReformulationError as err:
-        where = f"state {s}" if stage is None else f"state {s}, stage {stage}"
-        raise EngineError(f"backup failed at {where}: {err}") from err
+def _backups(model, states, v_next, discount, solver, dists, stage, out):
+    """Back up each of `states` against next-stage values v_next: robust,
+    or pinned to dists[s] when dists is given.  Writes each state's value,
+    action distribution and `SRobustSolution`, whose certificate is built
+    on first access, into out = (values, distributions, solutions by state)
+    and returns out."""
+    values, policies, sols = out
+    for s in states:
+        obj = assemble_stage_objective(v_next, model.factor_maps[s], discount=discount)
+        try:
+            if dists is None:
+                sol = solve_srobust(obj, model.ambiguities[s], solver=solver)
+            else:
+                sol = _fixed_policy_backup(obj, model.ambiguities[s], dists[s], solver)
+        except ReformulationError as err:
+            where = f"state {s}" if stage is None else f"state {s}, stage {stage}"
+            raise EngineError(f"backup failed at {where}: {err}") from err
+        values[s], policies[s], sols[s] = sol.value, sol.policy, sol
+    return out
 
 
 class _Certificates(Mapping):
@@ -175,33 +182,19 @@ class _Certificates(Mapping):
 
 
 def _backward_pass(model, solver, dists=None):
-    """One backward sweep from the terminal values; robust at every state,
-    or pinned to dists[s] when dists is given.  Returns (values,
-    distributions, solutions by state)."""
-    values = np.zeros(model.n_states)
-    policies = [None] * model.n_states
-    sols = {}
-    for k, s in enumerate(model.stages[-1]):
-        values[s] = model.terminal_values[k]
+    """One backward sweep from the terminal values; see `_backups`."""
+    out = np.zeros(model.n_states), [None] * model.n_states, {}
+    values = out[0]
+    values[list(model.stages[-1])] = model.terminal_values
     for t in range(model.horizon - 2, -1, -1):
-        v_next = values[list(model.stages[t + 1])]
-        for s in model.stages[t]:
-            pi = None if dists is None else dists[s]
-            sol = sols[s] = _stage_backup(model, s, v_next, 1.0, solver, t, pi)
-            values[s], policies[s] = sol.value, sol.policy
-    return values, policies, sols
+        _backups(model, model.stages[t], values[list(model.stages[t + 1])], 1.0, solver, dists, t, out)
+    return out
 
 
 def _sweep(model, v, solver, dists=None):
-    """One discounted backup at every state; see `_backward_pass`."""
-    values = np.zeros(model.n_states)
-    policies = [None] * model.n_states
-    sols = {}
-    for s in range(model.n_states):
-        pi = None if dists is None else dists[s]
-        sol = sols[s] = _stage_backup(model, s, v, model.discount, solver, None, pi)
-        values[s], policies[s] = sol.value, sol.policy
-    return values, policies, sols
+    """One discounted backup at every state; see `_backups`."""
+    out = np.zeros(model.n_states), [None] * model.n_states, {}
+    return _backups(model, range(model.n_states), v, model.discount, solver, dists, None, out)
 
 
 def _contract(model, epsilon, v0, max_iter, sweep):

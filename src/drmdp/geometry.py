@@ -64,7 +64,7 @@ class NotCompactError(GeometryError):
 
 
 def _rows(entries, dim, what):
-    """(row, rhs) pairs as a (k, dim) matrix and a k-vector, both read-only."""
+    """(row, rhs) pairs as a (k, dim) matrix and a k-vector."""
     rows, rhs = [], []
     for a, b in entries:
         a = np.asarray(a, dtype=float).reshape(-1)
@@ -75,7 +75,6 @@ def _rows(entries, dim, what):
     mat, vec = np.array(rows).reshape(len(rows), dim), np.array(rhs, dtype=float)
     if np.isnan(mat).any() or np.isnan(vec).any():
         raise GeometryError(f"{what} row holds NaN")
-    mat.flags.writeable = vec.flags.writeable = False
     return mat, vec
 
 
@@ -85,7 +84,9 @@ class PolyhedralSet:
 
     Built from (row, rhs) pairs, `ineq` and `eq`, and kept as the read-only
     float arrays a_in (k, dim), b_in (k,), a_eq and b_eq, which every
-    consumer reads directly.
+    consumer reads directly.  An inequality bounded by +inf constrains
+    nothing and is dropped; an inequality bounded by -inf, or an equality
+    with an infinite right-hand side, raises GeometryError.
     """
 
     dim: int
@@ -107,9 +108,16 @@ class PolyhedralSet:
     def __post_init__(self, ineq, eq):
         if self.dim <= 0:
             raise GeometryError("dimension must be positive")
-        for name, arr in zip(("a_in", "b_in"), _rows(ineq, self.dim, "inequality")):
-            object.__setattr__(self, name, arr)
-        for name, arr in zip(("a_eq", "b_eq"), _rows(eq, self.dim, "equality")):
+        a_in, b_in = _rows(ineq, self.dim, "inequality")
+        a_eq, b_eq = _rows(eq, self.dim, "equality")
+        if np.any(b_in == -np.inf):
+            raise GeometryError("inequality bound is -inf: the set is empty")
+        if not np.all(np.isfinite(b_eq)):
+            raise GeometryError("equality right-hand side must be finite")
+        # a row bounded by +inf constrains nothing
+        kept = b_in < np.inf
+        for name, arr in zip(("a_in", "b_in", "a_eq", "b_eq"), (a_in[kept], b_in[kept], a_eq, b_eq)):
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def contains(self, x, tol=FEAS_TOL) -> bool:

@@ -41,13 +41,42 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+_HIGHS_PACKAGE = "scipy.optimize._highspy"
+
+
+class _AttachCore:
+    """A `sys.meta_path` finder that, when scipy's HiGHS package loads, sets
+    its `_core` attribute to the bindings `_highs_bindings` loaded, then
+    leaves the path.  The import system sets a submodule on its package only
+    when it loads the submodule itself, so without this finder the attribute
+    chain `scipy.optimize._highspy._core` would be missing."""
+
+    def __init__(self, core):
+        self.core = core
+
+    def find_spec(self, fullname, path, target=None):
+        if fullname != _HIGHS_PACKAGE:
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.machinery.PathFinder.find_spec(fullname, path, target)
+        exec_package = spec.loader.exec_module
+
+        def exec_module(module):
+            exec_package(module)
+            module._core = self.core
+
+        spec.loader.exec_module = exec_module
+        return spec
+
+
 def _highs_bindings():
     """scipy's compiled HiGHS module, loaded from its file: importing it by
     name would first run `scipy.optimize`'s package, which imports linprog,
     scipy.spatial, scipy.special and more that nothing here uses.  It is
     registered under its own name, so a later `import scipy.optimize` gets
-    this very module, and one already loaded is taken as it is."""
-    name = "scipy.optimize._highspy._core"
+    this very module, and an `_AttachCore` finder sets it on its package
+    when that loads.  One already loaded is taken as it is."""
+    name = _HIGHS_PACKAGE + "._core"
     if name in sys.modules:
         return sys.modules[name]
     scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
@@ -60,6 +89,7 @@ def _highs_bindings():
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    sys.meta_path.insert(0, _AttachCore(module))
     return module
 
 

@@ -164,11 +164,8 @@ def _parse_factor_map(node, path):
     p_offset = _vector(node["p_offset"], f"{path}.p_offset")
     r_mat = _matrix(node["r_mat"], f"{path}.r_mat")
     r_offset = _vector(node["r_offset"], f"{path}.r_offset")
-    n_actions = len(r_offset)
-    if not n_actions or p_mat.shape[0] % n_actions != 0:
-        raise ModelFileError(f"{path}: p_mat rows not divisible by a nonzero action count")
     with _located(path):
-        return FactorMap(n_actions, p_mat.shape[0] // n_actions, p_mat, p_offset, r_mat, r_offset)
+        return FactorMap(p_mat, p_offset, r_mat, r_offset)
 
 
 @dataclass(frozen=True)
@@ -220,13 +217,7 @@ class ModelDocument:
             with _located("document.discount"):
                 kwargs["discount"] = float(doc["discount"])
         try:
-            return DrMdpModel(
-                len(doc["states"]),
-                tuple(fms),
-                tuple(ambs),
-                state_labels=tuple(labels),
-                **kwargs,
-            )
+            return DrMdpModel(tuple(fms), tuple(ambs), state_labels=tuple(labels), **kwargs)
         except EngineError as err:
             raise ModelFileError(f"model validation failed: {err}") from err
 

@@ -92,14 +92,7 @@ def _state_factor_map(cfg: NewsvendorConfig, s: int) -> FactorMap:
     p_mat = np.zeros((n_actions * n_next, cfg.n_demand))
     p_mat[orders * n_next + nxt, demands] = 1.0
     r_offset = np.array([-cfg.period_cost(s, a) for a in range(n_actions)])
-    return FactorMap(
-        n_actions,
-        n_next,
-        p_mat,
-        np.zeros(n_actions * n_next),
-        np.zeros((n_actions, cfg.n_demand)),
-        r_offset,
-    )
+    return FactorMap(p_mat, np.zeros(n_actions * n_next), np.zeros((n_actions, cfg.n_demand)), r_offset)
 
 
 def build_newsvendor_model(cfg: NewsvendorConfig, ambiguity):
@@ -138,7 +131,6 @@ def build_newsvendor_model(cfg: NewsvendorConfig, ambiguity):
         (f"t{t}", s) for t in range(2, t_dec + 1) for s in invs
     ] + [("terminal", s) for s in invs]
     model = DrMdpModel(
-        n_states,
         tuple(fms),
         tuple(ambs),
         stages=tuple(stages),

@@ -7,8 +7,9 @@ each step from one line to the next.  An `if` takes its true arm when a
 step goes from a line of its test into its body, and its false arm when a
 step goes from a line of its test anywhere else, or the frame returns
 straight from its test.  At the end of the session every `if` with an arm
-that never ran is printed, one line each.  The plugin is not part of the
-test suite; it needs no coverage package.
+that never ran is printed, one line each, and the run exits nonzero if any
+of them is not in EXPECTED.  The plugin is not part of the test suite; it
+needs no coverage package.
 """
 
 import ast
@@ -20,8 +21,12 @@ from pathlib import Path
 
 SRC = Path(importlib.util.find_spec("drmdp").origin).resolve().parent
 RETURN = 0  # the line a step out of a returning frame goes to
+# (file, source text, arm) of each arm no test can run: the command's
+# script entry point, which an import never takes
+EXPECTED = {("cli.py", 'if __name__ == "__main__":', "true")}
 _arcs = defaultdict(set)  # source file -> {(from line, to line)}
 _traced = {}  # code filename -> its source file, or None if not drmdp's
+_unrun = []  # (file name, line, source text, arm) of each arm never run
 
 
 def _source_of(filename):
@@ -69,14 +74,23 @@ def _missing_arms(path):
                 yield node.lineno, lines[node.lineno - 1].strip(), arm
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_sessionfinish(session):
     sys.settrace(None)
     threading.settrace(None)
-    terminalreporter.section("if arms that never ran")
-    found = [
-        f"{path.name}:{line}: {source}  [{arm} arm]"
+    _unrun.extend(
+        (path.name, line, source, arm)
         for path in sorted(SRC.glob("*.py"))
         for line, source, arm in sorted(_missing_arms(path))
+    )
+    if session.exitstatus == 0 and any((name, source, arm) not in EXPECTED for name, _, source, arm in _unrun):
+        session.exitstatus = 1
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.section("if arms that never ran")
+    found = [
+        f"{name}:{line}: {source}  [{arm} arm]" + ("  (expected)" if (name, source, arm) in EXPECTED else "")
+        for name, line, source, arm in _unrun
     ]
     for entry in found or ["none"]:
         terminalreporter.write_line(entry)

@@ -121,8 +121,6 @@ def shared_row_factor_map(rng, n_actions, n_next):
     p_mat = np.tile(np.eye(dim), (n_actions, 1))
     r_mat = np.zeros((n_actions, dim))
     return FactorMap(
-        n_actions,
-        n_next,
         p_mat,
         np.zeros(n_actions * n_next),
         r_mat,
@@ -147,7 +145,7 @@ def random_infinite_model(rng, n_states=2, gamma=0.9, kind=None, actions=None):
         amb = random_simplex_ambiguity(rng, n_states, kind) if actions is None else shared
         fms.append(_fitted(fm, amb))
         ambs.append(amb)
-    return DrMdpModel(n_states, tuple(fms), tuple(ambs), discount=gamma)
+    return DrMdpModel(tuple(fms), tuple(ambs), discount=gamma)
 
 
 def random_staged_model(rng, mid_states=2, n_terminal=2, kind=None, actions=None):
@@ -174,7 +172,6 @@ def random_staged_model(rng, mid_states=2, n_terminal=2, kind=None, actions=None
         ambs[s] = random_simplex_ambiguity(rng, n_terminal, kind) if actions is None else shared
         fms[s] = _fitted(fm, ambs[s])
     return DrMdpModel(
-        n_states,
         tuple(fms),
         tuple(ambs),
         stages=stages,
@@ -207,7 +204,6 @@ def singleton_kernel_model(rng, stages_shape=(1, 2, 2)):
             ambs[s] = build_support_only(singleton(xi))
             factors[s] = xi
     model = DrMdpModel(
-        n_states,
         tuple(fms),
         tuple(ambs),
         stages=stages,

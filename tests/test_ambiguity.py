@@ -60,7 +60,7 @@ def test_uncertain_mean_builder():
 def test_validate_skips_weight_checks_on_an_unbounded_weight_set():
     # ω >= 0 alone: the weight polytope is a ray, so sums and minima of its
     # weights are not checked
-    amb = LiftedAmbiguitySet(1, (box([0.0], [1.0]),), (), PolyhedralSet(1, [([-1.0], 0.0)]))
+    amb = LiftedAmbiguitySet((box([0.0], [1.0]),), (), PolyhedralSet(1, [([-1.0], 0.0)]))
     report = validate(amb)
     assert ("weight_set_compact", False, "") in report.checks
     assert {name for name, _, _ in report.checks}.isdisjoint({"weight_normalization", "weight_interiority"})
@@ -122,7 +122,7 @@ def test_hybrid_builder_structure():
     amb = build_hybrid_wasserstein_mad(
         [[0.3, 0.3], [0.7, 0.7]], 0.2, d, 1, [0.3, 0.3], [0.7, 0.7], 0.5
     )
-    assert amb.factor_dim == 3 and amb.aug_dim == 1
+    assert amb.factor_dim == 3
     assert len(amb.groups) == 2
     wg, mg = amb.groups
     # Wasserstein distance ignores the augmented center coordinate
@@ -193,8 +193,6 @@ def test_slater_radius_is_kept_with_the_support(monkeypatch):
 def test_factor_map_row_checks():
     # two actions over two next-states driven by a scalar factor in [0, 1]
     fm = FactorMap(
-        2,
-        2,
         p_mat=[[1.0], [-1.0], [0.0], [0.0]],
         p_offset=[0.0, 1.0, 0.5, 0.5],
         r_mat=[[1.0], [0.0]],
@@ -210,8 +208,6 @@ def test_factor_map_row_checks():
 def test_factor_map_negative_entry_detected():
     # p(row 0) = 2ξ - 0.5 goes negative for ξ < 0.25
     fm = FactorMap(
-        1,
-        2,
         p_mat=[[2.0], [-2.0]],
         p_offset=[-0.5, 1.5],
         r_mat=[[0.0]],
@@ -225,7 +221,7 @@ def test_factor_map_negative_entry_detected():
 
 def test_factor_map_of_another_dimension_fails_its_check():
     # a map over a 2-dimensional factor against a set over a scalar one
-    fm = FactorMap(1, 2, p_mat=[[1.0, 0.0], [0.0, 1.0]], p_offset=[0.0, 0.0], r_mat=[[0.0, 0.0]], r_offset=[0.0])
+    fm = FactorMap(p_mat=[[1.0, 0.0], [0.0, 1.0]], p_offset=[0.0, 0.0], r_mat=[[0.0, 0.0]], r_offset=[0.0])
     rep = validate(build_support_only(box([0.0], [1.0])), fm)
     assert not rep.passed
     assert rep.failures() == [("factor_map_dim", "factor_dim mismatch")]
@@ -246,7 +242,6 @@ def test_group_validation_errors():
         ConditionGroup((), False, {}, box([0.0], [1.0]))
     with pytest.raises(AmbiguityError):
         LiftedAmbiguitySet(
-            1,
             (box([0.0], [1.0]),),
             (ConditionGroup((3,), False, {3: ()}, box([0.0], [1.0])),),
             singleton([1.0]),

@@ -277,6 +277,51 @@ def test_non_finite_model_numbers_exit_2(runner, tmp_path, command, name, old, n
     assert fragment in res.output and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_factor_map_row_mismatch_exit_2(runner, tmp_path, command):
+    # three transition rows cannot be split among two actions
+    text = (DATA / "finite_two_state.yaml").read_text()
+    bad = tmp_path / "rows.yaml"
+    bad.write_text(text.replace("p_mat: [[1, 0], [0, 1], [1, 0], [0, 1]]", "p_mat: [[1, 0], [0, 1], [1, 0]]"))
+    args = [command, str(bad)] + (["--out", str(tmp_path)] if command == "solve" else [])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "states[0].factor_map: transition map has wrong row count" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_support_unbounded_by_an_infinite_bound_exit_2(runner, tmp_path, command):
+    text = (DATA / "finite_two_state.yaml").read_text()
+    bad = tmp_path / "strip.yaml"
+    bad.write_text(text.replace("support: {kind: simplex, dim: 2}", "support: {kind: box, lo: [0, 0], hi: [.inf, 1]}"))
+    args = [command, str(bad)] + (["--out", str(tmp_path)] if command == "solve" else [])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "states[0].ambiguity: support must be nonempty and bounded" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_infinite_mean_box_solves_like_a_finite_one(runner, tmp_path):
+    # the mean box's infinite bounds constrain nothing, so the 1-norm ball
+    # alone bounds the mean, as the box [0, 1]^2 leaves it too
+    text = (DATA / "finite_two_state.yaml").read_text()
+    block = "    builder: wasserstein\n    support: {kind: simplex, dim: 2}\n    samples: [[0.3, 0.7]]\n    radius: 0.2\n"
+    assert block in text
+    mean = "    builder: uncertain_mean\n    support: {kind: simplex, dim: 2}\n    mean_lo: {lo}\n    mean_hi: {hi}\n"
+    mean += "    center: [0.3, 0.7]\n    radius: 0.2\n"
+    printed = []
+    for lo, hi in (("[-.inf, -.inf]", "[.inf, .inf]"), ("[0, 0]", "[1, 1]")):
+        doc = tmp_path / "mean.yaml"
+        doc.write_text(text.replace(block, mean.replace("{lo}", lo).replace("{hi}", hi)))
+        res = runner.invoke(main, ["validate", str(doc)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["solve", str(doc), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        printed.append(re.search(r"value at root state: (\S+)", res.output).group(1))
+    assert printed == ["0.4", "0.4"]
+
+
 def test_validate_solver_failure_exit_3(runner, tmp_path):
     # a weight floor of 1e308 leaves HiGHS no finite way through the
     # feasibility LP

@@ -42,11 +42,10 @@ def _chain_model(gamma=0.5, r0=1.0, r1=2.0):
     def det_fm(target, reward):
         p_off = np.zeros(2)
         p_off[target] = 1.0
-        return FactorMap(1, 2, np.zeros((2, 1)), p_off, np.zeros((1, 1)), [reward])
+        return FactorMap(np.zeros((2, 1)), p_off, np.zeros((1, 1)), [reward])
 
     amb = build_support_only(singleton([0.0]))
     return DrMdpModel(
-        2,
         (det_fm(1, r0), det_fm(1, r1)),
         (amb, amb),
         discount=gamma,
@@ -70,7 +69,6 @@ def test_two_stage_equals_single_backup():
     fm = shared_row_factor_map(rng, 2, 2)
     amb = build_wasserstein([[0.3, 0.7]], 0.2, simplex(2))
     model = DrMdpModel(
-        3,
         (fm, None, None),
         (amb, None, None),
         stages=((0,), (1, 2)),
@@ -90,7 +88,6 @@ def test_root_value_nonincreasing_in_theta():
     for theta in (0.0, 0.2, 0.5, 1.5):
         amb = build_wasserstein(samples, theta, simplex(2))
         model = DrMdpModel(
-            5,
             (fm0, fm_mid, fm_mid, None, None),
             (amb, amb, amb, None, None),
             stages=((0,), (1, 2), (3, 4)),
@@ -118,12 +115,12 @@ def _affine_reward_staged_model(rng):
     fms, ambs = [None] * 5, [None] * 5
     for s in (0, 1, 2):
         fms[s] = FactorMap(
-            3, 2, np.tile(np.eye(2), (3, 1)), np.zeros(6),
+            np.tile(np.eye(2), (3, 1)), np.zeros(6),
             rng.normal(size=(3, 2)), rng.normal(size=3),
         )
         ambs[s] = random_simplex_ambiguity(rng, 2)
     return DrMdpModel(
-        5, tuple(fms), tuple(ambs),
+        tuple(fms), tuple(ambs),
         stages=((0,), (1, 2), (3, 4)),
         terminal_values=rng.normal(size=2),
     )
@@ -252,12 +249,11 @@ def test_model_validation_errors():
     fm = shared_row_factor_map(rng, 1, 2)
     amb = build_support_only(simplex(2))
     with pytest.raises(EngineError):
-        DrMdpModel(2, (fm, fm), (amb, amb))  # neither horizon given
+        DrMdpModel((fm, fm), (amb, amb))  # neither horizon given
     with pytest.raises(EngineError):
-        DrMdpModel(2, (fm, fm), (amb, amb), discount=1.0)
+        DrMdpModel((fm, fm), (amb, amb), discount=1.0)
     with pytest.raises(EngineError):
         DrMdpModel(
-            3,
             (fm, None, None),
             (amb, None, None),
             stages=((0, 1), (2,)),  # first stage must be a single state

@@ -71,43 +71,51 @@ AMBIGUITY = {
         lambda: ConditionGroup((0, 1), False, {0: (one_norm_distance([0.0]),), 1: ()}, box([0], [1])),
         "g-function count differs",
     ),
-    "no support": (lambda: LiftedAmbiguitySet(1, (), (), singleton([1.0])), "at least one scenario support"),
+    "no support": (lambda: LiftedAmbiguitySet((), (), singleton([1.0])), "at least one scenario support"),
     "support dimension": (
-        lambda: LiftedAmbiguitySet(1, (simplex(2),), (), singleton([1.0])),
-        "support dimension differs",
+        lambda: LiftedAmbiguitySet((simplex(2), simplex(3)), (), singleton([0.5, 0.5])),
+        "supports differ in dimension",
     ),
     "weight-set dimension": (
-        lambda: LiftedAmbiguitySet(2, (simplex(2),), (), singleton([0.5, 0.5])),
-        "weight-set dimension",
-    ),
-    "aug_dim": (
-        lambda: LiftedAmbiguitySet(2, (simplex(2),), (), singleton([1.0]), aug_dim=2),
-        "invalid aug_dim",
+        lambda: LiftedAmbiguitySet((simplex(2), simplex(2)), (), singleton([1.0])),
+        "weight-set dimension 1 is less than the 2 scenarios",
     ),
     "moment-set dimension": (
-        lambda: LiftedAmbiguitySet(2, (simplex(2),), (_group(box([0], [1]), mean=True),), singleton([1.0])),
+        lambda: LiftedAmbiguitySet((simplex(2),), (_group(box([0], [1]), mean=True),), singleton([1.0])),
         "moment-set dimension mismatch",
     ),
     "g-function dimension": (
         lambda: LiftedAmbiguitySet(
-            2, (simplex(2),), (_group(box([0], [1]), {0: (one_norm_distance([0.0]),)}),), singleton([1.0])
+            (simplex(2),), (_group(box([0], [1]), {0: (one_norm_distance([0.0]),)}),), singleton([1.0])
         ),
         "g-function dimension mismatch",
     ),
+    "no actions": (
+        lambda: FactorMap(np.zeros((2, 1)), np.zeros(2), np.zeros((0, 1)), []),
+        "r_offset is empty",
+    ),
     "transition rows": (
-        lambda: FactorMap(2, 2, np.zeros((3, 2)), np.zeros(3), np.zeros((2, 2)), np.zeros(2)),
-        "transition map has wrong row count",
+        lambda: FactorMap(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 2)), np.zeros(2)),
+        "p_mat's 3 rows are not a nonzero multiple of the 2 actions",
+    ),
+    "no transition rows": (
+        lambda: FactorMap(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), np.zeros(1)),
+        "p_mat's 0 rows are not a nonzero multiple of the 1 actions",
+    ),
+    "transition offsets": (
+        lambda: FactorMap(np.zeros((2, 1)), np.zeros(3), np.zeros((1, 1)), np.zeros(1)),
+        "p_offset needs one entry per p_mat row",
     ),
     "reward rows": (
-        lambda: FactorMap(1, 2, np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2)),
-        "reward map has wrong row count",
+        lambda: FactorMap(np.zeros((4, 2)), np.zeros(4), np.zeros((1, 2)), np.zeros(2)),
+        "r_mat needs one row per action",
     ),
     "map factor dims": (
-        lambda: FactorMap(1, 2, np.zeros((2, 2)), np.zeros(2), np.zeros((1, 3)), np.zeros(1)),
+        lambda: FactorMap(np.zeros((2, 2)), np.zeros(2), np.zeros((1, 3)), np.zeros(1)),
         "disagree on factor_dim",
     ),
-    "map entry nan": (lambda: FactorMap(1, 1, [[1.0]], [NAN], [[0.0]], [1.0]), "p_offset must be finite"),
-    "map entry inf": (lambda: FactorMap(1, 1, [[1.0]], [0.0], [[INF]], [1.0]), "r_mat must be finite"),
+    "map entry nan": (lambda: FactorMap([[1.0]], [NAN], [[0.0]], [1.0]), "p_offset must be finite"),
+    "map entry inf": (lambda: FactorMap([[1.0]], [0.0], [[INF]], [1.0]), "r_mat must be finite"),
     "mean support unbounded": (
         lambda: build_uncertain_mean(RAY, [0], [1], [0], INF),
         "support must be nonempty and bounded",
@@ -176,40 +184,40 @@ def test_ambiguity_errors(call, fragment):
 
 
 # one action, one next state, reward 1: ξ = 1 pins the transition
-_FM = FactorMap(1, 1, [[1.0]], [0.0], [[0.0]], [1.0])
-_FM2 = FactorMap(1, 2, [[1.0], [0.0]], [0.0, 0.0], [[0.0]], [1.0])
+_FM = FactorMap([[1.0]], [0.0], [[0.0]], [1.0])
+_FM2 = FactorMap([[1.0], [0.0]], [0.0, 0.0], [[0.0]], [1.0])
 _AMB = build_support_only(singleton([1.0]))
-_FINITE = DrMdpModel(2, (_FM, None), (_AMB, None), stages=((0,), (1,)))
-_DISCOUNTED = DrMdpModel(1, (_FM,), (_AMB,), discount=0.5)
+_FINITE = DrMdpModel((_FM, None), (_AMB, None), stages=((0,), (1,)))
+_DISCOUNTED = DrMdpModel((_FM,), (_AMB,), discount=0.5)
 
 ENGINE = {
-    "entries per state": (lambda: DrMdpModel(2, (_FM,), (_AMB,), discount=0.5), "one entry per state"),
+    "entries per state": (lambda: DrMdpModel((_FM,), (_AMB, _AMB), discount=0.5), "one entry per state"),
     "labels per state": (
-        lambda: DrMdpModel(1, (None,), (None,), discount=0.5, state_labels=("a", "b")),
+        lambda: DrMdpModel((None,), (None,), discount=0.5, state_labels=("a", "b")),
         "state_labels must have one entry",
     ),
     "stage partition": (
-        lambda: DrMdpModel(2, (None, None), (None, None), stages=((0,), (0,))),
+        lambda: DrMdpModel((None, None), (None, None), stages=((0,), (0,))),
         "stages must partition",
     ),
     "terminal values": (
-        lambda: DrMdpModel(2, (_FM, None), (_AMB, None), stages=((0,), (1,)), terminal_values=[1.0, 2.0]),
+        lambda: DrMdpModel((_FM, None), (_AMB, None), stages=((0,), (1,)), terminal_values=[1.0, 2.0]),
         "terminal_values must cover",
     ),
     "terminal value nan": (
-        lambda: DrMdpModel(2, (_FM, None), (_AMB, None), stages=((0,), (1,)), terminal_values=[NAN]),
+        lambda: DrMdpModel((_FM, None), (_AMB, None), stages=((0,), (1,)), terminal_values=[NAN]),
         "terminal_values must be finite",
     ),
     "missing factor map": (
-        lambda: DrMdpModel(2, (None, None), (None, None), stages=((0,), (1,))),
+        lambda: DrMdpModel((None, None), (None, None), stages=((0,), (1,))),
         "state 0 needs a factor map",
     ),
     "next-state count": (
-        lambda: DrMdpModel(2, (_FM2, None), (_AMB, None), stages=((0,), (1,))),
+        lambda: DrMdpModel((_FM2, None), (_AMB, None), stages=((0,), (1,))),
         "emits 2 next-states, expected 1",
     ),
     "factor dimension": (
-        lambda: DrMdpModel(1, (_FM,), (build_support_only(simplex(2)),), discount=0.5),
+        lambda: DrMdpModel((_FM,), (build_support_only(simplex(2)),), discount=0.5),
         "disagree on factor_dim",
     ),
     "value iteration on a finite model": (
@@ -251,6 +259,8 @@ GEOMETRY = {
     "ball norm": (lambda: norm_ball([0.0], 1.0, 2), "norm must be 1 or 'inf'"),
     "row nan": (lambda: PolyhedralSet(1, [([NAN], 1.0)]), "inequality row holds NaN"),
     "rhs nan": (lambda: singleton([NAN]), "equality row holds NaN"),
+    "inequality bound -inf": (lambda: box([INF], [INF]), "inequality bound is -inf: the set is empty"),
+    "equality rhs inf": (lambda: singleton([INF]), "equality right-hand side must be finite"),
     # above the vertex-form guard, so an LP answers, and HiGHS takes no
     # infinite coefficient
     "feasibility LP failure": (

@@ -250,6 +250,18 @@ def test_box_rejects_bounds_of_two_lengths():
         box(0.0, [1.0, 1.0, 1.0])
 
 
+def test_inequality_bounded_by_inf_is_dropped():
+    # x0 <= inf constrains nothing: the box is unbounded in x0
+    half_strip = box([0.0, 0.0], [np.inf, 1.0])
+    assert np.array_equal(half_strip.a_in, [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert np.array_equal(half_strip.b_in, [0.0, 1.0, 0.0])
+    assert not half_strip.b_in.flags.writeable
+    assert _vertex_form_of(half_strip) is None
+    assert not is_nonempty_bounded(half_strip)
+    with pytest.raises(NotCompactError):
+        bounding_box(half_strip)
+
+
 def test_enumerate_vertices_dependent_equality_rows():
     # the free dimensions come from the rank of the equality rows, not their count
     twice = intersect(simplex(3), simplex(3))

@@ -1,10 +1,12 @@
 """What `import drmdp` loads of scipy: its compiled HiGHS module alone.
 
-The first three tests run in a fresh interpreter each, because this test
-process has already imported scipy.sparse (other test modules do).
+The first three tests, and the test of the attribute chain, run in a fresh
+interpreter each, because this test process has already imported
+scipy.sparse (other test modules do).
 """
 
 import importlib.machinery
+import importlib.util
 import json
 import subprocess
 import sys
@@ -74,3 +76,28 @@ def test_missing_bindings_name_the_paths_looked_at(monkeypatch):
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
     with pytest.raises(ImportError, match=r"_core\.missing\.so"):
         lp._highs_bindings()
+
+
+def test_highs_package_loaded_after_drmdp_holds_its_bindings():
+    chain = _run(
+        "import json, drmdp\nimport scipy.optimize._highspy._core\n"
+        "print(json.dumps([scipy.optimize._highspy._core is drmdp.lp._core,\n"
+        "                  any(isinstance(f, drmdp.lp._AttachCore) for f in sys.meta_path)]))"
+    )
+    assert chain == [True, False]
+
+
+def test_attach_core_finder_sets_the_bindings_on_the_package_alone(monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(sys, "meta_path", list(sys.meta_path))
+    finder = lp._AttachCore(lp._core)
+    sys.meta_path.insert(0, finder)
+    assert finder.find_spec("json", None) is None
+    assert finder in sys.meta_path
+    spec = finder.find_spec("scipy.optimize._highspy", scipy.optimize.__path__)
+    assert finder not in sys.meta_path
+    # a second package object, never registered in sys.modules
+    package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    assert package._core is lp._core

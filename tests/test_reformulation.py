@@ -43,8 +43,6 @@ from drmdp.reformulation import (
 
 def _random_factor_map(rng, n_actions, n_next, dim):
     return FactorMap(
-        n_actions,
-        n_next,
         rng.normal(size=(n_actions * n_next, dim)),
         rng.normal(size=n_actions * n_next),
         rng.normal(size=(n_actions, dim)),
@@ -322,10 +320,10 @@ def test_fixed_policy_consistency():
 def test_empty_ambiguity_set_admits_no_distribution(solver):
     one = PolyhedralSet(1, eq=[([1.0], 1.0)])
     empty_support = LiftedAmbiguitySet(
-        1, (PolyhedralSet(1, [([1.0], -1.0), ([-1.0], -1.0)]),), (), one
+        (PolyhedralSet(1, [([1.0], -1.0), ([-1.0], -1.0)]),), (), one
     )
     empty_weights = LiftedAmbiguitySet(
-        1, (box([0.0], [1.0]),), (), PolyhedralSet(1, [([1.0], 0.5)], [([1.0], 1.0)])
+        (box([0.0], [1.0]),), (), PolyhedralSet(1, [([1.0], 0.5)], [([1.0], 1.0)])
     )
     obj = StageObjective([0.0, 0.0], [[1.0], [-1.0]])
     for amb in (empty_support, empty_weights):
