@@ -44,15 +44,15 @@ class AmbiguityError(Exception):
 class ConditionGroup:
     """Conditional constraints attached to a subset of scenarios.
 
-    If `mean_equality` is set, the conditional mean of ξ given n ∈ scenarios
-    is pinned to a variable μ.  `g_fns` maps each member scenario to a tuple
-    of M piecewise-linear convex functions whose conditional expectations are
-    bounded by a variable ν ∈ R^M.  The moment set constrains the stacked
-    vector (μ, ν) — the μ block present only when mean_equality is set.
+    `g_fns` maps each member scenario to a tuple of M piecewise-linear
+    convex functions whose conditional expectations are bounded by a
+    variable ν ∈ R^M.  The moment set constrains the stacked vector (μ, ν),
+    where the μ block, when present, pins the conditional mean of ξ given
+    n ∈ scenarios.  So the moment set has M coordinates, or d + M when the
+    group pins the mean (`mean_equality`).
     """
 
     scenarios: tuple
-    mean_equality: bool
     g_fns: dict
     moment_set: PolyhedralSet
 
@@ -67,6 +67,11 @@ class ConditionGroup:
     @property
     def n_moments(self) -> int:
         return len(self.g_fns.get(self.scenarios[0], ()))
+
+    @property
+    def mean_equality(self) -> bool:
+        """Whether the moment set has a μ block: d ≥ 1 coordinates beyond ν."""
+        return self.moment_set.dim > self.n_moments
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,7 @@ def build_uncertain_mean(
     ok, _ = feasibility_check(mean_set)
     if not ok:
         raise AmbiguityError("mean set is empty")
-    group = ConditionGroup((0,), True, {0: ()}, mean_set)
+    group = ConditionGroup((0,), {0: ()}, mean_set)
     return LiftedAmbiguitySet((d,), (group,), _uniform_weight_set(1))
 
 
@@ -276,12 +281,14 @@ def build_wasserstein(
     if not is_nonempty_bounded(d):
         raise AmbiguityError("support must be nonempty and bounded")
     for s in samples:
+        if not np.all(np.isfinite(s)):
+            raise AmbiguityError("samples must be finite")
         if not d.contains(s, tol=1e-7):
             raise AmbiguityError("sample lies outside the support")
     n = len(samples)
     g_fns = {i: (norm_distance(samples[i], metric),) for i in range(n)}
     moment = box([0.0], [theta])
-    group = ConditionGroup(tuple(range(n)), False, g_fns, moment)
+    group = ConditionGroup(tuple(range(n)), g_fns, moment)
     return LiftedAmbiguitySet((d,) * n, (group,), _uniform_weight_set(n))
 
 
@@ -320,7 +327,6 @@ def build_hybrid_wasserstein_mad(
     wg = base.groups[0]
     w_group = ConditionGroup(
         wg.scenarios,
-        False,
         {i: tuple(f.lift(dim) for f in fns) for i, fns in wg.g_fns.items()},
         wg.moment_set,
     )
@@ -341,7 +347,7 @@ def build_hybrid_wasserstein_mad(
         box(np.r_[mean_lo, m_lo, 0.0], np.r_[mean_hi, m_hi, mad_bound]),
         PolyhedralSet(dim + 1, eq=[(tie, 0.0)]),
     )
-    mad_group = ConditionGroup(tuple(range(n)), True, {i: (dev,) for i in range(n)}, moment)
+    mad_group = ConditionGroup(tuple(range(n)), {i: (dev,) for i in range(n)}, moment)
     return LiftedAmbiguitySet(supports, (w_group, mad_group), base.weight_set)
 
 
@@ -360,11 +366,8 @@ def build_mixture(components, weight_set: PolyhedralSet) -> LiftedAmbiguitySet:
     components = list(components)
     if not components:
         raise AmbiguityError("at least one component required")
-    dim = components[0].support.dim
     groups = []
     for n, comp in enumerate(components):
-        if comp.support.dim != dim:
-            raise AmbiguityError("component supports disagree on dimension")
         if bool(comp.g_fns) != (comp.g_moment_set is not None):
             raise AmbiguityError("g-functions and their moment set must come together")
         has_mean = comp.mean_set is not None
@@ -376,7 +379,7 @@ def build_mixture(components, weight_set: PolyhedralSet) -> LiftedAmbiguitySet:
         if comp.g_fns:
             parts.append(comp.g_moment_set)
         moment = parts[0] if len(parts) == 1 else product(*parts)
-        groups.append(ConditionGroup((n,), has_mean, {n: tuple(comp.g_fns)}, moment))
+        groups.append(ConditionGroup((n,), {n: tuple(comp.g_fns)}, moment))
     return LiftedAmbiguitySet(tuple(c.support for c in components), tuple(groups), weight_set)
 
 
@@ -494,22 +497,25 @@ def _hull_radius(d: PolyhedralSet) -> float:
 def _factor_map_checks(amb: LiftedAmbiguitySet, fm: FactorMap):
     if fm.factor_dim != amb.factor_dim:
         return [("factor_map_dim", False, "factor_dim mismatch")]
-    # each action's summed transition row, its negation, then every
-    # transition row negated: one support_value call answers them all
-    row_sums = fm.p_mat.reshape(fm.n_actions, fm.n_next, -1).sum(axis=1)
-    sum_offsets = fm.p_offset.reshape(fm.n_actions, fm.n_next).sum(axis=1)
-    directions = np.vstack([row_sums, -row_sums, -fm.p_mat])
+    # entries near the float limit overflow the sums below to inf or NaN,
+    # which fails the row checks: the report such a map should get
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each action's summed transition row, its negation, then every
+        # transition row negated: one support_value call answers them all
+        row_sums = fm.p_mat.reshape(fm.n_actions, fm.n_next, -1).sum(axis=1)
+        sum_offsets = fm.p_offset.reshape(fm.n_actions, fm.n_next).sum(axis=1)
+        directions = np.vstack([row_sums, -row_sums, -fm.p_mat])
 
-    def row_checks(d):
-        values = support_value(d, directions)
-        hi = values[: fm.n_actions] + sum_offsets
-        lo = -values[fm.n_actions : 2 * fm.n_actions] + sum_offsets
-        entries = -values[2 * fm.n_actions :] + fm.p_offset
-        sum_dev = float(np.max(np.abs(np.concatenate([hi, lo]) - 1.0), initial=0.0))
-        worst_entry = float(np.min(entries, initial=np.inf))
-        return [
-            ("rows_sum_to_one_support_{n}", sum_dev <= 1e-9, f"max deviation {sum_dev:.2e}"),
-            ("rows_nonnegative_support_{n}", worst_entry >= -1e-9, f"min entry {worst_entry:.2e}"),
-        ]
+        def row_checks(d):
+            values = support_value(d, directions)
+            hi = values[: fm.n_actions] + sum_offsets
+            lo = -values[fm.n_actions : 2 * fm.n_actions] + sum_offsets
+            entries = -values[2 * fm.n_actions :] + fm.p_offset
+            sum_dev = float(np.max(np.abs(np.concatenate([hi, lo]) - 1.0), initial=0.0))
+            worst_entry = float(np.min(entries, initial=np.inf))
+            return [
+                ("rows_sum_to_one_support_{n}", sum_dev <= 1e-9, f"max deviation {sum_dev:.2e}"),
+                ("rows_nonnegative_support_{n}", worst_entry >= -1e-9, f"min entry {worst_entry:.2e}"),
+            ]
 
-    return [("factor_map_dim", True, "")] + _per_support(amb, row_checks)
+        return [("factor_map_dim", True, "")] + _per_support(amb, row_checks)

@@ -1,7 +1,8 @@
 """Command-line interface: solve model files, run the newsvendor study,
 and validate models.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 solver failure.
+Exit codes: 0 success, 2 parse/validation failure or an output path that
+cannot be written, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -40,6 +42,15 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+@contextmanager
+def _writing(path):
+    """Exit 2 naming `path` on an OSError from the block, which writes there."""
+    try:
+        yield
+    except OSError as err:
+        _fail(EXIT_INVALID, f"cannot write {path}: {err}")
+
+
 def _load_model(model_path):
     try:
         return parse_model_file(model_path).build()
@@ -66,7 +77,10 @@ def solve(model_path, epsilon, dump_lp_path, out):
         _fail(EXIT_INVALID, f"bad flag value: --epsilon must be finite and positive, got {epsilon}")
     model = _load_model(model_path)
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    if dump_lp_path is not None and not Path(dump_lp_path).parent.is_dir():
+        _fail(EXIT_INVALID, f"cannot write {dump_lp_path}: {Path(dump_lp_path).parent} is not a directory")
     try:
         if model.is_finite:
             vf, policy, certs = backward_induction(model)
@@ -87,33 +101,35 @@ def solve(model_path, epsilon, dump_lp_path, out):
                 discount=1.0 if model.is_finite else model.discount,
             )
             lp = build_srobust_lp(obj, model.ambiguities[root])
-            Path(dump_lp_path).write_text(dump_lp(lp))
+            with _writing(dump_lp_path):
+                Path(dump_lp_path).write_text(dump_lp(lp))
     except _SOLVER_ERRORS as err:
         _fail(EXIT_SOLVER, str(err))
     if not (np.all(np.isfinite(vf.values)) and np.isfinite(residual)):
         _fail(EXIT_SOLVER, f"non-finite result: value at root {vf[root]}, {residual_name} {residual}")
     labels = model.state_labels or [f"s{s}" for s in range(model.n_states)]
-    with open(out_dir / "value.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state", "label", "value"])
-        for s in range(model.n_states):
-            w.writerow([s, labels[s], repr(vf[s])])
-    with open(out_dir / "policy.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state", "label", "action", "probability"])
-        for s, dist in enumerate(policy.distributions):
-            if dist is None:
-                continue
-            for a, prob in enumerate(dist):
-                w.writerow([s, labels[s], a, repr(float(prob))])
-    summary = {
-        "value_at_root": vf[root],
-        residual_name: residual,
-        "iterations": iterations,
-        "horizon": "finite" if model.is_finite else "infinite",
-        "n_states": model.n_states,
-    }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    with _writing(out_dir):
+        with open(out_dir / "value.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["state", "label", "value"])
+            for s in range(model.n_states):
+                w.writerow([s, labels[s], repr(vf[s])])
+        with open(out_dir / "policy.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["state", "label", "action", "probability"])
+            for s, dist in enumerate(policy.distributions):
+                if dist is None:
+                    continue
+                for a, prob in enumerate(dist):
+                    w.writerow([s, labels[s], a, repr(float(prob))])
+        summary = {
+            "value_at_root": vf[root],
+            residual_name: residual,
+            "iterations": iterations,
+            "horizon": "finite" if model.is_finite else "infinite",
+            "n_states": model.n_states,
+        }
+        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     click.echo(f"value at root state: {vf[root]:.10g} ({residual_name} {residual:.3g})")
 
 
@@ -144,11 +160,13 @@ def newsvendor(radii, train_sizes, reps, test_runs, seed, out_dir, keep_going, t
         )
     except (ValueError, NewsvendorError) as err:
         _fail(EXIT_INVALID, f"bad flag value: {err}")
-    record = run_experiment(cfg, workers=threads)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    record.to_csv(out / "costs.csv")
-    record.aggregate_to_csv(out / "aggregate.csv")
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    record = run_experiment(cfg, workers=threads)
+    with _writing(out):
+        record.to_csv(out / "costs.csv")
+        record.aggregate_to_csv(out / "aggregate.csv")
     lo, hi = min(theta_grid), max(theta_grid)
     for n in sizes:
         t = paired_t_statistic(record, hi, lo, n)

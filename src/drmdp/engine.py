@@ -143,13 +143,15 @@ class RandomizedPolicy:
         object.__setattr__(self, "distributions", tuple(dists))
 
 
-def _backups(model, states, v_next, discount, solver, dists, stage, out):
-    """Back up each of `states` against next-stage values v_next: robust,
-    or pinned to dists[s] when dists is given.  Writes each state's value,
-    action distribution and `SRobustSolution`, whose certificate is built
-    on first access, into out = (values, distributions, solutions by state)
-    and returns out."""
+def _backups(model, states, v_next, solver, dists, stage, out):
+    """Back up each of `states` against next-stage values v_next, discounted
+    by the model's discount (1 on a finite horizon): robust, or pinned to
+    dists[s] when dists is given.  Writes each state's value, action
+    distribution and `SRobustSolution`, whose certificate is built on first
+    access, into out = (values, distributions, solutions by state) and
+    returns out."""
     values, policies, sols = out
+    discount = 1.0 if model.is_finite else model.discount
     for s in states:
         obj = assemble_stage_objective(v_next, model.factor_maps[s], discount=discount)
         try:
@@ -187,19 +189,20 @@ def _backward_pass(model, solver, dists=None):
     values = out[0]
     values[list(model.stages[-1])] = model.terminal_values
     for t in range(model.horizon - 2, -1, -1):
-        _backups(model, model.stages[t], values[list(model.stages[t + 1])], 1.0, solver, dists, t, out)
+        _backups(model, model.stages[t], values[list(model.stages[t + 1])], solver, dists, t, out)
     return out
 
 
 def _sweep(model, v, solver, dists=None):
     """One discounted backup at every state; see `_backups`."""
     out = np.zeros(model.n_states), [None] * model.n_states, {}
-    return _backups(model, range(model.n_states), v, model.discount, solver, dists, None, out)
+    return _backups(model, range(model.n_states), v, solver, dists, None, out)
 
 
-def _contract(model, epsilon, v0, max_iter, sweep):
-    """Apply `sweep` until the contraction bound guarantees ‖v − v*‖_∞ ≤ ε;
-    returns (values, distributions, sweeps)."""
+def _contract(model, epsilon, v0, sweep):
+    """Apply `sweep`, at most MAX_VALUE_ITERATIONS times, until the
+    contraction bound guarantees ‖v − v*‖_∞ ≤ ε; returns (values,
+    distributions, sweeps)."""
     if model.is_finite:
         raise EngineError("fixed-point iteration requires an infinite-horizon model")
     if not 0 < epsilon < np.inf:
@@ -207,12 +210,12 @@ def _contract(model, epsilon, v0, max_iter, sweep):
     gamma = model.discount
     stop = epsilon * (1.0 - gamma) / (2.0 * gamma)
     v = np.zeros(model.n_states) if v0 is None else np.asarray(v0, dtype=float).copy()
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_VALUE_ITERATIONS + 1):
         v_new, dists, _ = sweep(v)
         if np.max(np.abs(v_new - v)) <= stop:
             return v_new, dists, it
         v = v_new
-    raise EngineError(f"value iteration did not converge within {max_iter} sweeps")
+    raise EngineError(f"value iteration did not converge within {MAX_VALUE_ITERATIONS} sweeps")
 
 
 def backward_induction(model: DrMdpModel, solver="highs", certificates=True):
@@ -242,13 +245,11 @@ def bellman_operator(model: DrMdpModel, v, solver="highs"):
     return values, dists, _Certificates(sols)
 
 
-def value_iteration(model: DrMdpModel, epsilon: float, v0=None, solver="highs", max_iter=MAX_VALUE_ITERATIONS):
+def value_iteration(model: DrMdpModel, epsilon: float, v0=None, solver="highs"):
     """Iterate the robust Bellman operator until the contraction bound
     guarantees ‖v − v*‖_∞ ≤ ε; returns (ValueFunction, RandomizedPolicy,
     iterations)."""
-    v, dists, it = _contract(
-        model, epsilon, v0, max_iter, lambda v: bellman_operator(model, v, solver=solver)
-    )
+    v, dists, it = _contract(model, epsilon, v0, lambda v: bellman_operator(model, v, solver=solver))
     return ValueFunction(v), RandomizedPolicy(tuple(dists)), it
 
 
@@ -267,9 +268,7 @@ def evaluate_policy_worst_case(model: DrMdpModel, policy: RandomizedPolicy, solv
         raise EngineError("policy needs an action distribution at every decision state")
     if model.is_finite:
         return _backward_pass(model, solver, dists)[0]
-    return _contract(
-        model, epsilon, None, MAX_VALUE_ITERATIONS, lambda v: _sweep(model, v, solver, dists)
-    )[0]
+    return _contract(model, epsilon, None, lambda v: _sweep(model, v, solver, dists))[0]
 
 
 def classical_dp_finite(model: DrMdpModel, factors: dict) -> np.ndarray:

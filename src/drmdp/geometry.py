@@ -99,8 +99,9 @@ class PolyhedralSet:
     # (k, dim) vertex array once the set is proven a small compact
     # polytope, (0, dim) once it is not; built on the first support query
     _vertex_form: object = field(default=None, init=False, repr=False)
-    # the LP max c.x over the set as a request on the set's own warm HiGHS
-    # model, built on the first LP query; each query swaps in its costs
+    # the LP max c.x over the set as a request, with the set's own warm
+    # HiGHS model, both built on the first LP query; each query swaps in
+    # its costs
     _lp_model: object = field(default=None, init=False, repr=False, compare=False)
     # the Slater radius `ambiguity.validate` measures, kept from its first check
     _slater_radius: object = field(default=None, init=False, repr=False, compare=False)
@@ -201,10 +202,10 @@ def product(*sets: PolyhedralSet) -> PolyhedralSet:
 # ---------------------------------------------------------------------------
 
 
-def solve_lp(request):
-    """Solve one geometry LP on HiGHS, on the request's warm model or a
-    fresh one."""
-    return _lp.solve_lp_highs(request)
+def solve_lp(request, warm):
+    """Solve one geometry LP on HiGHS, on the model of the `WarmHighs`
+    handle `warm`."""
+    return _lp.solve_lp_highs(request, warm)
 
 
 def feasibility_check(s: PolyhedralSet):
@@ -224,19 +225,17 @@ def feasibility_check(s: PolyhedralSet):
 
 def _extreme(s: PolyhedralSet, direction):
     """max direction.x over the set, solved on the set's warm model."""
-    model = s._lp_model
-    if model is None:
+    if s._lp_model is None:
         free = np.full(s.dim, np.inf)
         senses = (LE,) * len(s.b_in) + (EQ,) * len(s.b_eq)
         rows, rhs = np.vstack([s.a_in, s.a_eq]), np.concatenate([s.b_in, s.b_eq])
         lp = LinearProgram("max", np.zeros(s.dim), rows, senses, rhs, -free, free)
-        model = LeadingColumns.of(lp, WarmHighs(_MODEL_OPTIONS))
-        object.__setattr__(s, "_lp_model", model)
+        object.__setattr__(s, "_lp_model", (LeadingColumns.of(lp), WarmHighs(_MODEL_OPTIONS)))
+    model, warm = s._lp_model
     # the costs are copied: the model tells new ones from the held ones by identity
     c = np.array(direction, dtype=float)
-    return solve_lp(
-        LeadingColumns(model.shared, c, model.lb, model.ub, model.starts, model.index, model.value, model.warm)
-    )
+    request = LeadingColumns(model.shared, c, model.lb, model.ub, model.starts, model.index, model.value)
+    return solve_lp(request, warm)
 
 
 def support_value(s: PolyhedralSet, direction):
@@ -376,7 +375,7 @@ def chebyshev_radius(s: PolyhedralSet) -> float:
         np.concatenate([np.full(n, -np.inf), [0.0]]),
         np.full(n + 1, np.inf),
     )
-    sol = solve_lp(LeadingColumns.of(lp, WarmHighs(_MODEL_OPTIONS)))
+    sol = solve_lp(LeadingColumns.of(lp), WarmHighs(_MODEL_OPTIONS))
     if not sol.optimal:
         return 0.0
     return float(sol.value)

@@ -2,19 +2,20 @@
 
 Robust backups, fixed-policy evaluations and the oracles take their LP
 backend from the seam `get_solver`; the default everywhere is scipy's
-HiGHS under this module's solution contract.  A backend takes either a
-`LinearProgram` or a `LeadingColumns` request: the columns that lead an
-LP's shared ones, with the LP over its rows and shared columns alone.  An
-LP's matrix is a dense array or a `CscArrays` record; a request's shared
-matrix is a `CscArrays`.  A request may carry a `WarmHighs` handle:
-requests that share every row and all but their leading columns are then
-solved on one persistent HiGHS model, which takes only what differs in the
-leading columns and re-runs from the basis the previous solve left.  Leading columns of the held
-pattern are edited in place, entry by entry, which keeps that basis
-valid; others are swapped in.  HiGHS solves a request without a handle on
-a fresh model, and a whole `LinearProgram` as the request
-`LeadingColumns.of` makes of it, every column leading; the dense
-simplex assembles the whole LP.  HiGHS is driven through scipy's private
+HiGHS under this module's solution contract.  A backend is called as
+`backend(request, warm=None)`, the request either a `LinearProgram` or a
+`LeadingColumns` request: the columns that lead an LP's shared ones, with
+the LP over its rows and shared columns alone.  An LP's matrix is a dense
+array or a `CscArrays` record; a request's shared matrix is a `CscArrays`.
+`warm` is a `WarmHighs` handle: requests that share every row and all but
+their leading columns are solved on its one persistent HiGHS model, which
+takes only what differs in the leading columns and re-runs from the basis
+the previous solve left.  Leading columns of the held pattern are edited
+in place, entry by entry, which keeps that basis valid; others are swapped
+in.  HiGHS solves a request without a handle on a fresh model, and a whole
+`LinearProgram` as the request `LeadingColumns.of` makes of it, every
+column leading; the dense simplex ignores the handle and assembles the
+whole LP.  HiGHS is driven through scipy's private
 `_highspy` bindings, the only ones that edit a model in place, loaded from
 their extension file so that no other scipy module loads with them.
 
@@ -36,7 +37,7 @@ import importlib.util
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -350,15 +351,20 @@ def _pivot(tab, basis, i, j):
     basis[i] = j
 
 
-def _simplex_phase(tab, basis, costs, allowed, start_iter, stall_after, max_iter):
-    """Run simplex iterations on tableau `tab` (m x (n+1), rhs last column).
+def _simplex_phase(tab, basis, costs, allowed, start_iter):
+    """Run simplex iterations on tableau `tab` (m x (n+1), rhs last column),
+    counting on from `start_iter`, the iterations of earlier phases.
 
     Returns (status, iterations).  `allowed` is a boolean mask of columns
-    permitted to enter.  Dantzig pricing until `stall_after` total
-    iterations, then Bland.
+    permitted to enter.  Dantzig pricing for STALL_FACTOR * (m + n)
+    iterations of the phase, then Bland; "numerical_failure" once the
+    count over all phases reaches ITER_LIMIT_FACTOR * (m + n) +
+    ITER_LIMIT_BASE.
     """
     m = tab.shape[0]
     n = tab.shape[1] - 1
+    stall_after = start_iter + STALL_FACTOR * (m + n)
+    max_iter = ITER_LIMIT_FACTOR * (m + n) + ITER_LIMIT_BASE
     it = start_iter
     while True:
         # reduced costs r = c - c_B' tab
@@ -391,12 +397,13 @@ def _simplex_phase(tab, basis, costs, allowed, start_iter, stall_after, max_iter
             return NUMERICAL_FAILURE, it
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, warm=None) -> LpSolution:
     """Two-phase dense simplex; deterministic given identical input.
 
     An optimum whose largest residual exceeds SIMPLEX_RESIDUAL_TOL is
     reported as "numerical_failure".  `LeadingColumns` are assembled into
-    their whole LP first."""
+    their whole LP first, and `warm`, the seam's HiGHS handle, is not
+    used."""
     if isinstance(lp, LeadingColumns):
         lp = lp.lp()
     sf = _to_standard_form(lp)
@@ -408,12 +415,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     tab[:, n_sc:n_tot] = np.eye(m)
     tab[:, n_tot] = sf.b
     basis = np.arange(n_sc, n_tot)
-    stall_after = STALL_FACTOR * (m + n_tot)
-    max_iter = ITER_LIMIT_FACTOR * (m + n_tot) + ITER_LIMIT_BASE
 
     # Phase 1
     costs1 = np.concatenate([np.zeros(n_sc), np.ones(m)])
-    status, it = _simplex_phase(tab, basis, costs1, np.ones(n_tot, dtype=bool), 0, stall_after, max_iter)
+    status, it = _simplex_phase(tab, basis, costs1, np.ones(n_tot, dtype=bool), 0)
     if status == NUMERICAL_FAILURE:
         return LpSolution(NUMERICAL_FAILURE, iterations=it)
     if float(costs1[basis] @ tab[:, n_tot]) > 1e-7 * (1.0 + np.abs(sf.b).max(initial=0.0)):
@@ -431,7 +436,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     # Phase 2
     costs2 = np.concatenate([sf.c, np.zeros(m)])
-    status, it = _simplex_phase(tab, basis, costs2, np.arange(n_tot) < n_sc, it, stall_after + it, max_iter)
+    status, it = _simplex_phase(tab, basis, costs2, np.arange(n_tot) < n_sc, it)
     if status != OPTIMAL:
         return LpSolution(status, iterations=it)
     x_std = np.zeros(n_tot)
@@ -489,9 +494,9 @@ class LeadingColumns:
     bounds and entries in compressed-column form (`starts` holds each
     column's first position in `index` and `value`).  `shared` is the LP
     over the rows and the shared columns alone, its matrix a `CscArrays`.
-    On HiGHS the request is solved on `warm` by writing only its leading
-    columns, on a fresh model when `warm` is None; any other backend
-    solves the assembled `lp()`."""
+    HiGHS solves the request on the `WarmHighs` handle it is given with it
+    by writing only its leading columns, or on a fresh model; the dense
+    simplex solves the assembled `lp()`."""
 
     shared: LinearProgram
     c: np.ndarray
@@ -500,14 +505,13 @@ class LeadingColumns:
     starts: np.ndarray
     index: np.ndarray
     value: np.ndarray
-    warm: WarmHighs | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.shared.a, CscArrays):
             raise LpError("a request's shared matrix must be a CscArrays")
 
     @classmethod
-    def of(cls, lp: LinearProgram, warm=None) -> LeadingColumns:
+    def of(cls, lp: LinearProgram) -> LeadingColumns:
         """The LP as a request whose every column leads, its
         compressed-column arrays those of its `CscArrays` matrix or read
         off its dense one; the shared part holds the rows and no column."""
@@ -515,7 +519,7 @@ class LeadingColumns:
         no_cols = np.zeros(0)
         empty = CscArrays(no_cols, np.zeros(0, np.int32), np.zeros(1, np.int32), (lp.n_rows, 0))
         shared = LinearProgram(lp.sense, no_cols, empty, lp.row_senses, lp.b, no_cols, no_cols)
-        return cls(shared, lp.c, lp.lb, lp.ub, a.indptr[:-1], a.indices, a.data, warm)
+        return cls(shared, lp.c, lp.lb, lp.ub, a.indptr[:-1], a.indices, a.data)
 
     @property
     def n_rows(self) -> int:
@@ -569,9 +573,9 @@ class WarmHighs:
     an unbounded one into an infeasible one; an infeasible one carries
     HiGHS's dual ray as its Farkas certificate.
     `options` are HiGHS options the model runs with (the retry aside).
-    The handle keeps the arrays of the last request, never the request or
-    whatever owns it, and a lock serialises solves on it.  A request's
-    arrays are read, not copied, so they must not change after the solve.
+    The handle keeps the last request, whose leading columns the model
+    holds, and a lock serialises solves on it.  A request's arrays are
+    read, not copied, so they must not change after the solve.
     """
 
     def __init__(self, options=None):
@@ -579,7 +583,10 @@ class WarmHighs:
         self.options = dict(options or {})
         self._lock = threading.Lock()
         self._highs = None
-        self._held = None
+        # the request whose leading columns the model holds, their model
+        # columns, and the model column of each of their entries, worked
+        # out on the first in-place edit of that pattern
+        self._held = self._cols = self._entry_cols = None
         # the shared column count, set by the request that builds the model
         self.n_shared = None
 
@@ -593,7 +600,7 @@ class WarmHighs:
             ):
                 raise LpError("LP does not share the rows and columns of its warm model")
             held = self._held
-            edit = self._edit_in_place if held is not None and held.holds(lead) else self._swap_in
+            edit = self._edit_in_place if held is not None and _same_pattern(held, lead) else self._swap_in
             if not edit(lead):
                 # an entry `_writable` refuses or an edit HiGHS rejects:
                 # drop the model; the next LP builds a new one
@@ -655,21 +662,22 @@ class WarmHighs:
                 ),
             ]
         else:
-            edits = [self._highs.deleteCols(self._held.n_lead, self._held.cols)]
+            edits = [self._highs.deleteCols(self._cols.shape[0], self._cols)]
         n_lead = lead.c.shape[0]
         edits.append(
             self._highs.addCols(
                 n_lead, lead.c, lead.lb, lead.ub, lead.value.shape[0], lead.starts, lead.index, lead.value
             )
         )
-        self._held = _HeldColumns(lead, np.arange(self.n_shared, self.n_shared + n_lead, dtype=np.int32))
+        self._held, self._entry_cols = lead, None
+        self._cols = np.arange(self.n_shared, self.n_shared + n_lead, dtype=np.int32)
         return HighsStatus.kError not in edits
 
     def _edit_in_place(self, lead: LeadingColumns) -> bool:
         """Write the entries, costs and bounds in which the request differs
         from the held leading columns, which have its pattern.  False if a
         changed entry fails `_writable`."""
-        held, highs = self._held, self._highs
+        held, highs, cols = self._held, self._highs, self._cols
         edits = []
         # the very array the model holds (a geometry query's) has no change
         if lead.value is not held.value:
@@ -677,13 +685,15 @@ class WarmHighs:
             value = lead.value[changed]
             if not _writable(value):
                 return False
-            rows, cols = lead.index[changed].tolist(), held.entry_cols()[changed].tolist()
-            edits = list(map(highs.changeCoeff, rows, cols, value.tolist()))
+            if self._entry_cols is None:
+                self._entry_cols = np.repeat(cols, np.diff(np.append(held.starts, held.index.shape[0])))
+            rows, entry_cols = lead.index[changed].tolist(), self._entry_cols[changed].tolist()
+            edits = list(map(highs.changeCoeff, rows, entry_cols, value.tolist()))
         if lead.c is not held.c:
-            edits.append(highs.changeColsCost(held.n_lead, held.cols, lead.c))
+            edits.append(highs.changeColsCost(cols.shape[0], cols, lead.c))
         if lead.lb is not held.lb or lead.ub is not held.ub:
-            edits.append(highs.changeColsBounds(held.n_lead, held.cols, lead.lb, lead.ub))
-        held.take(lead)
+            edits.append(highs.changeColsBounds(cols.shape[0], cols, lead.lb, lead.ub))
+        self._held = lead
         return HighsStatus.kError not in edits
 
     def _farkas(self, sense):
@@ -708,41 +718,11 @@ class WarmHighs:
         return highs.getModelStatus(), its
 
 
-class _HeldColumns:
-    """The leading columns a `WarmHighs` model holds, as the arrays of the
-    request that last wrote them: its pattern, its entries, and its cost
-    and bound arrays, which later requests are compared with by identity."""
-
-    __slots__ = ("starts", "index", "value", "c", "lb", "ub", "n_lead", "cols", "_entry_cols")
-
-    def __init__(self, lead: LeadingColumns, cols: np.ndarray):
-        self.starts, self.index = lead.starts, lead.index
-        self.n_lead, self.cols = cols.shape[0], cols
-        self._entry_cols = None
-        self.take(lead)
-
-    def take(self, lead: LeadingColumns):
-        self.value, self.c, self.lb, self.ub = lead.value, lead.c, lead.lb, lead.ub
-
-    def holds(self, lead: LeadingColumns) -> bool:
-        """Whether the request's leading columns have the held pattern."""
-        starts, index = lead.starts, lead.index
-        if starts is self.starts and index is self.index:
-            return True
-        return (
-            starts.shape == self.starts.shape
-            and index.shape == self.index.shape
-            and np.array_equal(starts, self.starts)
-            and np.array_equal(index, self.index)
-        )
-
-    def entry_cols(self) -> np.ndarray:
-        """The model column of each entry, worked out on the first in-place
-        edit of this pattern."""
-        if self._entry_cols is None:
-            counts = np.diff(np.append(self.starts, self.index.shape[0]))
-            self._entry_cols = np.repeat(self.cols, counts)
-        return self._entry_cols
+def _same_pattern(a: LeadingColumns, b: LeadingColumns) -> bool:
+    """Whether two requests' leading columns have one pattern: column
+    starts and row indices."""
+    same = (x is y or np.array_equal(x, y) for x, y in ((a.starts, b.starts), (a.index, b.index)))
+    return all(same)
 
 
 def _writable(value) -> bool:
@@ -753,16 +733,16 @@ def _writable(value) -> bool:
     return np.abs(value).max(initial=0.0) < _HIGHS_MAX_ENTRY
 
 
-def solve_lp_highs(lp) -> LpSolution:
+def solve_lp_highs(lp, warm=None) -> LpSolution:
     """HiGHS adapter conforming to the same solution contract.
 
-    A `LeadingColumns` request with a warm handle is solved on the handle's
-    persistent model, any other request on a fresh one; a `LinearProgram`
-    is solved as the request `LeadingColumns.of` makes of it.
+    The request is solved on the persistent model of `warm`, a `WarmHighs`
+    handle, or on a fresh model when `warm` is None; a `LinearProgram` is
+    solved as the request `LeadingColumns.of` makes of it.
     """
     if isinstance(lp, LinearProgram):
         lp = LeadingColumns.of(lp)
-    return (lp.warm or WarmHighs()).run(lp)
+    return (warm or WarmHighs()).run(lp)
 
 
 _SOLVERS = {"simplex": solve_lp, "highs": solve_lp_highs}

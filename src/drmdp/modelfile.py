@@ -252,6 +252,8 @@ def parse_model_text(text: str) -> ModelDocument:
     for i, st in enumerate(doc["states"]):
         path = f"states[{i}]"
         _check_keys(st, path, (), ("name", "terminal", "factor_map", "ambiguity"))
+        if not isinstance(st.get("terminal", False), bool):
+            raise ModelFileError(f"{path}.terminal: expected true or false, got {st['terminal']!r}")
         if st.get("terminal", False):
             if "factor_map" in st or "ambiguity" in st:
                 raise ModelFileError(f"{path}: terminal states carry no factor_map/ambiguity")

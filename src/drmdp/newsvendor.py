@@ -15,6 +15,7 @@ import csv
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,10 +39,10 @@ class NewsvendorConfig:
     true_dist: tuple = (0.05, 0.4, 0.1, 0.4, 0.05)
     train_sizes: tuple = (5, 15)
     theta_grid: tuple = (0.0, 0.1, 0.2, 0.5, 1.0, 2.0)
-    metric: object = 1
     repetitions: int = 200
     test_runs: int = 1000
-    sample_draws: int = 20
+    # demand realizations behind each sampled training distribution
+    sample_draws: ClassVar[int] = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -127,36 +128,24 @@ def build_newsvendor_model(cfg: NewsvendorConfig, ambiguity):
         fms[sid] = fm_cache[s]
         ambs[sid] = ambiguity
     terminal_values = np.array([-cfg.terminal_cost(s) for s in invs])
-    labels = [("t1", 0)] + [
-        (f"t{t}", s) for t in range(2, t_dec + 1) for s in invs
-    ] + [("terminal", s) for s in invs]
-    model = DrMdpModel(
-        tuple(fms),
-        tuple(ambs),
-        stages=tuple(stages),
-        terminal_values=terminal_values,
-        state_labels=tuple(labels),
-    )
+    model = DrMdpModel(tuple(fms), tuple(ambs), stages=tuple(stages), terminal_values=terminal_values)
     return model, index
 
 
-def sample_training_set(p, n, rng, draws=20):
+def sample_training_set(p, n, rng):
     """n sampled demand distributions: each is the empirical frequency vector
-    of `draws` i.i.d. demand realizations (draws=0 returns p exactly)."""
-    p = np.asarray(p, dtype=float)
+    of `NewsvendorConfig.sample_draws` i.i.d. demand realizations."""
     if n < 1:
         raise NewsvendorError("need at least one training sample")
-    if draws == 0:
-        return [p.copy() for _ in range(n)]
-    counts = rng.multinomial(draws, p, size=n)
-    return list(counts / draws)
+    draws = NewsvendorConfig.sample_draws
+    return list(rng.multinomial(draws, np.asarray(p, dtype=float), size=n) / draws)
 
 
 def solve_order_strategy(cfg: NewsvendorConfig, samples, theta, solver="highs"):
     """Robust order strategy for a Wasserstein ball of radius θ around the
     empirical distribution of the training samples.  Returns (value at the
     initial state, policy, index)."""
-    amb = build_wasserstein(samples, theta, simplex(cfg.n_demand), cfg.metric)
+    amb = build_wasserstein(samples, theta, simplex(cfg.n_demand))
     model, index = build_newsvendor_model(cfg, amb)
     vf, policy, _ = backward_induction(model, solver=solver, certificates=False)
     return vf[0], policy, index
@@ -248,7 +237,7 @@ def _run_repetition(cfg: NewsvendorConfig, rep: int, solver: str):
     rows, failures = [], []
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, rep)))
     for n in cfg.train_sizes:
-        samples = sample_training_set(cfg.true_dist, n, rng, draws=cfg.sample_draws)
+        samples = sample_training_set(cfg.true_dist, n, rng)
         sim_seed = rng.integers(2**63)
         for theta in cfg.theta_grid:
             try:

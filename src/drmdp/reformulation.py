@@ -15,9 +15,10 @@ max b'y s.t. A'y − Mπ = 0, 1'π = 1, π ≥ 0, y ≤ 0 on ≤ rows.  An
 ``SRobustTemplate`` holds A' and b, compiled once per ambiguity set and
 kept on the set.  Only the π columns' entries and bounds change between
 backups: the template computes −M's entries of a stage objective and
-hands them to the solver seam as the LP's leading columns, which HiGHS
-writes into the set's one warm-started model (``SRobustTemplate.warm``),
-in place while the action count stays, by a column swap when it changes;
+hands them to the solver seam as the LP's leading columns, together with
+the set's one warm-started model (``SRobustTemplate.warm``), into which
+HiGHS writes them in place while the action count stays, by a column swap
+when it changes;
 ``instantiate`` assembles the whole LP for the dense simplex, ``--dump-lp``
 and the tests.  ``solve_srobust`` reads the robust randomized action from
 the π block; ``worst_case_expectation`` pins π to a fixed policy through
@@ -91,8 +92,11 @@ def assemble_stage_objective(v_next, fm: FactorMap, discount: float = 1.0) -> St
     na, n_next = fm.n_actions, fm.n_next
     if v_next.shape[0] != n_next:
         raise ReformulationError("value vector length differs from next-state count")
-    kappa_vec = fm.r_offset + discount * (fm.p_offset.reshape(na, n_next) @ v_next)
-    c_mat = fm.r_mat + discount * (v_next @ fm.p_mat.reshape(na, n_next, -1))
+    # numbers near the float limit overflow to inf or NaN here, an entry the
+    # backup LP then refuses as a numerical failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa_vec = fm.r_offset + discount * (fm.p_offset.reshape(na, n_next) @ v_next)
+        c_mat = fm.r_mat + discount * (v_next @ fm.p_mat.reshape(na, n_next, -1))
     return StageObjective(kappa_vec, c_mat)
 
 
@@ -244,14 +248,15 @@ def worst_case_expectation(obj: StageObjective, amb: LiftedAmbiguitySet, pi, sol
     return sol.value, sol.certificate
 
 
-def _point_masses(amb: LiftedAmbiguitySet, layout, v) -> WorstCaseCertificate:
-    """Certificate from an adversary point v: weights ω and scaled means
+def _point_masses(amb: LiftedAmbiguitySet, v) -> WorstCaseCertificate:
+    """Certificate from an adversary point v, laid out as the set's
+    template's adversary variables: weights ω and scaled means
     x_n = ω_n ξ̄_n.
 
     Each mean is x_n / ω_n; a scenario without weight sits at a witness
     point of its support.  The weights are clipped at 0 and renormalised.
     """
-    n = amb.n_scenarios
+    n, layout = amb.n_scenarios, _template(amb).layout
     weights = v[layout["w"]][:n]
     scaled_means = v[layout["x"]].reshape(n, amb.factor_dim)
     means = np.zeros((n, amb.factor_dim))
@@ -281,8 +286,9 @@ class SRobustTemplate:
     π by its bounds gives the fixed-policy LP.
 
     `leading_columns` gathers the π columns' entries from the stage
-    objective and hands them, with their pattern, costs and bounds cached
-    per action count, to the set's persistent HiGHS model (`warm`).  A
+    objective, with their pattern, costs and bounds cached per action
+    count, as a request that `_solve` hands to the seam together with the
+    set's persistent HiGHS model (`warm`).  A
     backup, robust or fixed-policy, re-solves from the basis the previous
     backup of the set left and builds no whole LP: with the previous
     backup's action count it rewrites only the entries that changed, in
@@ -290,7 +296,8 @@ class SRobustTemplate:
     assembles the whole LP for the dense simplex, `--dump-lp` and the tests.
     The model lives and dies with the set, so warm state never crosses
     sets.  The template keeps the set's sizes, not the set, and the model
-    keeps no reference to the template, so none of them form a cycle.
+    keeps only the last request, which refers to the template's `shared`
+    LP but not to the template, so none of them form a cycle.
     """
 
     def __init__(self, amb: LiftedAmbiguitySet):
@@ -338,7 +345,7 @@ class SRobustTemplate:
         return cols
 
     def leading_columns(self, obj: StageObjective, pi=None) -> LeadingColumns:
-        """A stage objective's π columns on the set's warm model.  Column a
+        """A stage objective's π columns, for the set's warm model.  Column a
         holds −M's entries of action a, zeros included, then the 1 of
         1'π = 1: (Mπ)'v = κ(π) Σ_n ω_n + Σ_n c(π)·x_n puts κ_a on every
         scenario weight and C_a on every scaled mean.  The π columns range
@@ -349,13 +356,11 @@ class SRobustTemplate:
         value = np.concatenate((obj.kappa_vec, obj.c_mat.ravel(), _MINUS_ONE))[cols.gather]
         np.negative(value, out=value)
         lb, ub = (cols.zeros, cols.inf) if pi is None else (pi, pi)
-        return LeadingColumns(self.shared, cols.zeros, lb, ub, cols.starts, cols.index, value, self.warm)
+        return LeadingColumns(self.shared, cols.zeros, lb, ub, cols.starts, cols.index, value)
 
-    def instantiate(self, obj: StageObjective, pi=None) -> LinearProgram:
-        """The whole LP, the π columns first and then the y columns.  The LP
-        carries no warm model: a backup reaches the set's model only through
-        `leading_columns`."""
-        return self.leading_columns(obj, pi).lp()
+    def instantiate(self, obj: StageObjective) -> LinearProgram:
+        """The whole robust LP, the π columns first and then the y columns."""
+        return self.leading_columns(obj).lp()
 
 
 _MINUS_ONE = np.array([-1.0])
@@ -404,7 +409,7 @@ class SRobustSolution:
 
     @cached_property
     def certificate(self) -> WorstCaseCertificate:
-        return _point_masses(self.amb, _template(self.amb).layout, self.duals)
+        return _point_masses(self.amb, self.duals)
 
     def saddle_residual(self, obj: StageObjective) -> float:
         """Saddle gap |max_a (κ_a + C_a·ξ̄*) − value|, with ξ̄* the
@@ -443,7 +448,7 @@ def _solve(obj: StageObjective, amb: LiftedAmbiguitySet, pi, solver) -> SRobustS
     to 1."""
     template = _template(amb)
     lead = template.leading_columns(obj, pi)
-    sol = get_solver(solver)(lead)
+    sol = get_solver(solver)(lead, template.warm)
     if sol.status == UNBOUNDED:
         # unbounded duals: the adversary's rows admit no point
         raise ReformulationError(f"{_lp_name(lead, pi)} is unbounded: the ambiguity set admits no distribution")

@@ -52,9 +52,9 @@ def certificate_value(cert, obj, pi) -> float:
     return obj.kappa(pi) + float(cert.weights @ (cert.means @ obj.coeff(pi)))
 
 
-def leading_request(lp, n_shared, warm):
-    """A whole LP as a request on the warm model `warm`: its columns before
-    the last `n_shared` lead, and those last ones are the shared part."""
+def leading_request(lp, n_shared):
+    """A whole LP as a request for a warm model: its columns before the
+    last `n_shared` lead, and those last ones are the shared part."""
     n_lead = lp.n_vars - n_shared
     a = lp.a if isinstance(lp.a, CscArrays) else CscArrays.of(lp.a)
     nnz = a.indptr[n_lead]
@@ -63,7 +63,7 @@ def leading_request(lp, n_shared, warm):
         lp.sense, lp.c[n_lead:], shared_a, lp.row_senses, lp.b, lp.lb[n_lead:], lp.ub[n_lead:]
     )
     return LeadingColumns(
-        shared, lp.c[:n_lead], lp.lb[:n_lead], lp.ub[:n_lead], a.indptr[:n_lead], a.indices[:nnz], a.data[:nnz], warm
+        shared, lp.c[:n_lead], lp.lb[:n_lead], lp.ub[:n_lead], a.indptr[:n_lead], a.indices[:nnz], a.data[:nnz]
     )
 
 

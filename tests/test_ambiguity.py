@@ -239,11 +239,11 @@ def test_identity_and_padded_factor_maps():
 
 def test_group_validation_errors():
     with pytest.raises(AmbiguityError):
-        ConditionGroup((), False, {}, box([0.0], [1.0]))
+        ConditionGroup((), {}, box([0.0], [1.0]))
     with pytest.raises(AmbiguityError):
         LiftedAmbiguitySet(
             (box([0.0], [1.0]),),
-            (ConditionGroup((3,), False, {3: ()}, box([0.0], [1.0])),),
+            (ConditionGroup((3,), {3: ()}, box([0.0], [1.0])),),
             singleton([1.0]),
         )
 
@@ -268,7 +268,7 @@ def test_validate_solves_few_lps_on_a_small_support(monkeypatch):
     fm = shared_row_factor_map(np.random.default_rng(0), 2, 3)
     calls = []
     real = geometry.solve_lp
-    monkeypatch.setattr(geometry, "solve_lp", lambda lp: calls.append(lp) or real(lp))
+    monkeypatch.setattr(geometry, "solve_lp", lambda lp, warm: calls.append(lp) or real(lp, warm))
     rep = validate(amb, fm)
     assert rep.passed
     assert [name for name, _, _ in rep.checks] == [

@@ -67,7 +67,7 @@ def test_solve_builds_the_document_once(runner, tmp_path, monkeypatch):
 def test_solve_failure_names_state_stage_shape_and_status(runner, tmp_path, monkeypatch):
     import drmdp.lp as lp
 
-    monkeypatch.setitem(lp._SOLVERS, "highs", lambda prog: lp.LpSolution(lp.NUMERICAL_FAILURE))
+    monkeypatch.setitem(lp._SOLVERS, "highs", lambda prog, warm: lp.LpSolution(lp.NUMERICAL_FAILURE))
     res = runner.invoke(
         main, ["solve", str(DATA / "finite_two_state.yaml"), "--out", str(tmp_path)]
     )
@@ -341,3 +341,52 @@ def test_solve_non_finite_result_exit_3(runner, tmp_path, monkeypatch):
     assert res.exit_code == 3, res.output
     assert "non-finite result" in res.output and "saddle_residual nan" in res.output
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--dump-lp", "--out"])
+def test_solve_unwritable_output_exit_2_before_any_solve(runner, tmp_path, monkeypatch, option):
+    # a dump file in a missing directory, or an output directory under a file
+    import drmdp.cli as cli
+
+    solves = []
+    monkeypatch.setattr(cli, "backward_induction", lambda *args: solves.append(args))
+    (tmp_path / "file").write_text("")
+    target = tmp_path / ("missing/root.lp" if option == "--dump-lp" else "file/sub")
+    args = ["solve", str(DATA / "finite_two_state.yaml"), "--out", str(tmp_path), option, str(target)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {target}" in res.output and "Traceback" not in res.output
+    assert solves == []
+
+
+def test_newsvendor_unwritable_out_dir_exit_2_before_any_repetition(runner, tmp_path, monkeypatch):
+    import drmdp.cli as cli
+
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: runs.append(args))
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "sub"
+    res = runner.invoke(main, ["newsvendor", "--reps", "1", "--out-dir", str(target)])
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {target}" in res.output and "Traceback" not in res.output
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "old, new, fragment",
+    [
+        ("- name: root\n", "- name: root\n  terminal: 'false'\n", "states[0].terminal: expected true or false"),
+        ("- name: down\n  terminal: true", "- name: down\n  terminal: null", "states[2].terminal: expected true or false"),
+    ],
+    ids=["decision state 'false'", "terminal state null"],
+)
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_terminal_that_is_not_a_boolean_exit_2(runner, tmp_path, command, old, new, fragment):
+    text = (DATA / "finite_two_state.yaml").read_text()
+    assert old in text
+    bad = tmp_path / "terminal.yaml"
+    bad.write_text(text.replace(old, new))
+    args = [command, str(bad)] + (["--out", str(tmp_path)] if command == "solve" else [])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert fragment in res.output and "Traceback" not in res.output

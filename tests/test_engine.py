@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import re
 import weakref
@@ -282,7 +281,7 @@ def test_failed_fixed_policy_evaluation_names_state_and_stage(monkeypatch):
     model = random_staged_model(np.random.default_rng(3))
     _, pol, _ = backward_induction(model, solver="highs")
     lp = drmdp.lp
-    monkeypatch.setitem(lp._SOLVERS, "highs", lambda prog: lp.LpSolution(lp.NUMERICAL_FAILURE))
+    monkeypatch.setitem(lp._SOLVERS, "highs", lambda prog, warm: lp.LpSolution(lp.NUMERICAL_FAILURE))
     t = model.horizon - 2
     with pytest.raises(EngineError) as err:
         evaluate_policy_worst_case(model, pol, solver="highs")
@@ -299,14 +298,14 @@ def _check_warm_against_cold(monkeypatch):
     lp = drmdp.lp
     served = {}
 
-    def warm_and_cold(prog):
-        warm = lp.solve_lp_highs(prog)
-        cold = lp.solve_lp_highs(dataclasses.replace(prog, warm=None))
+    def warm_and_cold(prog, model):
+        warm = lp.solve_lp_highs(prog, model)
+        cold = lp.solve_lp_highs(prog)
         assert warm.optimal and cold.optimal
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
         # a backup's LP reaches the seam as its leading columns
         assert max(lp.residuals(prog.lp(), warm).values()) <= 1e-7
-        served.setdefault(prog.warm, set()).add(prog.n_vars)
+        served.setdefault(model, set()).add(prog.n_vars)
         return warm
 
     saddle_gaps = []
@@ -444,7 +443,7 @@ def test_backup_errors_name_the_lp_and_its_shape(monkeypatch, pinned):
         (lp_module.UNBOUNDED, "is unbounded: the ambiguity set admits no distribution"),
         (lp_module.NUMERICAL_FAILURE, "ended with status numerical_failure"),
     ):
-        monkeypatch.setitem(lp_module._SOLVERS, "highs", lambda prog: lp_module.LpSolution(status))
+        monkeypatch.setitem(lp_module._SOLVERS, "highs", lambda prog, warm: lp_module.LpSolution(status))
         with pytest.raises(ReformulationError) as err:
             if pinned:
                 worst_case_expectation(obj, amb, [0.2, 0.3, 0.5])
@@ -460,8 +459,8 @@ def test_warm_backups_keep_their_basis(monkeypatch):
     highs = drmdp.lp._SOLVERS["highs"]
     solves = []
 
-    def counted(request):
-        solves.append(highs(request))
+    def counted(request, warm):
+        solves.append(highs(request, warm))
         return solves[-1]
 
     monkeypatch.setitem(drmdp.lp._SOLVERS, "highs", counted)

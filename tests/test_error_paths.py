@@ -8,6 +8,7 @@ import pytest
 from conftest import make_lp
 from scipy.sparse import csr_matrix
 
+import drmdp.engine
 import drmdp.lp
 from drmdp.ambiguity import (
     AmbiguityError,
@@ -62,13 +63,13 @@ def _check(call, error, fragment):
     assert fragment in str(info.value)
 
 
-def _group(moment_set, g_fns=None, mean=False):
-    return ConditionGroup((0,), mean, g_fns or {0: ()}, moment_set)
+def _group(moment_set, g_fns=None):
+    return ConditionGroup((0,), g_fns or {0: ()}, moment_set)
 
 
 AMBIGUITY = {
     "g-function counts differ": (
-        lambda: ConditionGroup((0, 1), False, {0: (one_norm_distance([0.0]),), 1: ()}, box([0], [1])),
+        lambda: ConditionGroup((0, 1), {0: (one_norm_distance([0.0]),), 1: ()}, box([0], [1])),
         "g-function count differs",
     ),
     "no support": (lambda: LiftedAmbiguitySet((), (), singleton([1.0])), "at least one scenario support"),
@@ -81,7 +82,7 @@ AMBIGUITY = {
         "weight-set dimension 1 is less than the 2 scenarios",
     ),
     "moment-set dimension": (
-        lambda: LiftedAmbiguitySet((simplex(2),), (_group(box([0], [1]), mean=True),), singleton([1.0])),
+        lambda: LiftedAmbiguitySet((simplex(2),), (_group(box([0], [1])),), singleton([1.0])),
         "moment-set dimension mismatch",
     ),
     "g-function dimension": (
@@ -146,6 +147,7 @@ AMBIGUITY = {
         "θ must be finite and nonnegative",
     ),
     "wasserstein no samples": (lambda: build_wasserstein([], 0.1, simplex(2)), "at least one sample"),
+    "wasserstein sample inf": (lambda: build_wasserstein([[INF, 0.0]], 0.1, simplex(2)), "samples must be finite"),
     "wasserstein support unbounded": (
         lambda: build_wasserstein([[0.5]], 0.1, RAY),
         "support must be nonempty and bounded",
@@ -169,7 +171,7 @@ AMBIGUITY = {
     "mixture no components": (lambda: build_mixture([], singleton([1.0])), "at least one component"),
     "mixture dimensions": (
         lambda: build_mixture([MixtureComponent(simplex(2)), MixtureComponent(simplex(3))], singleton([0.5, 0.5])),
-        "component supports disagree on dimension",
+        "supports differ in dimension",
     ),
     "mixture g-functions alone": (
         lambda: build_mixture([MixtureComponent(simplex(2), g_fns=(one_norm_distance([0, 0]),))], singleton([1.0])),
@@ -189,6 +191,13 @@ _FM2 = FactorMap([[1.0], [0.0]], [0.0, 0.0], [[0.0]], [1.0])
 _AMB = build_support_only(singleton([1.0]))
 _FINITE = DrMdpModel((_FM, None), (_AMB, None), stages=((0,), (1,)))
 _DISCOUNTED = DrMdpModel((_FM,), (_AMB,), discount=0.5)
+
+
+def _one_sweep_value_iteration():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(drmdp.engine, "MAX_VALUE_ITERATIONS", 1)
+        value_iteration(_DISCOUNTED, 1e-12)
+
 
 ENGINE = {
     "entries per state": (lambda: DrMdpModel((_FM,), (_AMB, _AMB), discount=0.5), "one entry per state"),
@@ -227,10 +236,7 @@ ENGINE = {
     "epsilon": (lambda: value_iteration(_DISCOUNTED, 0.0), "epsilon must be positive"),
     "epsilon nan": (lambda: value_iteration(_DISCOUNTED, NAN), "epsilon must be positive and finite, got nan"),
     "epsilon inf": (lambda: value_iteration(_DISCOUNTED, INF), "epsilon must be positive and finite, got inf"),
-    "no convergence": (
-        lambda: value_iteration(_DISCOUNTED, 1e-12, max_iter=1),
-        "did not converge within 1 sweeps",
-    ),
+    "no convergence": (_one_sweep_value_iteration, "did not converge within 1 sweeps"),
     "backward induction on a discounted model": (
         lambda: backward_induction(_DISCOUNTED),
         "requires a finite-horizon model",

@@ -452,7 +452,7 @@ def test_vertex_form_keeps_lp_answers_and_errors(name):
 def test_vertex_form_answers_without_lps(monkeypatch):
     calls = []
     real = geometry.solve_lp
-    monkeypatch.setattr(geometry, "solve_lp", lambda lp: calls.append(lp) or real(lp))
+    monkeypatch.setattr(geometry, "solve_lp", lambda lp, warm: calls.append(lp) or real(lp, warm))
     s = intersect(simplex(4), PolyhedralSet(4, [([1, 1, 0, 0], 0.6)]))
     assert is_nonempty_bounded(s)
     assert bounding_box(s) == pytest.approx(np.array([[0, 0.6], [0, 0.6], [0, 1], [0, 1]]), abs=1e-12)

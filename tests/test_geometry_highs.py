@@ -178,9 +178,9 @@ def test_queries_after_an_unbounded_one_reuse_the_warm_model(lp_path):
     assert support_value(s, [1.0, 1.0]) == pytest.approx(3.0, abs=TOL)
     with pytest.raises(geometry.NotCompactError):
         support_value(s, [-1.0, 0.0])
-    warm = s._lp_model.warm
+    warm = s._lp_model[1]
     assert support_value(s, [0.5, -1.0]) == pytest.approx(0.5, abs=TOL)
-    assert s._lp_model.warm is warm
+    assert s._lp_model[1] is warm
     assert feasibility_check(s)[0]
 
 
@@ -199,9 +199,10 @@ def test_costs_are_read_when_the_query_is_made(lp_path):
 def test_set_and_warm_geometry_model_free_without_the_cycle_collector(lp_path):
     s = build_phi_divergence_tv([[0.2, 0.8], [0.6, 0.4]], 0.3).weight_set
     assert is_nonempty_bounded(s)
-    warm = s._lp_model.warm
+    request, warm = s._lp_model
     assert warm._highs is not None
-    refs = [weakref.ref(x) for x in (s, s._lp_model, warm, warm._highs)]
+    refs = [weakref.ref(x) for x in (s, request, warm, warm._highs)]
+    del request
     del warm
     gc.disable()
     try:

@@ -347,22 +347,20 @@ def test_csc_record_holds_and_densifies_what_scipy_does():
     assert got.tobytes() == ref.tobytes()
 
 
-def test_request_of_the_held_entries_writes_none(monkeypatch):
+def test_request_of_the_held_entries_writes_none():
     # a geometry query sends the very entry array its model holds; a backup
     # sends a new one, whose changed entries are found and written
     rng = np.random.default_rng(12)
     a = rng.normal(size=(4, 3))
     lp = LinearProgram("max", np.zeros(3), a, (LE,) * 4, np.ones(4), np.zeros(3), np.ones(3))
-    lead = LeadingColumns.of(lp, WarmHighs())
-    gathers = []
-    real = drmdp.lp._HeldColumns.entry_cols
-    monkeypatch.setattr(drmdp.lp._HeldColumns, "entry_cols", lambda held: gathers.append(1) or real(held))
+    lead, warm = LeadingColumns.of(lp), WarmHighs()
     for c in rng.normal(size=(3, 3)):
-        assert solve_lp_highs(dataclasses.replace(lead, c=c)).optimal
-    assert gathers == []
+        assert solve_lp_highs(dataclasses.replace(lead, c=c), warm).optimal
+    # each entry's model column is worked out on the first write of an entry
+    assert warm._entry_cols is None
     value = lead.value * 2.0
-    got = solve_lp_highs(dataclasses.replace(lead, c=np.ones(3), value=value))
-    assert gathers == [1]
+    got = solve_lp_highs(dataclasses.replace(lead, c=np.ones(3), value=value), warm)
+    assert warm._entry_cols is not None
     ref = solve_lp(make_lp("max", np.ones(3), [(row, LE, 1.0) for row in 2.0 * a], [(0.0, 1.0)] * 3))
     assert got.value == pytest.approx(ref.value, abs=1e-9)
 
@@ -383,7 +381,7 @@ def test_warm_model_matches_cold_across_leading_columns(sense):
         a = np.hstack([rng.normal(size=(n_rows, n_lead)), shared])
         c = np.concatenate([rng.normal(size=n_lead), c_shared])
         lp = LinearProgram(sense, c, a, senses, b, np.zeros(n_lead + n_shared), np.full(n_lead + n_shared, 2.0))
-        hot, cold = solve_lp_highs(leading_request(lp, n_shared, warm)), solve_lp_highs(lp)
+        hot, cold = solve_lp_highs(leading_request(lp, n_shared), warm), solve_lp_highs(lp)
         assert hot.optimal and cold.optimal
         assert hot.value == pytest.approx(cold.value, abs=1e-9)
         assert hot.value == pytest.approx(solve_lp(lp).value, abs=1e-7)
@@ -397,13 +395,13 @@ def test_first_request_sets_the_shared_count():
     lp = make_lp("max", [1.0, 2.0, 3.0], [([1, 1, 1], LE, 1.0), ([1, 2, 0], LE, 1.5)])
     warm = WarmHighs()
     assert warm.n_shared is None
-    first = solve_lp_highs(leading_request(lp, 2, warm))
+    first = solve_lp_highs(leading_request(lp, 2), warm)
     assert first.optimal and warm.n_shared == 2
     assert first.value == pytest.approx(solve_lp(lp).value, abs=1e-9)
     for n_shared in (0, 1, 3):
         with pytest.raises(LpError, match="warm model"):
-            solve_lp_highs(leading_request(lp, n_shared, warm))
-    assert solve_lp_highs(leading_request(lp, 2, warm)).value == first.value
+            solve_lp_highs(leading_request(lp, n_shared), warm)
+    assert solve_lp_highs(leading_request(lp, 2), warm).value == first.value
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -434,34 +432,34 @@ def test_nan_entry_ends_the_run_before_it_is_written():
     for column, built in ((0, False), (2, False), (1, True)):
         warm = WarmHighs()
         if built:
-            assert solve_lp_highs(leading_request(lp, 1, warm)).optimal
+            assert solve_lp_highs(leading_request(lp, 1), warm).optimal
         a = lp.a.copy()
         a[1, column] = np.nan
-        bad = leading_request(dataclasses.replace(lp, a=a), 1, warm)
-        assert solve_lp_highs(bad).status == NUMERICAL_FAILURE
+        bad = leading_request(dataclasses.replace(lp, a=a), 1)
+        assert solve_lp_highs(bad, warm).status == NUMERICAL_FAILURE
         assert warm._highs is None
-        assert solve_lp_highs(leading_request(lp, 1, warm)).value == pytest.approx(ref, abs=1e-9)
+        assert solve_lp_highs(leading_request(lp, 1), warm).value == pytest.approx(ref, abs=1e-9)
 
 
 def test_warm_model_rejects_an_lp_with_other_rows():
     warm = WarmHighs()
     lp = make_lp("max", [1.0, 1.0, 1.0], [([1, 1, 1], LE, 1.0)])
-    assert solve_lp_highs(leading_request(lp, 2, warm)).optimal
+    assert solve_lp_highs(leading_request(lp, 2), warm).optimal
     other = make_lp("max", [1.0, 1.0], [([1, 1], LE, 1.0), ([1, 0], LE, 0.5)])
     with pytest.raises(LpError, match="warm model"):
-        solve_lp_highs(leading_request(other, 2, warm))
+        solve_lp_highs(leading_request(other, 2), warm)
 
 
 def test_warm_model_rebuilt_after_a_rejected_column():
     warm = WarmHighs()
     rows = [([1.0, 1.0, 1.0], LE, 1.0), ([2.0, 0.0, 1.0], LE, 0.5)]
-    good = leading_request(make_lp("max", [3.0, 1.0, 2.0], rows), 2, warm)
-    assert solve_lp_highs(good).optimal
+    good = leading_request(make_lp("max", [3.0, 1.0, 2.0], rows), 2)
+    assert solve_lp_highs(good, warm).optimal
     bad_rows = [([np.inf, 1.0, 1.0], LE, 1.0), rows[1]]
-    bad = leading_request(make_lp("max", [3.0, 1.0, 2.0], bad_rows), 2, warm)
-    assert solve_lp_highs(bad).status == solve_lp_highs(dataclasses.replace(bad, warm=None)).status
-    assert solve_lp_highs(bad).status == "numerical_failure"
-    again = solve_lp_highs(good)
+    bad = leading_request(make_lp("max", [3.0, 1.0, 2.0], bad_rows), 2)
+    assert solve_lp_highs(bad, warm).status == solve_lp_highs(bad).status
+    assert solve_lp_highs(bad, warm).status == "numerical_failure"
+    again = solve_lp_highs(good, warm)
     assert again.optimal
     assert again.value == pytest.approx(solve_lp(good).value, abs=1e-9)
 
@@ -482,7 +480,7 @@ def test_feasible_unbounded_lp_is_reported_unbounded():
     for solve in (solve_lp, solve_lp_highs):
         assert solve(lp).status == UNBOUNDED, solve.__name__
     warm = WarmHighs()
-    assert solve_lp_highs(leading_request(lp, 0, warm)).status == UNBOUNDED
+    assert solve_lp_highs(leading_request(lp, 0), warm).status == UNBOUNDED
     # the retry leaves presolve on for the model's next LP
     assert warm._highs.getOptionValue("presolve")[1] == "choose"
 
@@ -550,8 +548,8 @@ def test_in_place_edits_match_cold_solves(sense, monkeypatch):
             costs[name] = rng.normal(size=k)
         lb, ub = (np.full(k, rng.uniform(0.0, 1.0)),) * 2 if pinned else free[name]
         value = rng.normal(size=index.shape[0])
-        lead = LeadingColumns(shared, costs[name], lb, ub, starts, index, value, warm)
-        hot, cold = solve_lp_highs(lead), solve_lp_highs(dataclasses.replace(lead, warm=None))
+        lead = LeadingColumns(shared, costs[name], lb, ub, starts, index, value)
+        hot, cold = solve_lp_highs(lead, warm), solve_lp_highs(lead)
         assert hot.optimal and cold.optimal
         assert hot.value == pytest.approx(cold.value, abs=1e-9)
         assert max(residuals(lead.lp(), hot).values()) <= 1e-7
@@ -566,8 +564,9 @@ def test_unchanged_request_re_solves_in_no_iteration():
     shared = _lead_family(rng)("max")
     starts, index = _pattern(rng, shared.n_rows, [1, 3, 2])
     lead = LeadingColumns(shared, rng.normal(size=3), np.zeros(3), np.full(3, 2.0), starts, index,
-                          rng.normal(size=index.shape[0]), WarmHighs())
-    first, again = solve_lp_highs(lead), solve_lp_highs(lead)
+                          rng.normal(size=index.shape[0]))
+    warm = WarmHighs()
+    first, again = solve_lp_highs(lead, warm), solve_lp_highs(lead, warm)
     assert first.optimal and again.optimal
     assert again.iterations == 0
     assert again.value == first.value
@@ -580,18 +579,18 @@ def test_infinite_entry_written_in_place_rebuilds_the_model():
     warm = WarmHighs()
 
     def request(value):
-        return LeadingColumns(shared, np.ones(2), np.zeros(2), np.full(2, 2.0), starts, index, value, warm)
+        return LeadingColumns(shared, np.ones(2), np.zeros(2), np.full(2, 2.0), starts, index, value)
 
     good = request(rng.normal(size=index.shape[0]))
-    assert solve_lp_highs(good).optimal
+    assert solve_lp_highs(good, warm).optimal
     model = warm._highs
     bad_value = good.value.copy()
     bad_value[-1] = np.inf
-    assert solve_lp_highs(request(bad_value)).status == NUMERICAL_FAILURE
+    assert solve_lp_highs(request(bad_value), warm).status == NUMERICAL_FAILURE
     assert warm._highs is None
-    again = solve_lp_highs(good)
+    again = solve_lp_highs(good, warm)
     assert again.optimal and warm._highs is not model
-    assert again.value == pytest.approx(solve_lp_highs(dataclasses.replace(good, warm=None)).value, abs=1e-9)
+    assert again.value == pytest.approx(solve_lp_highs(good).value, abs=1e-9)
 
 
 def _infeasible_lp(rng, sense):
@@ -641,7 +640,7 @@ def test_highs_limits_and_undecided_runs_get_their_own_status():
     lp = _mixed_lp(np.random.default_rng(2), 4, 3)
     assert solve_lp_highs(lp).iterations > 0
     for options, status in (({"simplex_iteration_limit": 0}, ITERATION_LIMIT), ({"time_limit": 0.0}, TIME_LIMIT)):
-        sol = solve_lp_highs(leading_request(lp, 0, WarmHighs(options)))
+        sol = solve_lp_highs(leading_request(lp, 0), WarmHighs(options))
         assert sol.status == status and sol.certificate is None
 
 
@@ -651,8 +650,8 @@ def test_model_options_survive_the_cold_retry():
     options = {"presolve": "off", "simplex_strategy": PRIMAL_SIMPLEX}
     warm = WarmHighs(options)
     lp = _unbounded_mixed_lp()
-    assert solve_lp_highs(leading_request(lp, 0, warm)).status == UNBOUNDED
-    assert solve_lp_highs(leading_request(dataclasses.replace(lp, c=np.zeros(6)), 0, warm)).optimal
+    assert solve_lp_highs(leading_request(lp, 0), warm).status == UNBOUNDED
+    assert solve_lp_highs(leading_request(dataclasses.replace(lp, c=np.zeros(6)), 0), warm).optimal
     for name, value in options.items():
         assert warm._highs.getOptionValue(name)[1] == value
 

@@ -184,6 +184,14 @@ MALFORMED = {
     "norm 2": ("infinite_two_state", lambda doc: doc["states"][1].update(
         ambiguity={**MEAN_BLOCK, "norm": 2}), "states[1].ambiguity"),
     "dim 0": ("infinite_two_state", _ball_support(dim=0), "ambiguities.ball"),
+    "text terminal on a decision state": ("finite_two_state", lambda doc: doc["states"][0].update(terminal="false"),
+                                          "states[0].terminal", "expected true or false, got 'false'"),
+    "null terminal": ("finite_two_state", lambda doc: doc["states"][1].update(terminal=None),
+                      "states[1].terminal", "got None"),
+    "text terminal": ("finite_two_state", lambda doc: doc["states"][1].update(terminal="no"),
+                      "states[1].terminal", "got 'no'"),
+    "integer terminal": ("finite_two_state", lambda doc: doc["states"][2].update(terminal=2),
+                         "states[2].terminal", "got 2"),
     "box bounds of two lengths": ("infinite_two_state", _second_state(
         "ambiguity", {"support": {"kind": "box", "lo": [0, 0], "hi": [1]}}),
         "states[1].ambiguity", "box bounds differ in length: lo has 2 entries, hi has 1"),

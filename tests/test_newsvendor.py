@@ -118,16 +118,10 @@ def test_transition_rows_are_stochastic():
             assert np.all(rows >= -1e-12)
 
 
-def test_sampling_zero_noise_returns_truth():
-    p = (0.05, 0.4, 0.1, 0.4, 0.05)
-    out = sample_training_set(p, 1, np.random.default_rng(0), draws=0)
-    assert np.allclose(out[0], p)
-
-
 def test_sampling_simplex_membership_and_mean():
     p = np.array((0.05, 0.4, 0.1, 0.4, 0.05))
     rng = np.random.default_rng(1)
-    samples = np.array(sample_training_set(p, 100_000, rng, draws=20))
+    samples = np.array(sample_training_set(p, 100_000, rng))
     assert np.allclose(samples.sum(axis=1), 1.0)
     assert np.all(samples >= 0.0)
     assert np.max(np.abs(samples.mean(axis=0) - p)) < 0.01
@@ -191,9 +185,9 @@ def test_default_backend_solves_the_paper_sized_zero_radius_case():
     # the dense simplex fails on these backups; called without a solver,
     # the robust value at θ = 0 is classical DP at the sample mean
     cfg = NewsvendorConfig()
-    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1), draws=20)
+    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1))
     value, _, index = solve_order_strategy(cfg, samples, 0.0)
-    amb = build_wasserstein(samples, 0.0, simplex(cfg.n_demand), cfg.metric)
+    amb = build_wasserstein(samples, 0.0, simplex(cfg.n_demand))
     model, _ = build_newsvendor_model(cfg, amb)
     xibar = np.mean(samples, axis=0)
     classical = classical_dp_finite(model, {sid: xibar for sid in index.values()})
@@ -226,7 +220,7 @@ def test_fixed_policy_evaluation_reuses_the_template(monkeypatch):
     )
     cfg = NewsvendorConfig()
     samples = sample_training_set(cfg.true_dist, 15, np.random.default_rng(6))
-    amb = build_wasserstein(samples, 0.5, simplex(cfg.n_demand), cfg.metric)
+    amb = build_wasserstein(samples, 0.5, simplex(cfg.n_demand))
     model, _ = build_newsvendor_model(cfg, amb)
     vf, policy, _ = backward_induction(model, solver="highs")
     assert len(assemblies) == 1
@@ -364,18 +358,18 @@ def test_policy_that_does_not_sum_to_one_is_rejected(monkeypatch):
 
     highs = drmdp.lp._SOLVERS["highs"]
 
-    def zero_policy(lp):
-        sol = highs(lp)
-        if sol.optimal and lp.warm is not None:  # robust LPs: π columns lead
+    def zero_policy(lp, warm):
+        sol = highs(lp, warm)
+        if sol.optimal and warm is not None:  # robust LPs: π columns lead
             x = sol.x.copy()
-            x[: lp.n_vars - lp.warm.n_shared] = 0.0
+            x[: lp.n_vars - warm.n_shared] = 0.0
             sol = dataclasses.replace(sol, x=x)
         return sol
 
     monkeypatch.setitem(drmdp.lp._SOLVERS, "highs", zero_policy)
     # three periods: state 1, stage 1 is the first backup
     cfg = NewsvendorConfig(horizon=3)
-    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1), draws=20)
+    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1))
     with pytest.raises(EngineError, match=r"state 1, stage 1: .* policy summing to 0"):
         solve_order_strategy(cfg, samples, 0.0)
 
@@ -384,7 +378,7 @@ def test_simplex_reports_its_wrong_optimum_as_a_numerical_failure():
     # the dense simplex ends this robust LP at a basis with a policy summing
     # to 0 and residual 0.021; the residual check turns it into a failure
     cfg = NewsvendorConfig()
-    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1), draws=20)
+    samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1))
     with pytest.raises(
         EngineError,
         match=r"state 1, stage 1: robust LP \(57 rows × 104 columns\) ended with status numerical_failure",

@@ -735,7 +735,7 @@ def test_template_matrix_holds_the_arrays_scipy_would():
     cfg = NewsvendorConfig()
     sets = [random_simplex_ambiguity(rng, 3, kind) for kind in FAMILIES]
     sets += [
-        build_wasserstein(sample_training_set(cfg.true_dist, n, rng), 0.5, simplex(cfg.n_demand), cfg.metric)
+        build_wasserstein(sample_training_set(cfg.true_dist, n, rng), 0.5, simplex(cfg.n_demand))
         for n in cfg.train_sizes
     ]
     for amb in sets:
@@ -760,7 +760,7 @@ def _swap_cases():
     cfg = NewsvendorConfig()
     for n in (5, 15):
         samples = sample_training_set(cfg.true_dist, n, np.random.default_rng(n))
-        yield build_wasserstein(samples, 0.5, simplex(cfg.n_demand), cfg.metric)
+        yield build_wasserstein(samples, 0.5, simplex(cfg.n_demand))
 
 
 def _same_bytes(a, b):
@@ -774,9 +774,9 @@ def test_column_swap_backup_equals_the_whole_lp_backup(monkeypatch):
     seen = []
     highs = drmdp.lp._SOLVERS["highs"]
 
-    def recorded(lead):
+    def recorded(lead, warm):
         assert isinstance(lead, drmdp.lp.LeadingColumns)
-        seen.append(highs(lead))
+        seen.append(highs(lead, warm))
         return seen[-1]
 
     monkeypatch.setitem(drmdp.lp._SOLVERS, "highs", recorded)
@@ -793,8 +793,8 @@ def test_column_swap_backup_equals_the_whole_lp_backup(monkeypatch):
                 sol = reformulation._fixed_policy_backup(obj, amb, pi, "highs")
             else:
                 sol = solve_srobust(obj, amb, solver="highs")
-            lp = template.instantiate(obj, pi)
-            whole = second.run(leading_request(lp, template.shared.n_vars, second))
+            lp = template.leading_columns(obj, pi).lp()
+            whole = second.run(leading_request(lp, template.shared.n_vars))
             swap = seen[-1]
             _same_bytes(swap.x, whole.x)
             _same_bytes(swap.y, whole.y)
@@ -807,7 +807,7 @@ def test_column_swap_backup_equals_the_whole_lp_backup(monkeypatch):
             assert sol.gamma.keys() == template.moment_rows.keys()
             for j, rows in template.moment_rows.items():
                 _same_bytes(sol.gamma[j], -y[rows])
-            cert = reformulation._point_masses(amb, template.layout, whole.y)
+            cert = reformulation._point_masses(amb, whole.y)
             _same_bytes(sol.certificate.weights, cert.weights)
             _same_bytes(sol.certificate.means, cert.means)
     assert len(seen) == 6 * 32
