@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambiguity import FactorMap, LiftedAmbiguitySet
 from .reformulation import (
     ReformulationError,
     _fixed_policy_backup,

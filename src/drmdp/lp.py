@@ -565,13 +565,13 @@ class WarmHighs:
     first run builds the model from the request's shared part, whose
     column count it keeps as `n_shared`; a request with other rows or
     another count of shared columns raises LpError.  An entry that is NaN
-    or too large for HiGHS ends the run as "numerical_failure" before it is
-    written, and the next request builds a new model.  A run that
-    does not end optimal is repeated once from scratch, with presolve off
-    and on the dual simplex, before its status is reported, so neither a
-    stale basis nor presolve's guess turns a solvable LP into a failure or
-    an unbounded one into an infeasible one; an infeasible one carries
-    HiGHS's dual ray as its Farkas certificate.
+    or too large for HiGHS, or a cost that is not finite, ends the run as
+    "numerical_failure" before it is written, and the next request builds
+    a new model.  A run that does not end optimal is repeated once from
+    scratch, with presolve off and on the dual simplex, before its status
+    is reported, so neither a stale basis nor presolve's guess turns a
+    solvable LP into a failure or an unbounded one into an infeasible one;
+    an infeasible one carries HiGHS's dual ray as its Farkas certificate.
     `options` are HiGHS options the model runs with (the retry aside).
     The handle keeps the last request, whose leading columns the model
     holds, and a lock serialises solves on it.  A request's arrays are
@@ -631,11 +631,14 @@ class WarmHighs:
         use, build the model from its rows and shared columns.  Its
         objective sense is the request's, so the row duals are already
         shadow prices for the stated sense.  False, before any write, if an
-        entry fails `_writable`, and false if HiGHS rejects an edit."""
-        if not _writable(lead.value) or (self._highs is None and not _writable(lead.shared.a.data)):
+        entry fails `_writable` or a cost is not finite, and false if HiGHS
+        rejects an edit."""
+        sh = lead.shared
+        if not (_writable(lead.value) and np.isfinite(lead.c).all()) or (
+            self._highs is None and not (_writable(sh.a.data) and np.isfinite(sh.c).all())
+        ):
             return False
         if self._highs is None:
-            sh = lead.shared
             self.n_shared = sh.n_vars
             self._highs = _Highs()
             self._highs.setOptionValue("output_flag", False)
@@ -676,8 +679,10 @@ class WarmHighs:
     def _edit_in_place(self, lead: LeadingColumns) -> bool:
         """Write the entries, costs and bounds in which the request differs
         from the held leading columns, which have its pattern.  False if a
-        changed entry fails `_writable`."""
+        changed entry fails `_writable` or a changed cost is not finite."""
         held, highs, cols = self._held, self._highs, self._cols
+        if lead.c is not held.c and not np.isfinite(lead.c).all():
+            return False
         edits = []
         # the very array the model holds (a geometry query's) has no change
         if lead.value is not held.value:

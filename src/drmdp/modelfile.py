@@ -170,7 +170,7 @@ def _parse_factor_map(node, path):
 
 @dataclass(frozen=True)
 class ModelDocument:
-    """Validated document contents, buildable into a DrMdpModel.
+    """Document contents; `build` checks all of them and builds a DrMdpModel.
 
     A document from `parse_model_text` was built while parsing; `build`
     returns that model instead of building it again.
@@ -186,6 +186,34 @@ class ModelDocument:
 
     def _build(self) -> DrMdpModel:
         doc = self.raw
+        _check_keys(
+            doc,
+            "document",
+            ("format_version", "states"),
+            ("stages", "discount", "terminal_values", "ambiguities"),
+        )
+        if doc["format_version"] != FORMAT_VERSION:
+            raise ModelFileError(
+                f"document.format_version: expected {FORMAT_VERSION}, got {doc['format_version']!r}"
+            )
+        if ("stages" in doc) == ("discount" in doc):
+            raise ModelFileError("document: exactly one of 'stages' and 'discount' required")
+        if "terminal_values" in doc and "stages" not in doc:
+            raise ModelFileError("document: terminal_values requires stages")
+        if not isinstance(doc["states"], list) or not doc["states"]:
+            raise ModelFileError("document.states: expected a nonempty list")
+        if "ambiguities" in doc:
+            _require_mapping(doc["ambiguities"], "ambiguities")
+        for i, st in enumerate(doc["states"]):
+            path = f"states[{i}]"
+            _check_keys(st, path, (), ("name", "terminal", "factor_map", "ambiguity"))
+            if not isinstance(st.get("terminal", False), bool):
+                raise ModelFileError(f"{path}.terminal: expected true or false, got {st['terminal']!r}")
+            if st.get("terminal", False):
+                if "factor_map" in st or "ambiguity" in st:
+                    raise ModelFileError(f"{path}: terminal states carry no factor_map/ambiguity")
+            elif "factor_map" not in st or "ambiguity" not in st:
+                raise ModelFileError(f"{path}: non-terminal states need factor_map and ambiguity")
         supports = {}  # (kind, values) -> the set every equal support spec gets
         named = {
             name: _parse_ambiguity(node, f"ambiguities.{name}", supports)
@@ -231,34 +259,6 @@ def parse_model_text(text: str) -> ModelDocument:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ModelFileError(f"syntax error{where}: {err}") from err
-    _check_keys(
-        doc,
-        "document",
-        ("format_version", "states"),
-        ("stages", "discount", "terminal_values", "ambiguities"),
-    )
-    if doc["format_version"] != FORMAT_VERSION:
-        raise ModelFileError(
-            f"document.format_version: expected {FORMAT_VERSION}, got {doc['format_version']!r}"
-        )
-    if ("stages" in doc) == ("discount" in doc):
-        raise ModelFileError("document: exactly one of 'stages' and 'discount' required")
-    if "terminal_values" in doc and "stages" not in doc:
-        raise ModelFileError("document: terminal_values requires stages")
-    if not isinstance(doc["states"], list) or not doc["states"]:
-        raise ModelFileError("document.states: expected a nonempty list")
-    if "ambiguities" in doc:
-        _require_mapping(doc["ambiguities"], "ambiguities")
-    for i, st in enumerate(doc["states"]):
-        path = f"states[{i}]"
-        _check_keys(st, path, (), ("name", "terminal", "factor_map", "ambiguity"))
-        if not isinstance(st.get("terminal", False), bool):
-            raise ModelFileError(f"{path}.terminal: expected true or false, got {st['terminal']!r}")
-        if st.get("terminal", False):
-            if "factor_map" in st or "ambiguity" in st:
-                raise ModelFileError(f"{path}: terminal states carry no factor_map/ambiguity")
-        elif "factor_map" not in st or "ambiguity" not in st:
-            raise ModelFileError(f"{path}: non-terminal states need factor_map and ambiguity")
     document = ModelDocument(doc)
     # fail fast: every parsed document builds and validates
     object.__setattr__(document, "_model", document._build())

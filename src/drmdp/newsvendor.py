@@ -30,36 +30,28 @@ class NewsvendorError(Exception):
 
 @dataclass(frozen=True)
 class NewsvendorConfig:
-    horizon: int = 5
-    s_min: int = -5
-    s_max: int = 10
-    order_cost: float = 1.0
-    holding_cost: float = 2.0
-    backorder_cost: float = 3.0
-    true_dist: tuple = (0.05, 0.4, 0.1, 0.4, 0.05)
+    horizon: ClassVar[int] = 5
+    s_min: ClassVar[int] = -5
+    s_max: ClassVar[int] = 10
+    order_cost: ClassVar[float] = 1.0
+    holding_cost: ClassVar[float] = 2.0
+    backorder_cost: ClassVar[float] = 3.0
+    true_dist: ClassVar[tuple] = (0.05, 0.4, 0.1, 0.4, 0.05)
+    # demand realizations behind each sampled training distribution
+    sample_draws: ClassVar[int] = 20
     train_sizes: tuple = (5, 15)
     theta_grid: tuple = (0.0, 0.1, 0.2, 0.5, 1.0, 2.0)
     repetitions: int = 200
     test_runs: int = 1000
-    # demand realizations behind each sampled training distribution
-    sample_draws: ClassVar[int] = 20
     seed: int = 0
 
     def __post_init__(self):
-        p = np.asarray(self.true_dist, dtype=float)
-        if not (self.s_min < 0 < self.s_max):
-            raise NewsvendorError("need s_min < 0 < s_max")
-        if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-            raise NewsvendorError("true_dist must be a probability vector")
-        if min(self.order_cost, self.holding_cost, self.backorder_cost) < 0:
-            raise NewsvendorError("costs must be nonnegative")
-        if self.horizon < 2:
-            raise NewsvendorError("need at least two periods")
         if not all(isinstance(n, (int, np.integer)) and n > 0 for n in self.train_sizes):
             raise NewsvendorError(f"training-set sizes must be positive ints, got {self.train_sizes}")
         if not all(0 <= theta < np.inf for theta in self.theta_grid):
             raise NewsvendorError(f"radii must be finite and nonnegative, got {self.theta_grid}")
-        object.__setattr__(self, "true_dist", tuple(p))
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise NewsvendorError(f"seed must be a nonnegative int, got {self.seed}")
 
     @property
     def inventories(self):
@@ -151,13 +143,15 @@ def solve_order_strategy(cfg: NewsvendorConfig, samples, theta, solver="highs"):
     return vf[0], policy, index
 
 
-def simulate_policy(cfg: NewsvendorConfig, policy, index, runs, rng) -> float:
-    """Monte Carlo mean total cost of a policy under the true demand law.
+def simulate_policy(cfg: NewsvendorConfig, policy, index, rng) -> float:
+    """Monte Carlo mean total cost of a policy over cfg.test_runs runs
+    under the true demand law.
 
     Rollouts are vectorized over runs; actions are sampled from the
     randomized per-state distributions, demands from cfg.true_dist.
     """
     p = np.asarray(cfg.true_dist)
+    runs = cfg.test_runs
     states = np.zeros(runs, dtype=int)  # inventory, starts at 0
     total = np.zeros(runs)
     for t in range(1, cfg.horizon):
@@ -246,7 +240,7 @@ def _run_repetition(cfg: NewsvendorConfig, rep: int, solver: str):
                 failures.append((float(theta), int(n), int(rep), str(err)))
                 continue
             sim_rng = np.random.default_rng(sim_seed)
-            cost = simulate_policy(cfg, policy, index, cfg.test_runs, sim_rng)
+            cost = simulate_policy(cfg, policy, index, sim_rng)
             rows.append((theta, n, rep, cost))
     return rows, failures
 

@@ -193,7 +193,9 @@ def test_newsvendor_bad_flags_exit_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--train-sizes", "0"), ("--train-sizes", "5,-3"), ("--radii", "-1,0")])
+@pytest.mark.parametrize(
+    "flag, value", [("--train-sizes", "0"), ("--train-sizes", "5,-3"), ("--radii", "-1,0"), ("--seed", "-1")]
+)
 def test_newsvendor_bad_sizes_and_radii_exit_2_before_any_solve(runner, tmp_path, flag, value):
     res = runner.invoke(main, ["newsvendor", flag, value, "--reps", "1", "--out-dir", str(tmp_path)])
     assert res.exit_code == 2, res.output

@@ -452,7 +452,6 @@ def test_modelfile_errors(call, fragment):
 
 
 NEWSVENDOR = {
-    "one period": (lambda: NewsvendorConfig(horizon=1), "need at least two periods"),
     "zero training size": (lambda: NewsvendorConfig(train_sizes=(0,)), "training-set sizes must be positive ints"),
     "negative training size": (
         lambda: NewsvendorConfig(train_sizes=(5, -3)),
@@ -464,6 +463,7 @@ NEWSVENDOR = {
     ),
     "negative radius": (lambda: NewsvendorConfig(theta_grid=(-1.0, 0.0)), "radii must be finite and nonnegative"),
     "nan radius": (lambda: NewsvendorConfig(theta_grid=(NAN,)), "radii must be finite and nonnegative"),
+    "negative seed": (lambda: NewsvendorConfig(seed=-1), "seed must be a nonnegative int, got -1"),
     "no training sample": (
         lambda: sample_training_set((0.5, 0.5), 0, np.random.default_rng(0)),
         "need at least one training sample",

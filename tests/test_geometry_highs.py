@@ -306,3 +306,16 @@ def test_no_library_path_calls_the_dense_simplex(monkeypatch):
         solved += 1
     assert solved == len(FIXTURES) + 3
     assert not calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_direction_fails_and_the_set_answers_the_next(lp_path, bad):
+    # the direction is the support LP's cost: one that is not finite ends
+    # the run before HiGHS sees it, on a new model or on the set's warm one
+    s = simplex(3)
+    with pytest.raises(GeometryError, match="numerical_failure"):
+        support_value(s, [bad, 0.0, 0.0])
+    assert support_value(s, [0.0, 2.0, 1.0]) == pytest.approx(2.0, abs=TOL)
+    with pytest.raises(GeometryError, match="numerical_failure"):
+        support_value(s, [0.0, bad, 0.0])
+    assert support_value(s, [1.0, 0.0, 3.0]) == pytest.approx(3.0, abs=TOL)

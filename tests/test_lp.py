@@ -441,6 +441,27 @@ def test_nan_entry_ends_the_run_before_it_is_written():
         assert solve_lp_highs(leading_request(lp, 1), warm).value == pytest.approx(ref, abs=1e-9)
 
 
+@pytest.mark.parametrize("cost", [np.nan, np.inf])
+def test_non_finite_cost_ends_the_run_before_it_is_written(cost):
+    # HiGHS takes a NaN cost and reports an optimum.  No cost that is not
+    # finite reaches it: a leading or a shared one on the build, or a
+    # leading one written in place; the model is dropped and the next
+    # request builds a new one
+    lp = make_lp("max", [1.0, 1.0, 1.0], [([1, 1, 1], LE, 1.0), ([2, 0, 1], LE, 0.5)])
+    ref = solve_lp(lp).value
+    for column, built in ((0, False), (2, False), (0, True)):
+        warm = WarmHighs()
+        if built:
+            assert solve_lp_highs(leading_request(lp, 1), warm).optimal
+        c = lp.c.copy()
+        c[column] = cost
+        bad = dataclasses.replace(lp, c=c)
+        assert solve_lp_highs(bad).status == NUMERICAL_FAILURE
+        assert solve_lp_highs(leading_request(bad, 1), warm).status == NUMERICAL_FAILURE
+        assert warm._highs is None
+        assert solve_lp_highs(leading_request(lp, 1), warm).value == pytest.approx(ref, abs=1e-9)
+
+
 def test_warm_model_rejects_an_lp_with_other_rows():
     warm = WarmHighs()
     lp = make_lp("max", [1.0, 1.0, 1.0], [([1, 1, 1], LE, 1.0)])

